@@ -14,31 +14,44 @@ the transfer-swap variant keeps the reform's solved rate, retaxes the
 food-basket group, and recycles the extra revenue as a flat per-person
 transfer (re-solving the rate instead is available behind a switch).
 
+Scenarios and tables work on the population's id-sorted columns: per-household
+arrays of gross tax, cashback, transfer and net tax, and per-quintile exact
+sums over index masks.  Every scenario spot-checks its arrays against the
+per-household reference functions of ``ivasim.engine`` on a few households.
+
 Outputs are plain data plus deterministic CSV/text renderings: one decimal
 for percentages, whole currency units for monthly amounts.
 """
 
 from __future__ import annotations
 
+import csv
 import enum
+import io
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .engine import (
     AggregateIncidence,
     HouseholdIncidence,
     aggregate,
     baseline_tax,
+    baseline_taxes,
+    category_totals,
     household_tax,
+    household_taxes,
     universal_transfer_amount,
+    weighted_total,
     with_cashback,
-    with_transfer,
 )
-from .microdata import Household, Population
+from .microdata import Columns, Household, Population
 from .rates import Rate
-from .schedule import Schedule, TaxTreatment, TreatmentKind, with_removal
-from .solver import SolveResult, solve_given_cashback, solve_with_cashback
+from .schedule import Schedule, TaxTreatment, with_removal
+from .solver import SolverError, solve_given_cashback, solve_with_cashback
 
 
 # -- quintiles ---------------------------------------------------------------
@@ -52,6 +65,12 @@ class QuintileAssignment:
     def members(self, population: Population, quintile: int) -> tuple[Household, ...]:
         return tuple(
             h for h in population.households if self.quintile_of[h.id] == quintile
+        )
+
+    def of(self, cols: Columns) -> np.ndarray:
+        """Quintile of every household of ``cols``, in ascending id order."""
+        return np.fromiter(
+            (self.quintile_of[h.id] for h in cols.households), np.int64, len(cols.households)
         )
 
 
@@ -74,13 +93,20 @@ def assign_quintiles(population: Population) -> QuintileAssignment:
     return QuintileAssignment(quintile_of, tuple(boundaries))
 
 
-def _weighted_mean(pairs: Iterable[tuple[float, float]]) -> float:
-    ws, xs = [], []
-    for w, x in pairs:
-        ws.append(w)
-        xs.append(w * x)
-    denom = math.fsum(ws)
-    return math.fsum(xs) / denom if denom > 0 else 0.0
+def _weighted_mean(weights: np.ndarray, values: np.ndarray, rows: np.ndarray) -> float:
+    """fsum(w * x) / fsum(w) over the households at index ``rows``."""
+    w = weights[rows]
+    denom = math.fsum(w)
+    return weighted_total(w, values[rows]) / denom if denom > 0 else 0.0
+
+
+def _quintile_rows(quintile: np.ndarray, keep: np.ndarray | None = None) -> list[np.ndarray]:
+    """Index arrays of quintiles 1..5, then of the whole population."""
+    if keep is None:
+        keep = np.ones(len(quintile), dtype=bool)
+    return [np.flatnonzero(keep & (quintile == q)) for q in range(1, 6)] + [
+        np.flatnonzero(keep)
+    ]
 
 
 # -- budget shares (treatment group x quintile) --------------------------------
@@ -101,32 +127,17 @@ def budget_share_table(
     so the groups of one column always add up to 100.  Households with no
     monetary spending carry no shares and are left out of the means.
     """
-    groups = schedule.groups()
-    members: dict[str, tuple[str, ...]] = {
-        g: tuple(c.id for c in schedule.categories if c.group == g) for g in groups
-    }
-    ordered = sorted(population.households, key=lambda h: h.id)
-    columns: list[Sequence[Household]] = [
-        [h for h in ordered if quintiles.quintile_of[h.id] == q] for q in range(1, 6)
-    ]
-    columns.append(ordered)  # total column
+    cols = population.columns(schedule)
+    spending = cols.monetary > 0
+    columns = _quintile_rows(quintiles.of(cols), spending)
     rows = []
-    for g in groups:
-        cells = []
-        for column in columns:
-            cells.append(
-                100.0
-                * _weighted_mean(
-                    (
-                        h.weight,
-                        math.fsum(h.expenditures[cid] for cid in members[g])
-                        / h.monetary_total(),
-                    )
-                    for h in column
-                    if h.monetary_total() > 0
-                )
-            )
-        rows.append(BudgetShareRow(g, tuple(cells)))
+    for g in schedule.groups():
+        members = [j for j, c in enumerate(schedule.categories) if c.group == g]
+        group_spend = cols.spend[:, members].sum(axis=1)
+        share = np.divide(group_spend, cols.monetary, out=np.zeros_like(group_spend),
+                          where=spending)
+        cells = tuple(100.0 * _weighted_mean(cols.weight, share, column) for column in columns)
+        rows.append(BudgetShareRow(g, cells))
     totals = tuple(math.fsum(r.cells[i] for r in rows) for i in range(6))
     rows.append(BudgetShareRow("total", totals))
     return tuple(rows)
@@ -149,6 +160,12 @@ SCENARIO_LABELS = {
     ScenarioName.PLP68_TRANSFER_SWAP: "PLP 68 sem isenção da cesta, com transferência universal",
 }
 
+SPOT_CHECK_TOLERANCE = 1e-9  # relative
+
+
+class SpotCheckError(SolverError):
+    """The columnar scenario arrays disagree with the per-household reference."""
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -157,14 +174,35 @@ class ScenarioSpec:
     resolve_rate: bool = False  # transfer swap: re-solve instead of holding the rate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioResult:
+    """One scenario's per-household arrays (ascending household id) and totals."""
+
     spec: ScenarioSpec
     label: str
     t_ref: Rate | None  # None for the pre-reform baseline
     transfer_per_person: float
-    incidences: tuple[HouseholdIncidence, ...]  # ascending household id
     totals: AggregateIncidence
+    schedule: Schedule  # the schedule the scenario taxes with
+    households: tuple[Household, ...]  # ascending id, aligned with the arrays
+    gross: np.ndarray
+    cashback: np.ndarray
+    transfer: np.ndarray
+    net: np.ndarray
+
+    def scalar_incidence(self, household: Household) -> HouseholdIncidence:
+        """The household's position by the per-household reference functions."""
+        if self.t_ref is None:
+            return baseline_tax(household, self.schedule)
+        inc = with_cashback(
+            household, household_tax(household, self.schedule, self.t_ref), self.schedule
+        )
+        return replace(inc, transfer=self.transfer_per_person * household.residents)
+
+    @cached_property
+    def incidences(self) -> tuple[HouseholdIncidence, ...]:
+        """Every household's reference-path incidence, in ascending id order."""
+        return tuple(self.scalar_incidence(h) for h in self.households)
 
 
 def _uniform_vat_schedule(schedule: Schedule) -> Schedule:
@@ -186,17 +224,84 @@ def _uniform_vat_schedule(schedule: Schedule) -> Schedule:
     )
 
 
-def _run_baseline(population: Population, schedule: Schedule, spec: ScenarioSpec) -> ScenarioResult:
-    ordered = sorted(population.households, key=lambda h: h.id)
-    incidences = tuple(baseline_tax(h, schedule) for h in ordered)
-    return ScenarioResult(
+def _result(
+    population: Population,
+    schedule: Schedule,
+    spec: ScenarioSpec,
+    t_ref: Rate | None,
+    gross: np.ndarray,
+    cashback: np.ndarray | None = None,
+    transfer_per_person: float = 0.0,
+) -> ScenarioResult:
+    """Assemble a scenario from its arrays and spot-check it against the reference."""
+    cols = population.columns(schedule)
+    if cashback is None:
+        cashback = np.zeros_like(gross)
+    transfer = transfer_per_person * cols.residents
+    net = gross - cashback - transfer
+    result = ScenarioResult(
         spec=spec,
-        label=SCENARIO_LABELS[ScenarioName.BASELINE],
-        t_ref=None,
-        transfer_per_person=0.0,
-        incidences=incidences,
-        totals=aggregate(population, incidences, schedule),
+        label=SCENARIO_LABELS[spec.name],
+        t_ref=t_ref,
+        transfer_per_person=transfer_per_person,
+        totals=AggregateIncidence(
+            total_gross=weighted_total(cols.weight, gross),
+            total_cashback=weighted_total(cols.weight, cashback),
+            total_transfer=weighted_total(cols.weight, transfer),
+            total_net=weighted_total(cols.weight, net),
+            denominator_expenditure=category_totals(population, schedule).denominator,
+        ),
+        schedule=schedule,
+        households=cols.households,
+        gross=gross,
+        cashback=cashback,
+        transfer=transfer,
+        net=net,
     )
+    _spot_check(population, result)
+    return result
+
+
+def _spot_check(population: Population, result: ScenarioResult) -> None:
+    """Compare the arrays, and ``aggregate`` over a sample, with the reference path.
+
+    The sample is at most six households: id-sorted positions 0, n/4, n/2,
+    3n/4 and n-1, and the lowest-id cashback-eligible one.
+    """
+    cols = population.columns(result.schedule)
+    n = len(cols.households)
+    positions = {0, n // 4, n // 2, 3 * n // 4, n - 1}
+    eligible = np.flatnonzero(category_totals(population, result.schedule).eligible)
+    if eligible.size:
+        positions.add(int(eligible[0]))
+    rows = np.array(sorted(positions))
+    sample = [cols.households[i] for i in rows]
+    incidences = [result.scalar_incidence(h) for h in sample]
+
+    def check(what: str, fast, reference) -> None:
+        """(gross, cashback, transfer, net) against the reference, relative to its size."""
+        scale = sum(map(abs, reference[:3]))
+        for part, a, b in zip(("gross tax", "cashback", "transfer", "net tax"), fast, reference):
+            if abs(a - b) > SPOT_CHECK_TOLERANCE * scale:
+                raise SpotCheckError(
+                    f"{result.spec.name.value}: {what} {part} is {a!r} on the columnar "
+                    f"path but {b!r} on the per-household reference path"
+                )
+
+    arrays = (result.gross, result.cashback, result.transfer, result.net)
+    for i, h, inc in zip(rows, sample, incidences):
+        reference = (inc.gross_tax, inc.cashback, inc.transfer, inc.net_tax)
+        check(f"household {h.id}", [float(a[i]) for a in arrays], reference)
+
+    agg = aggregate(Population(tuple(sample), population.provenance), incidences,
+                    result.schedule)
+    w = cols.weight[rows]
+    reference = (agg.total_gross, agg.total_cashback, agg.total_transfer, agg.total_net)
+    check("sample", [weighted_total(w, a[rows]) for a in arrays], reference)
+
+
+def _run_baseline(population: Population, schedule: Schedule, spec: ScenarioSpec) -> ScenarioResult:
+    return _result(population, schedule, spec, None, baseline_taxes(population, schedule))
 
 
 def run_scenario(
@@ -212,27 +317,16 @@ def run_scenario(
     if baseline is None:
         baseline = _run_baseline(population, schedule, ScenarioSpec(ScenarioName.BASELINE))
     target = baseline.totals.net_burden
-    ordered = sorted(population.households, key=lambda h: h.id)
 
     if spec.name is ScenarioName.UNIFORM_VAT:
         uni = _uniform_vat_schedule(schedule)
         rate = solve_given_cashback(population, uni, 0.0, target)
-        incidences = tuple(household_tax(h, uni, rate) for h in ordered)
-        return ScenarioResult(
-            spec, SCENARIO_LABELS[spec.name], rate, 0.0, incidences,
-            aggregate(population, incidences, uni),
-        )
+        gross, _ = household_taxes(population, uni, rate)
+        return _result(population, uni, spec, rate, gross)
 
     if spec.name is ScenarioName.PLP68:
-        solved = solve_with_cashback(population, schedule, target)
-        incidences = tuple(
-            with_cashback(h, household_tax(h, schedule, solved.t_ref), schedule)
-            for h in ordered
-        )
-        return ScenarioResult(
-            spec, SCENARIO_LABELS[spec.name], solved.t_ref, 0.0, incidences,
-            aggregate(population, incidences, schedule),
-        )
+        rate = solve_with_cashback(population, schedule, target).t_ref
+        return _result(population, schedule, spec, rate, *household_taxes(population, schedule, rate))
 
     if spec.name is ScenarioName.PLP68_TRANSFER_SWAP:
         swapped = with_removal(schedule, spec.swap_selector)
@@ -242,10 +336,9 @@ def run_scenario(
             rate = plp68.t_ref
         else:
             rate = solve_with_cashback(population, schedule, target).t_ref
-        pre_transfer = tuple(
-            with_cashback(h, household_tax(h, swapped, rate), swapped) for h in ordered
-        )
-        extra = aggregate(population, pre_transfer, swapped).total_net - baseline.totals.total_net
+        gross, cashback = household_taxes(population, swapped, rate)
+        weights = population.columns(swapped).weight
+        extra = weighted_total(weights, gross - cashback) - baseline.totals.total_net
         if extra < 0:
             if extra < -1e-6 * abs(baseline.totals.total_net):
                 raise ValueError(
@@ -254,14 +347,7 @@ def run_scenario(
                 )
             extra = 0.0
         amount = universal_transfer_amount(extra, population)
-        incidences = tuple(
-            with_transfer(inc, amount * h.residents)
-            for h, inc in zip(ordered, pre_transfer)
-        )
-        return ScenarioResult(
-            spec, SCENARIO_LABELS[spec.name], rate, amount, incidences,
-            aggregate(population, incidences, swapped),
-        )
+        return _result(population, swapped, spec, rate, gross, cashback, amount)
 
     raise AssertionError(f"unhandled scenario {spec.name}")
 
@@ -315,22 +401,18 @@ def scenario_quintile_stats(
     scenario: ScenarioResult,
     baseline: ScenarioResult,
 ) -> tuple[ScenarioQuintileRow, ...]:
-    ordered = sorted(population.households, key=lambda h: h.id)
-    net = {inc.household_id: inc.net_tax for inc in scenario.incidences}
-    base_net = {inc.household_id: inc.net_tax for inc in baseline.incidences}
+    cols = population.columns(scenario.schedule)
+    delta_net = scenario.net - baseline.net
     rows = []
-    for q in (1, 2, 3, 4, 5, 0):
-        column = [h for h in ordered if q == 0 or quintiles.quintile_of[h.id] == q]
-        mean_net = _weighted_mean((h.weight, net[h.id]) for h in column)
-        mean_mon = _weighted_mean((h.weight, h.monetary_total()) for h in column)
-        mean_tot = _weighted_mean((h.weight, h.total_expenditure()) for h in column)
-        delta = _weighted_mean((h.weight, net[h.id] - base_net[h.id]) for h in column)
+    for q, column in zip((1, 2, 3, 4, 5, 0), _quintile_rows(quintiles.of(cols))):
+        mean_mon = _weighted_mean(cols.weight, cols.monetary, column)
+        delta = _weighted_mean(cols.weight, delta_net, column)
         rows.append(
             ScenarioQuintileRow(
                 quintile=q,
-                mean_net_tax=mean_net,
+                mean_net_tax=_weighted_mean(cols.weight, scenario.net, column),
                 mean_monetary_expenditure=mean_mon,
-                mean_total_expenditure=mean_tot,
+                mean_total_expenditure=_weighted_mean(cols.weight, cols.total, column),
                 delta_vs_baseline=delta,
                 delta_share_pct=100.0 * delta / mean_mon if mean_mon else 0.0,
             )
@@ -368,11 +450,20 @@ def _fmt(value: float, decimals: int) -> str:
     return s
 
 
+def _csv(header: Sequence[str], rows) -> str:
+    """CSV text with quoting wherever a field needs it (labels may hold commas)."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def render_budget_shares_csv(rows: Sequence[BudgetShareRow]) -> str:
-    lines = ["group," + ",".join(_QUINTILE_HEADERS)]
-    for r in rows:
-        lines.append(r.group + "," + ",".join(_fmt(x, 1) for x in r.cells))
-    return "\n".join(lines) + "\n"
+    return _csv(
+        ("group",) + _QUINTILE_HEADERS,
+        ([r.group] + [_fmt(x, 1) for x in r.cells] for r in rows),
+    )
 
 
 def render_budget_shares_text(rows: Sequence[BudgetShareRow]) -> str:
@@ -388,11 +479,14 @@ def render_budget_shares_text(rows: Sequence[BudgetShareRow]) -> str:
 
 
 def render_rate_impacts_csv(rows) -> str:
-    lines = ["label,selector,rate_outside_pct,delta_pp"]
-    for r in rows:
-        delta = "" if r.delta_pp is None else _fmt(r.delta_pp, 1)
-        lines.append(f"{r.label},{r.selector},{_fmt(r.rate_outside * 100, 1)},{delta}")
-    return "\n".join(lines) + "\n"
+    return _csv(
+        ("label", "selector", "rate_outside_pct", "delta_pp"),
+        (
+            (r.label, r.selector, _fmt(r.rate_outside * 100, 1),
+             "" if r.delta_pp is None else _fmt(r.delta_pp, 1))
+            for r in rows
+        ),
+    )
 
 
 def render_rate_impacts_text(rows) -> str:
@@ -409,19 +503,20 @@ def render_scenarios_csv(
 ) -> str:
     if not table:
         raise ValueError("empty scenario list")
-    lines = [
-        "scenario,quintile,mean_net_tax,mean_monetary_expenditure,"
-        "mean_total_expenditure,delta_vs_baseline,delta_share_pct"
-    ]
-    for result, rows in table:
-        for r in rows:
-            q = "total" if r.quintile == 0 else str(r.quintile)
-            lines.append(
-                f"{result.spec.name.value},{q},{_fmt(r.mean_net_tax, 0)},"
-                f"{_fmt(r.mean_monetary_expenditure, 0)},{_fmt(r.mean_total_expenditure, 0)},"
-                f"{_fmt(r.delta_vs_baseline, 0)},{_fmt(r.delta_share_pct, 1)}"
-            )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        (
+            "scenario", "quintile", "mean_net_tax", "mean_monetary_expenditure",
+            "mean_total_expenditure", "delta_vs_baseline", "delta_share_pct",
+        ),
+        (
+            (result.spec.name.value, "total" if r.quintile == 0 else str(r.quintile),
+             _fmt(r.mean_net_tax, 0), _fmt(r.mean_monetary_expenditure, 0),
+             _fmt(r.mean_total_expenditure, 0), _fmt(r.delta_vs_baseline, 0),
+             _fmt(r.delta_share_pct, 1))
+            for result, rows in table
+            for r in rows
+        ),
+    )
 
 
 def render_scenarios_text(

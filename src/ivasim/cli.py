@@ -8,8 +8,10 @@ Subcommands:
 * ``generate``  emit a synthetic household CSV
 
 Exit codes: 0 success, 1 input or validation error, 2 numerical
-non-convergence.  Every command is deterministic given its arguments, so a
-rerun with the same flags reproduces its outputs byte for byte.
+non-convergence or a failed spot-check of the columnar path.  Every command
+is deterministic given its arguments, so a rerun with the same flags
+reproduces its outputs byte for byte; files are written as UTF-8 whatever
+the locale.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Sequence
 
 import numpy
 
+from . import __version__
 from .analysis import (
     ScenarioName,
     ScenarioSpec,
@@ -58,8 +61,6 @@ from .schedule import (
     load_schedule,
 )
 from .solver import SolverError, marginal_rate_impact, solve_with_cashback
-
-__version__ = "0.1.0"
 
 _DEFAULT_SCENARIOS = ("uniform_vat", "plp68", "plp68_transfer_swap")
 
@@ -217,7 +218,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"iterations: {result.iterations}")
     print(f"residual: {result.residual:.3e}")
     if args.trace:
-        with open(args.trace, "w", newline="") as fh:
+        with open(args.trace, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["iter", "t_ref_outside", "cashback_total", "net_burden"])
             for row in result.trace:
@@ -284,14 +285,16 @@ def cmd_tables(args: argparse.Namespace) -> int:
         },
     }
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_path.write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     print(f"manifest written to {manifest_path}")
     return 0
 
 
 def _emit(out: Path, stem: str, csv_text: str, txt_text: str) -> None:
-    (out / f"{stem}.csv").write_text(csv_text)
-    (out / f"{stem}.txt").write_text(txt_text)
+    (out / f"{stem}.csv").write_text(csv_text, encoding="utf-8")
+    (out / f"{stem}.txt").write_text(txt_text, encoding="utf-8")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

@@ -7,9 +7,17 @@ month against the rent category only; unused reducer is not refundable
 against other spending.  Cashback eligibility is a hard threshold on income
 per capita with no phase-out.
 
-Aggregation walks households in ascending id order and uses compensated
-summation (math.fsum), which makes totals exact for the given addends and
-therefore independent of input permutation or any internal parallelism.
+The per-household functions (``household_tax``, ``household_cashback``,
+``baseline_tax``, ``aggregate``) are the reference semantics.  The columnar
+path below computes the same quantities from the population's id-sorted
+numpy columns: per-household arrays by one matrix-vector product, and
+population totals from per-category sums, because tax is linear in spending
+and every household faces the same rate vector.
+
+Every weighted total is a compensated sum (math.fsum) of per-household or
+per-category products, so it is exact for its addends and therefore
+independent of household order and of how a survey weight is split across
+duplicate rows.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import numpy as np
 
 from .microdata import Household, Population
 from .rates import Rate
-from .schedule import CashbackClass, Schedule, TreatmentKind, effective_inside_rate
+from .schedule import Schedule, TreatmentKind, effective_inside_rate
 
 
 @dataclass(frozen=True)
@@ -100,10 +108,6 @@ def with_cashback(
     return replace(incidence, cashback=household_cashback(household, incidence, schedule))
 
 
-def with_transfer(incidence: HouseholdIncidence, amount: float) -> HouseholdIncidence:
-    return replace(incidence, transfer=amount)
-
-
 def baseline_tax(household: Household, schedule: Schedule) -> HouseholdIncidence:
     """Pre-reform tax: expenditure times the configured effective inside rate."""
     per_cat = {
@@ -124,7 +128,7 @@ def denominator_expenditure(population: Population, schedule: Schedule) -> float
     in_denom = [c.id for c in schedule.categories if c.in_denominator]
     return math.fsum(
         h.weight * math.fsum(h.expenditures[cid] for cid in in_denom)
-        for h in sorted(population.households, key=lambda h: h.id)
+        for h in population.households
     )
 
 
@@ -158,61 +162,133 @@ def universal_transfer_amount(extra_revenue: float, population: Population) -> f
     """Flat per-person amount that exhausts ``extra_revenue``."""
     if extra_revenue < 0:
         raise ValueError(f"extra revenue must be >= 0, got {extra_revenue}")
-    persons = math.fsum(
-        h.weight * h.residents for h in sorted(population.households, key=lambda h: h.id)
-    )
+    persons = math.fsum(h.weight * h.residents for h in population.households)
     if persons <= 0:
         raise ValueError("population has no weighted persons")
     return extra_revenue / persons
 
 
-class IncidenceCalculator:
-    """Vectorized burden evaluation for repeated solves.
+@dataclass(frozen=True)
+class CategoryTotals:
+    """A population reduced to per-category weighted spending sums."""
 
-    Precomputes the taxable-base matrix once; each evaluation at a candidate
-    rate is a matrix-vector product.  Kept numerically in lockstep with the
-    per-household functions above (the test suite pins both paths together);
-    the scalar functions remain the reference semantics.
+    eligible: np.ndarray  # cashback eligibility per household, ascending id
+    spend: np.ndarray  # fsum_i(w_i * x_ij) over all households, per category
+    eligible_spend: np.ndarray  # the same over cashback-eligible households
+    denominator: float  # denominator_expenditure
+
+
+def category_totals(population: Population, schedule: Schedule) -> CategoryTotals:
+    """Exact column sums of the raw spending, cached with the population's columns."""
+    cols = population.columns(schedule)
+    in_denom = tuple(c.id for c in schedule.categories if c.in_denominator)
+    key = ("category_totals", schedule.eligibility_threshold, in_denom)
+    if key not in cols.memo:
+        if "spend_totals" not in cols.memo:
+            cols.memo["spend_totals"] = _column_sums(cols.weight, cols.spend)
+        eligible = cols.income_per_capita <= schedule.eligibility_threshold
+        cols.memo[key] = CategoryTotals(
+            eligible=eligible,
+            spend=cols.memo["spend_totals"],
+            eligible_spend=_column_sums(np.where(eligible, cols.weight, 0.0), cols.spend),
+            denominator=denominator_expenditure(population, schedule),
+        )
+    return cols.memo[key]
+
+
+def weighted_total(weights: np.ndarray, values: np.ndarray) -> float:
+    """fsum_i(w_i * x_i): the rounded products, summed without further rounding error."""
+    return math.fsum(weights * values)
+
+
+def _column_sums(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    return np.array([weighted_total(weights, matrix[:, j]) for j in range(matrix.shape[1])])
+
+
+def _rent_columns(schedule: Schedule) -> list[tuple[int, float]]:
+    """(column, reducer) of every rent-regime category."""
+    return [
+        (j, c.treatment.reducer)
+        for j, c in enumerate(schedule.categories)
+        if c.treatment.kind is TreatmentKind.RENT_REGIME
+    ]
+
+
+def rate_vector(schedule: Schedule, t_ref: Rate) -> np.ndarray:
+    """Effective inside rate of every category, in schedule order."""
+    return np.array([effective_inside_rate(c, t_ref).value for c in schedule.categories])
+
+
+def _refund_shares(schedule: Schedule) -> np.ndarray:
+    return np.array([schedule.refund_share(c.cashback) for c in schedule.categories])
+
+
+def _base_times(population: Population, schedule: Schedule, v: np.ndarray) -> np.ndarray:
+    """Taxable base (n x k) times ``v``, without materialising the base."""
+    cols = population.columns(schedule)
+    rent = _rent_columns(schedule)
+    plain = v.copy()
+    for j, _ in rent:
+        plain[j] = 0.0
+    out = cols.spend @ plain
+    for j, reducer in rent:
+        out += np.maximum(0.0, cols.spend[:, j] - reducer) * v[j]
+    return out
+
+
+def household_taxes(
+    population: Population, schedule: Schedule, t_ref: Rate
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gross tax and cashback of every household in ascending id order.
+
+    The columnar counterpart of ``household_tax`` + ``household_cashback``.
+    """
+    rates = rate_vector(schedule, t_ref)
+    gross = _base_times(population, schedule, rates)
+    refund = _base_times(population, schedule, rates * _refund_shares(schedule))
+    return gross, np.where(category_totals(population, schedule).eligible, refund, 0.0)
+
+
+def baseline_taxes(population: Population, schedule: Schedule) -> np.ndarray:
+    """Pre-reform tax of every household in ascending id order (``baseline_tax``)."""
+    rates = np.array([c.baseline_effective.value for c in schedule.categories])
+    return population.columns(schedule).spend @ rates
+
+
+class IncidenceCalculator:
+    """Population burden at a candidate rate in O(k), for repeated solves.
+
+    Tax is linear in spending and the rate vector is shared by every household,
+    so gross(t) = sum_j W_j * r_j(t) and cashback(t) = sum_j s_j * E_j * r_j(t),
+    where W_j = fsum_i(w_i * b_ij) over all households and E_j the same over
+    cashback-eligible ones (b is the taxable base).  The raw column sums are
+    cached per population; a new calculator only re-reduces rent-regime
+    columns, whose base depends on the reducer.  The per-household functions
+    above remain the reference semantics; the test suite pins both together.
     """
 
     def __init__(self, population: Population, schedule: Schedule) -> None:
-        population.validate_against(schedule)
         self.population = population
         self.schedule = schedule
-        self.households = sorted(population.households, key=lambda h: h.id)
-        n = len(self.households)
-        cats = schedule.categories
-        self.weights = np.array([h.weight for h in self.households])
-        self.eligible = np.array(
-            [h.income_per_capita <= schedule.eligibility_threshold for h in self.households]
-        )
-        self.base = np.empty((n, len(cats)))
-        for j, c in enumerate(cats):
-            col = np.array([h.expenditures[c.id] for h in self.households])
-            if c.treatment.kind is TreatmentKind.RENT_REGIME:
-                col = np.maximum(0.0, col - c.treatment.reducer)
-            self.base[:, j] = col
-        self.refund_shares = np.array([schedule.refund_share(c.cashback) for c in cats])
-        self.denominator = denominator_expenditure(population, schedule)
-
-    def rate_vector(self, t_ref_outside: float) -> np.ndarray:
-        t = Rate.outside(t_ref_outside)
-        return np.array(
-            [effective_inside_rate(c, t).value for c in self.schedule.categories]
-        )
-
-    def gross_per_household(self, t_ref_outside: float) -> np.ndarray:
-        return self.base @ self.rate_vector(t_ref_outside)
-
-    def cashback_per_household(self, t_ref_outside: float) -> np.ndarray:
-        refund = self.base @ (self.rate_vector(t_ref_outside) * self.refund_shares)
-        return np.where(self.eligible, refund, 0.0)
+        totals = category_totals(population, schedule)
+        self.denominator = totals.denominator
+        self.base_totals = totals.spend.copy()
+        eligible_totals = totals.eligible_spend.copy()
+        cols = population.columns(schedule)
+        eligible_weight = np.where(totals.eligible, cols.weight, 0.0)
+        for j, reducer in _rent_columns(schedule):
+            base = np.maximum(0.0, cols.spend[:, j] - reducer)
+            self.base_totals[j] = weighted_total(cols.weight, base)
+            eligible_totals[j] = weighted_total(eligible_weight, base)
+        self.refund_totals = eligible_totals * _refund_shares(schedule)
 
     def gross_total(self, t_ref_outside: float) -> float:
-        return math.fsum(self.weights * self.gross_per_household(t_ref_outside))
+        rates = rate_vector(self.schedule, Rate.outside(t_ref_outside))
+        return weighted_total(self.base_totals, rates)
 
     def cashback_total(self, t_ref_outside: float) -> float:
-        return math.fsum(self.weights * self.cashback_per_household(t_ref_outside))
+        rates = rate_vector(self.schedule, Rate.outside(t_ref_outside))
+        return weighted_total(self.refund_totals, rates)
 
     def burden_with_fixed_cashback(self, t_ref_outside: float, fixed_cashback: float) -> float:
         return (self.gross_total(t_ref_outside) - fixed_cashback) / self.denominator

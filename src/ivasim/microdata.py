@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -72,6 +73,44 @@ class Household:
         return self.total_expenditure() / self.residents
 
 
+class Columns:
+    """Id-sorted numpy columns of a population, spending in one category order.
+
+    ``spend`` is n x k and filled one column at a time, so building it never
+    holds a second n x k copy.  ``memo`` keeps reductions derived from these
+    columns (category totals, the denominator), keyed by the schedule
+    parameters they depend on.  Like the households they come from, the
+    columns are read-only once built.
+    """
+
+    def __init__(self, households: Iterable[Household], category_ids: tuple[str, ...]) -> None:
+        self.households = tuple(sorted(households, key=lambda h: h.id))
+        n = len(self.households)
+        self.weight = self._column(lambda h: h.weight)
+        self.income_per_capita = self._column(lambda h: h.income_per_capita)
+        self.spend = np.empty((n, len(category_ids)), order="F")
+        for j, cid in enumerate(category_ids):
+            self.spend[:, j] = self._column(lambda h: h.expenditures[cid])
+        self.memo: dict = {}
+
+    def _column(self, value) -> np.ndarray:
+        return np.fromiter(map(value, self.households), float, len(self.households))
+
+    @cached_property
+    def residents(self) -> np.ndarray:
+        return self._column(lambda h: h.residents)
+
+    @cached_property
+    def monetary(self) -> np.ndarray:
+        """``Household.monetary_total`` of every household."""
+        return self._column(Household.monetary_total)
+
+    @cached_property
+    def total(self) -> np.ndarray:
+        """``Household.total_expenditure`` of every household."""
+        return self.monetary + self._column(lambda h: h.nonmonetary_total)
+
+
 @dataclass(frozen=True)
 class Provenance:
     kind: str  # "file" | "synthetic"
@@ -82,6 +121,7 @@ class Provenance:
 class Population:
     households: tuple[Household, ...]
     provenance: Provenance
+    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "households", tuple(self.households))
@@ -113,6 +153,14 @@ class Population:
                 if extra:
                     parts.append(f"unknown categories {extra}")
                 raise MicrodataError(f"household {h.id}: " + "; ".join(parts))
+
+    def columns(self, schedule: Schedule) -> Columns:
+        """Columns in the schedule's category order; validated and built once per order."""
+        key = schedule.category_ids()
+        if key not in self._columns:
+            self.validate_against(schedule)
+            self._columns[key] = Columns(self.households, key)
+        return self._columns[key]
 
 
 # -- CSV ingestion -----------------------------------------------------------

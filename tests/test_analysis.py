@@ -4,9 +4,11 @@ import math
 
 import pytest
 
+import ivasim.analysis as analysis
 from ivasim.analysis import (
     ScenarioName,
     ScenarioSpec,
+    SpotCheckError,
     assign_quintiles,
     budget_share_table,
     build_scenario_table,
@@ -20,6 +22,7 @@ from ivasim.analysis import (
     run_scenario,
     _fmt,
 )
+from ivasim.cli import main
 from ivasim.microdata import Household, Population, Provenance, generate_synthetic
 from ivasim.schedule import bundled_schedule_path, load_schedule
 from ivasim.solver import marginal_rate_impact
@@ -175,6 +178,16 @@ def test_total_column_is_population_share(synthetic, plp68, quintiles):
         assert r.cells[5] == pytest.approx(want, abs=1e-9)
 
 
+def test_zero_spending_household_left_out_of_shares(plp68):
+    pop = generate_synthetic(4, 60, plp68)
+    idle = Household(10_000, 5.0, 2, 100.0, dict.fromkeys(plp68.category_ids(), 0.0), 0.0)
+    with_idle = Population(pop.households + (idle,), pop.provenance)
+    rows = budget_share_table(with_idle, plp68, assign_quintiles(with_idle))
+    assert all(math.isfinite(c) for r in rows for c in r.cells)
+    without = budget_share_table(pop, plp68, assign_quintiles(pop))
+    assert [r.cells[5] for r in rows] == [r.cells[5] for r in without]
+
+
 # -- scenarios --------------------------------------------------------------------
 
 
@@ -271,6 +284,43 @@ def test_uniform_vat_delta_share_constant_for_proportional_households(plp68):
     ]
     assert ratios[0] == pytest.approx(ratios[1], abs=1e-12)
     assert ratios[0] == pytest.approx(ratios[2], abs=1e-12)
+
+
+def test_spot_check_samples_at_most_six_households(monkeypatch, plp68):
+    calls = []
+
+    def counted(fn):
+        def wrapper(household, *args):
+            calls.append((fn.__name__, household.id))
+            return fn(household, *args)
+        return wrapper
+
+    monkeypatch.setattr(analysis, "household_tax", counted(analysis.household_tax))
+    monkeypatch.setattr(analysis, "baseline_tax", counted(analysis.baseline_tax))
+    pop = generate_synthetic(8, 1000, plp68)
+    compute_scenarios(pop, plp68, [ScenarioSpec(ScenarioName.PLP68)])
+    sampled = [hid for name, hid in calls if name == "household_tax"]
+    assert 0 < len(sampled) <= 6
+    assert sorted(hid for name, hid in calls if name == "baseline_tax") == sorted(sampled)
+    eligible = [h.id for h in pop.households if h.income_per_capita <= plp68.eligibility_threshold]
+    assert min(eligible) in sampled
+
+
+def test_spot_check_rejects_a_columnar_fault(monkeypatch, plp68, tmp_path, capsys):
+    exact = analysis.household_taxes
+
+    def skewed(population, schedule, t_ref):
+        gross, cashback = exact(population, schedule, t_ref)
+        return gross * (1.0 + 1e-7), cashback
+
+    monkeypatch.setattr(analysis, "household_taxes", skewed)
+    pop = generate_synthetic(5, 200, plp68)
+    with pytest.raises(SpotCheckError, match="plp68: household .* gross tax"):
+        compute_scenarios(pop, plp68, [ScenarioSpec(ScenarioName.PLP68)])
+    rc = main(["tables", "--schedule", "plp68", "--synthetic", "5:200",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "reference path" in capsys.readouterr().err
 
 
 def test_empty_scenario_list_errors(synthetic, plp68, quintiles):
