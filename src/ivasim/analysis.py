@@ -69,34 +69,32 @@ class QuintileAssignment:
 
     def of(self, cols: Columns) -> np.ndarray:
         """Quintile of every household of ``cols``, in ascending id order."""
-        return np.fromiter(
-            (self.quintile_of[h.id] for h in cols.households), np.int64, len(cols.households)
-        )
+        return np.fromiter(map(self.quintile_of.__getitem__, cols.ids.tolist()), np.int64,
+                           len(cols.ids))
 
 
 def assign_quintiles(population: Population) -> QuintileAssignment:
-    """Partition cumulative household weight into fifths by per-capita total."""
-    ordered = sorted(population.households, key=lambda h: (h.per_capita_total(), h.id))
-    total_weight = population.total_weight()
-    quintile_of: dict[int, int] = {}
-    boundaries: list[float] = []
-    cum = 0.0
-    previous = 0
-    for h in ordered:
-        q = min(5, int(5.0 * cum / total_weight) + 1)
-        quintile_of[h.id] = q
-        if q != previous:
-            if q > 1:
-                boundaries.append(h.per_capita_total())
-            previous = q
-        cum += h.weight
-    return QuintileAssignment(quintile_of, tuple(boundaries))
+    """Partition cumulative household weight into fifths by per-capita total.
+
+    Households are ranked by (per-capita total, id).  Each falls in quintile
+    int(5 * cum / W) + 1, capped at 5, where cum is the running (sequential)
+    sum of the weights ranked before it and W the total weight.
+    """
+    per_capita = (population.monetary + population.nonmonetary_total) / population.residents
+    order = np.lexsort((population.ids, per_capita))
+    cum = np.concatenate(([0.0], np.cumsum(population.weight[order][:-1])))
+    quintile = np.minimum(5, (5.0 * cum / population.total_weight()).astype(np.int64) + 1)
+    opens = np.flatnonzero(np.diff(quintile)) + 1  # ranks where a new quintile starts
+    return QuintileAssignment(
+        dict(zip(population.ids[order].tolist(), quintile.tolist())),
+        tuple(per_capita[order][opens].tolist()),
+    )
 
 
 def _weighted_mean(weights: np.ndarray, values: np.ndarray, rows: np.ndarray) -> float:
     """fsum(w * x) / fsum(w) over the households at index ``rows``."""
     w = weights[rows]
-    denom = math.fsum(w)
+    denom = math.fsum(w.tolist())
     return weighted_total(w, values[rows]) / denom if denom > 0 else 0.0
 
 
@@ -184,7 +182,7 @@ class ScenarioResult:
     transfer_per_person: float
     totals: AggregateIncidence
     schedule: Schedule  # the schedule the scenario taxes with
-    households: tuple[Household, ...]  # ascending id, aligned with the arrays
+    columns: Columns  # the population's id-sorted columns, aligned with the arrays
     gross: np.ndarray
     cashback: np.ndarray
     transfer: np.ndarray
@@ -202,7 +200,8 @@ class ScenarioResult:
     @cached_property
     def incidences(self) -> tuple[HouseholdIncidence, ...]:
         """Every household's reference-path incidence, in ascending id order."""
-        return tuple(self.scalar_incidence(h) for h in self.households)
+        cols = self.columns
+        return tuple(self.scalar_incidence(cols.household(i)) for i in range(len(cols.ids)))
 
 
 def _uniform_vat_schedule(schedule: Schedule) -> Schedule:
@@ -252,7 +251,7 @@ def _result(
             denominator_expenditure=category_totals(population, schedule).denominator,
         ),
         schedule=schedule,
-        households=cols.households,
+        columns=cols,
         gross=gross,
         cashback=cashback,
         transfer=transfer,
@@ -268,14 +267,14 @@ def _spot_check(population: Population, result: ScenarioResult) -> None:
     The sample is at most six households: id-sorted positions 0, n/4, n/2,
     3n/4 and n-1, and the lowest-id cashback-eligible one.
     """
-    cols = population.columns(result.schedule)
-    n = len(cols.households)
+    cols = result.columns
+    n = len(cols.ids)
     positions = {0, n // 4, n // 2, 3 * n // 4, n - 1}
     eligible = np.flatnonzero(category_totals(population, result.schedule).eligible)
     if eligible.size:
         positions.add(int(eligible[0]))
     rows = np.array(sorted(positions))
-    sample = [cols.households[i] for i in rows]
+    sample = [cols.household(i) for i in rows]
     incidences = [result.scalar_incidence(h) for h in sample]
 
     def check(what: str, fast, reference) -> None:

@@ -265,10 +265,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
     config = {
         "command": "tables",
         "schedule": args.schedule,
-        "population": {
-            "kind": population.provenance.kind,
-            "source": population.provenance.source,
-        },
+        "population": _population_identity(population),
         "target_burden": target,
         "removals": selectors,
         "scenarios": [r.spec.name.value for r in results],
@@ -290,6 +287,20 @@ def cmd_tables(args: argparse.Namespace) -> int:
     )
     print(f"manifest written to {manifest_path}")
     return 0
+
+
+def _population_identity(population: Population) -> dict:
+    """Provenance, plus the content hash and size of a households file."""
+    identity = {"kind": population.provenance.kind, "source": population.provenance.source}
+    if population.provenance.kind == "file":
+        digest = hashlib.sha256()
+        size = 0
+        with open(population.provenance.source, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+                size += len(block)
+        identity.update(sha256=digest.hexdigest(), bytes=size)
+    return identity
 
 
 def _emit(out: Path, stem: str, csv_text: str, txt_text: str) -> None:
@@ -339,7 +350,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         except (MicrodataError, OSError) as exc:
             fail("population loads", exc)
         else:
-            ok("population loads", f"{len(population.households)} households")
+            ok("population loads", f"{len(population)} households")
     else:
         print("skip population loads (schedule failed)")
 

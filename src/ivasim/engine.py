@@ -29,7 +29,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .microdata import Household, Population
+from .microdata import Household, Population, row_fsums
 from .rates import Rate
 from .schedule import Schedule, TreatmentKind, effective_inside_rate
 
@@ -125,11 +125,12 @@ def baseline_tax(household: Household, schedule: Schedule) -> HouseholdIncidence
 
 def denominator_expenditure(population: Population, schedule: Schedule) -> float:
     """Weighted monetary consumption over the in-denominator categories."""
-    in_denom = [c.id for c in schedule.categories if c.in_denominator]
-    return math.fsum(
-        h.weight * math.fsum(h.expenditures[cid] for cid in in_denom)
-        for h in population.households
-    )
+    in_denom = tuple(c.id for c in schedule.categories if c.in_denominator)
+    if set(in_denom) == set(population.category_ids):
+        per_household = population.monetary
+    else:
+        per_household = row_fsums(population.spend_in(in_denom))
+    return weighted_total(population.weight, per_household)
 
 
 def aggregate(
@@ -139,12 +140,11 @@ def aggregate(
 ) -> AggregateIncidence:
     """Weight-expand per-household incidences into population totals."""
     by_id = {inc.household_id: inc for inc in incidences}
-    expected = {h.id for h in population.households}
-    if set(by_id) != expected:
+    ids = population.ids.tolist()
+    if set(by_id) != set(ids):
         raise ValueError("need exactly one incidence per household")
-    ordered = sorted(population.households, key=lambda h: h.id)
-    weights = [h.weight for h in ordered]
-    incs = [by_id[h.id] for h in ordered]
+    weights = population.weight.tolist()
+    incs = [by_id[hid] for hid in ids]
     total_gross = math.fsum(w * i.gross_tax for w, i in zip(weights, incs))
     total_cashback = math.fsum(w * i.cashback for w, i in zip(weights, incs))
     total_transfer = math.fsum(w * i.transfer for w, i in zip(weights, incs))
@@ -162,7 +162,7 @@ def universal_transfer_amount(extra_revenue: float, population: Population) -> f
     """Flat per-person amount that exhausts ``extra_revenue``."""
     if extra_revenue < 0:
         raise ValueError(f"extra revenue must be >= 0, got {extra_revenue}")
-    persons = math.fsum(h.weight * h.residents for h in population.households)
+    persons = weighted_total(population.weight, population.residents)
     if persons <= 0:
         raise ValueError("population has no weighted persons")
     return extra_revenue / persons
@@ -198,7 +198,7 @@ def category_totals(population: Population, schedule: Schedule) -> CategoryTotal
 
 def weighted_total(weights: np.ndarray, values: np.ndarray) -> float:
     """fsum_i(w_i * x_i): the rounded products, summed without further rounding error."""
-    return math.fsum(weights * values)
+    return math.fsum((weights * values).tolist())
 
 
 def _column_sums(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:

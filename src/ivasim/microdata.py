@@ -2,9 +2,13 @@
 
 The CSV layout is fixed: ``id, weight, residents, income_pc,
 nonmonetary_total`` followed by one monetary-expenditure column per schedule
-category id.  UTF-8, "." decimal separator.  Ingestion is strict: unknown or
-missing columns, non-numeric cells, duplicate ids and invariant violations
-are load errors that cite the offending row.
+category id.  UTF-8, "." decimal separator; numbers are plain ASCII decimal
+or scientific notation, ids fit in 64 bits, "#" starts no comment and blank
+lines are skipped.  Ingestion is strict: unknown or missing columns,
+non-numeric cells, duplicate ids and invariant violations are load errors
+that cite the offending row.  The body is parsed in one numpy pass into the
+population's columns; only when that pass rejects the file does a
+row-at-a-time reader re-read it to name the first bad row.
 
 The synthetic generator stands in for expenditure-survey microdata, which
 cannot be redistributed.  It draws per-capita expenditure log-normally and
@@ -18,7 +22,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -73,112 +78,298 @@ class Household:
         return self.total_expenditure() / self.residents
 
 
-class Columns:
-    """Id-sorted numpy columns of a population, spending in one category order.
-
-    ``spend`` is n x k and filled one column at a time, so building it never
-    holds a second n x k copy.  ``memo`` keeps reductions derived from these
-    columns (category totals, the denominator), keyed by the schedule
-    parameters they depend on.  Like the households they come from, the
-    columns are read-only once built.
-    """
-
-    def __init__(self, households: Iterable[Household], category_ids: tuple[str, ...]) -> None:
-        self.households = tuple(sorted(households, key=lambda h: h.id))
-        n = len(self.households)
-        self.weight = self._column(lambda h: h.weight)
-        self.income_per_capita = self._column(lambda h: h.income_per_capita)
-        self.spend = np.empty((n, len(category_ids)), order="F")
-        for j, cid in enumerate(category_ids):
-            self.spend[:, j] = self._column(lambda h: h.expenditures[cid])
-        self.memo: dict = {}
-
-    def _column(self, value) -> np.ndarray:
-        return np.fromiter(map(value, self.households), float, len(self.households))
-
-    @cached_property
-    def residents(self) -> np.ndarray:
-        return self._column(lambda h: h.residents)
-
-    @cached_property
-    def monetary(self) -> np.ndarray:
-        """``Household.monetary_total`` of every household."""
-        return self._column(Household.monetary_total)
-
-    @cached_property
-    def total(self) -> np.ndarray:
-        """``Household.total_expenditure`` of every household."""
-        return self.monetary + self._column(lambda h: h.nonmonetary_total)
-
-
 @dataclass(frozen=True)
 class Provenance:
     kind: str  # "file" | "synthetic"
     source: str  # path, or "seed:n"
 
 
-@dataclass(frozen=True)
 class Population:
-    households: tuple[Household, ...]
-    provenance: Provenance
-    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    """A household population stored as numpy columns, in input order.
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "households", tuple(self.households))
-        if not self.households:
+    ``ids`` and ``residents`` are int64; ``weight``, ``income_per_capita`` and
+    ``nonmonetary_total`` are float64; ``spend`` is the n x k monetary
+    spending matrix (Fortran order), columns in ``category_ids`` order.  The
+    arrays are read-only.  Every row satisfies the ``Household`` invariants
+    and ids are unique.  ``households`` gives the same rows as ``Household``
+    objects, built on first use; the pipeline reads the arrays.
+    """
+
+    def __init__(self, households: Iterable[Household], provenance: Provenance) -> None:
+        households = tuple(households)
+        if not households:
             raise MicrodataError("population must contain at least one household")
-        seen: set[int] = set()
-        for h in self.households:
-            if h.id in seen:
-                raise MicrodataError(f"duplicate household id {h.id}")
-            seen.add(h.id)
+        category_ids = tuple(households[0].expenditures)
+        expected = set(category_ids)
+        for h in households:
+            mismatch = _category_mismatch(expected, set(h.expenditures))
+            if mismatch:
+                raise MicrodataError(f"household {h.id}: {mismatch}")
+        spend = np.empty((len(households), len(category_ids)), order="F")
+        for j, cid in enumerate(category_ids):
+            spend[:, j] = [h.expenditures[cid] for h in households]
+        try:
+            ids = np.array([h.id for h in households], dtype=np.int64)
+            residents = np.array([h.residents for h in households], dtype=np.int64)
+        except OverflowError:
+            raise MicrodataError("household ids and residents must fit in 64 bits") from None
+        self._store(
+            provenance, category_ids, ids,
+            np.array([h.weight for h in households], dtype=float),
+            residents,
+            np.array([h.income_per_capita for h in households], dtype=float),
+            np.array([h.nonmonetary_total for h in households], dtype=float),
+            spend,
+        )
+        self.__dict__["households"] = households
+
+    @classmethod
+    def from_arrays(
+        cls,
+        provenance: Provenance,
+        category_ids: tuple[str, ...],
+        ids: np.ndarray,
+        weight: np.ndarray,
+        residents: np.ndarray,
+        income_per_capita: np.ndarray,
+        nonmonetary_total: np.ndarray,
+        spend: np.ndarray,
+    ) -> Population:
+        """A population over existing columns; every row is checked like a ``Household``."""
+        population = cls.__new__(cls)
+        population._store(provenance, category_ids, ids, weight, residents,
+                          income_per_capita, nonmonetary_total, spend)
+        population._check_rows()
+        return population
+
+    def _store(self, provenance, category_ids, ids, weight, residents, income_per_capita,
+               nonmonetary_total, spend) -> None:
+        self.provenance = provenance
+        self.category_ids = tuple(category_ids)
+        self.ids = _read_only(np.ascontiguousarray(ids, dtype=np.int64))
+        self.weight = _read_only(np.ascontiguousarray(weight, dtype=float))
+        self.residents = _read_only(np.ascontiguousarray(residents, dtype=np.int64))
+        self.income_per_capita = _read_only(np.ascontiguousarray(income_per_capita, dtype=float))
+        self.nonmonetary_total = _read_only(np.ascontiguousarray(nonmonetary_total, dtype=float))
+        self.spend = _read_only(np.asfortranarray(spend, dtype=float))
+        if len(self.ids) == 0:
+            raise MicrodataError("population must contain at least one household")
+        self.id_order = _id_order(self.ids)
+        self._columns: dict[tuple[str, ...], Columns] = {}
+
+    def _check_rows(self) -> None:
+        """Raise the ``Household`` message of the first row that breaks an invariant."""
+        ok = (
+            _positive(self.weight, strict=True)
+            & (self.residents >= 1)
+            & _positive(self.income_per_capita)
+            & _positive(self.nonmonetary_total)
+            & _positive(self.spend).all(axis=1)
+        )
+        if not ok.all():
+            self.row(int(np.argmin(ok)))  # Household.__post_init__ names the invariant
+            raise AssertionError("row check disagrees with Household")
 
     def __len__(self) -> int:
-        return len(self.households)
+        return len(self.ids)
+
+    @cached_property
+    def households(self) -> tuple[Household, ...]:
+        """Every household as a ``Household`` row view, in input order."""
+        cids = self.category_ids
+        return tuple(
+            Household(hid, w, r, inc, dict(zip(cids, cells)), nm)
+            for hid, w, r, inc, nm, cells in zip(
+                self.ids.tolist(), self.weight.tolist(), self.residents.tolist(),
+                self.income_per_capita.tolist(), self.nonmonetary_total.tolist(),
+                self.spend.tolist(),
+            )
+        )
+
+    def row(self, i: int) -> Household:
+        """The household at input position ``i`` as a ``Household`` row view."""
+        if "households" in self.__dict__:
+            return self.households[i]
+        return Household(
+            int(self.ids[i]), float(self.weight[i]), int(self.residents[i]),
+            float(self.income_per_capita[i]),
+            dict(zip(self.category_ids, self.spend[i].tolist())),
+            float(self.nonmonetary_total[i]),
+        )
+
+    @cached_property
+    def monetary(self) -> np.ndarray:
+        """``Household.monetary_total`` of every household, in input order."""
+        return row_fsums(self.spend)
 
     def total_weight(self) -> float:
-        return math.fsum(h.weight for h in self.households)
+        return math.fsum(self.weight.tolist())
 
     def validate_against(self, schedule: Schedule) -> None:
         """Every household must carry exactly the schedule's categories."""
-        expected = set(schedule.category_ids())
-        for h in self.households:
-            got = set(h.expenditures)
-            if got != expected:
-                missing = sorted(expected - got)
-                extra = sorted(got - expected)
-                parts = []
-                if missing:
-                    parts.append(f"missing categories {missing}")
-                if extra:
-                    parts.append(f"unknown categories {extra}")
-                raise MicrodataError(f"household {h.id}: " + "; ".join(parts))
+        mismatch = _category_mismatch(set(schedule.category_ids()), set(self.category_ids))
+        if mismatch:
+            raise MicrodataError(f"household {int(self.ids[0])}: {mismatch}")
+
+    def spend_in(self, category_ids: tuple[str, ...], rows: np.ndarray | None = None) -> np.ndarray:
+        """Spending with columns in ``category_ids`` order, of ``rows`` (default all, in order)."""
+        if rows is None and category_ids == self.category_ids:
+            return self.spend
+        out = np.empty((len(self), len(category_ids)), order="F")
+        for j, cid in enumerate(category_ids):
+            column = self.spend[:, self.category_ids.index(cid)]
+            out[:, j] = column if rows is None else column[rows]
+        return _read_only(out)
 
     def columns(self, schedule: Schedule) -> Columns:
         """Columns in the schedule's category order; validated and built once per order."""
         key = schedule.category_ids()
         if key not in self._columns:
             self.validate_against(schedule)
-            self._columns[key] = Columns(self.households, key)
+            self._columns[key] = Columns(self, key)
         return self._columns[key]
+
+
+class Columns:
+    """A population's columns in ascending id order, spending in one category order.
+
+    These are the population's own arrays when its ids already ascend and the
+    category order matches, otherwise one reordered copy.  ``memo`` keeps
+    reductions derived from the columns (category totals, the denominator),
+    keyed by the schedule parameters they depend on.
+    """
+
+    def __init__(self, population: Population, category_ids: tuple[str, ...]) -> None:
+        self.population = population
+        self.order = population.id_order  # None when input order is id order
+        self.ids = self._sorted(population.ids)
+        self.weight = self._sorted(population.weight)
+        self.residents = self._sorted(population.residents)
+        self.income_per_capita = self._sorted(population.income_per_capita)
+        self.spend = population.spend_in(category_ids, self.order)
+        self.memo: dict = {}
+
+    def _sorted(self, column: np.ndarray) -> np.ndarray:
+        return column if self.order is None else column[self.order]
+
+    def household(self, i: int) -> Household:
+        """Row view of the household at id-sorted position ``i``."""
+        return self.population.row(i if self.order is None else int(self.order[i]))
+
+    @cached_property
+    def monetary(self) -> np.ndarray:
+        """``Household.monetary_total`` of every household."""
+        return self._sorted(self.population.monetary)
+
+    @cached_property
+    def total(self) -> np.ndarray:
+        """``Household.total_expenditure`` of every household."""
+        return self.monetary + self._sorted(self.population.nonmonetary_total)
+
+
+_ROW_BLOCK = 8192  # rows turned into Python objects at a time
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _positive(a: np.ndarray, strict: bool = False) -> np.ndarray:
+    """Finite and >= 0 (> 0 if ``strict``); NaN fails both comparisons."""
+    return ((a > 0) if strict else (a >= 0)) & (a < np.inf)
+
+
+def row_fsums(matrix: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of every row: exact per-household totals, whatever the column order."""
+    out = np.empty(len(matrix))
+    for start in range(0, len(matrix), _ROW_BLOCK):  # bounds the Python floats alive at once
+        block = matrix[start:start + _ROW_BLOCK].tolist()
+        out[start:start + len(block)] = list(map(math.fsum, block))
+    return out
+
+
+def _id_order(ids: np.ndarray) -> np.ndarray | None:
+    """Positions in ascending id order, or None if ``ids`` already ascend.
+
+    Raises on a repeated id, naming the first repeat in input order.
+    """
+    if np.all(ids[1:] > ids[:-1]):
+        return None
+    order = np.argsort(ids, kind="stable")
+    ranked = ids[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    if repeats.size:
+        raise MicrodataError(f"duplicate household id {int(ids[repeats.min()])}")
+    return order
+
+
+def _category_mismatch(expected: set[str], got: set[str]) -> str:
+    """'' if the sets agree, else what is missing from and extra in ``got``."""
+    parts = []
+    missing = sorted(expected - got)
+    extra = sorted(got - expected)
+    if missing:
+        parts.append(f"missing categories {missing}")
+    if extra:
+        parts.append(f"unknown categories {extra}")
+    return "; ".join(parts)
 
 
 # -- CSV ingestion -----------------------------------------------------------
 
 
+
 def load_population(path: str | Path, schedule: Schedule) -> Population:
-    """Read a household CSV validated against the schedule's category set."""
+    """Read a household CSV validated against the schedule's category set.
+
+    The body is parsed in one ``np.loadtxt`` pass and checked on the arrays.
+    On any rejection the row reader re-reads the file to name the first bad
+    row and cell.
+    """
     path = Path(path)
     if not path.exists():
         raise MicrodataError(f"household file not found: {path}")
     category_ids = schedule.category_ids()
     with path.open(newline="", encoding="utf-8") as fh:
+        header = _header(csv.reader(fh), category_ids, path)
+    try:
+        return _read_columns(path, header, category_ids)
+    except (ValueError, Warning) as exc:
+        _read_rows(path, schedule)  # raises the first error in file order
+        raise MicrodataError(f"{path}: {exc}") from None
+
+
+def _read_columns(path: Path, header: list[str], category_ids: tuple[str, ...]) -> Population:
+    # ids and residents parse as int64, so "1.0" is not an integer
+    dtype = np.dtype(
+        [(f"f{i}", np.int64 if i in (0, 2) else float) for i in range(len(header))]
+    )
+    with warnings.catch_warnings():
+        # numpy < 2 parses an integer via float with only a DeprecationWarning;
+        # an empty body is a warning too
+        warnings.simplefilter("error")
+        table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                           skiprows=1, ndmin=1, encoding="utf-8")
+    spend = np.empty((len(table), len(category_ids)), order="F")
+    for j, cid in enumerate(category_ids):
+        spend[:, j] = table[f"f{header.index(cid)}"]
+    return Population.from_arrays(
+        Provenance("file", str(path)), category_ids,
+        table["f0"], table["f1"], table["f2"], table["f3"], table["f4"], spend,
+    )
+
+
+def _read_rows(path: Path, schedule: Schedule) -> Population:
+    """Reference reader: one csv record and one ``Household`` at a time.
+
+    ``load_population`` runs it only to explain a rejection: it raises the
+    first error in file order, citing the row and column.
+    """
+    category_ids = schedule.category_ids()
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MicrodataError(f"{path}: empty file") from None
-        _check_header(header, category_ids, path)
+        header = _header(reader, category_ids, path)
         cat_index = {cid: header.index(cid) for cid in category_ids}
         households: list[Household] = []
         seen: set[int] = set()
@@ -220,26 +411,32 @@ def write_population(population: Population, path: str | Path, schedule: Schedul
     """Emit the documented CSV layout; numeric fields round-trip exactly."""
     population.validate_against(schedule)
     category_ids = schedule.category_ids()
+    spend = population.spend_in(category_ids)
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(FIXED_COLUMNS) + list(category_ids))
-        for h in population.households:
-            writer.writerow(
-                [
-                    h.id,
-                    _fmt(h.weight),
-                    h.residents,
-                    _fmt(h.income_per_capita),
-                    _fmt(h.nonmonetary_total),
-                ]
-                + [_fmt(h.expenditures[cid]) for cid in category_ids]
+        csv.writer(fh, lineterminator="\n").writerow(list(FIXED_COLUMNS) + list(category_ids))
+        # repr of a float is the shortest string that round-trips exactly; no
+        # number needs csv quoting, so rows are joined directly
+        for start in range(0, len(population), _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            fh.writelines(
+                f"{hid},{w!r},{r},{inc!r},{nm!r},{','.join(map(repr, cells))}\n"
+                for hid, w, r, inc, nm, cells in zip(
+                    population.ids[rows].tolist(), population.weight[rows].tolist(),
+                    population.residents[rows].tolist(),
+                    population.income_per_capita[rows].tolist(),
+                    population.nonmonetary_total[rows].tolist(), spend[rows].tolist(),
+                )
             )
 
 
-def _fmt(x: float) -> str:
-    # repr of a float is the shortest string that round-trips exactly
-    return repr(float(x))
+def _header(reader, category_ids: tuple[str, ...], path: Path) -> list[str]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MicrodataError(f"{path}: empty file") from None
+    _check_header(header, category_ids, path)
+    return header
 
 
 def _check_header(header: list[str], category_ids: tuple[str, ...], path: Path) -> None:
@@ -262,22 +459,36 @@ def _check_header(header: list[str], category_ids: tuple[str, ...], path: Path) 
         raise MicrodataError(f"{path}: " + "; ".join(parts))
 
 
+# A numeric cell is plain ASCII after its surrounding whitespace, without "_"
+# separators: Python's float() and int() accept more, numpy's parser does not.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
 def _float_cell(cell: str, column: str, lineno: int, path: Path) -> float:
     try:
-        return float(cell)
+        if _plain(cell):
+            return float(cell)
     except ValueError:
-        raise MicrodataError(
-            f"{path}: row {lineno}: column {column!r}: not a number: {cell!r}"
-        ) from None
+        pass
+    raise MicrodataError(f"{path}: row {lineno}: column {column!r}: not a number: {cell!r}")
 
 
 def _int_cell(cell: str, column: str, lineno: int, path: Path) -> int:
     try:
-        return int(cell)
+        value = int(cell) if _plain(cell) else None
     except ValueError:
+        value = None
+    if value is None:
+        raise MicrodataError(f"{path}: row {lineno}: column {column!r}: not an integer: {cell!r}")
+    if not _INT64_MIN <= value <= _INT64_MAX:
         raise MicrodataError(
-            f"{path}: row {lineno}: column {column!r}: not an integer: {cell!r}"
-        ) from None
+            f"{path}: row {lineno}: column {column!r}: outside the 64-bit integer range: {cell!r}"
+        )
+    return value
+
+
+def _plain(cell: str) -> bool:
+    return cell.strip().isascii() and "_" not in cell
 
 
 # -- synthetic generation ----------------------------------------------------
@@ -356,18 +567,10 @@ def generate_synthetic(seed: int, n: int, schedule: Schedule) -> Population:
         if c.treatment.kind is TreatmentKind.RENT_REGIME:
             raw[:, j] *= rng.random(n) < _RENTER_SHARE
     shares = raw / raw.sum(axis=1, keepdims=True)
-    spending = shares * monetary[:, None]
+    spending = np.empty((n, k), order="F")
+    np.multiply(shares, monetary[:, None], out=spending)
 
-    ids = tuple(c.id for c in categories)
-    households = tuple(
-        Household(
-            id=i + 1,
-            weight=float(weights[i]),
-            residents=int(residents[i]),
-            income_per_capita=float(income_pc[i]),
-            expenditures={cid: float(spending[i, j]) for j, cid in enumerate(ids)},
-            nonmonetary_total=float(total[i] - monetary[i]),
-        )
-        for i in range(n)
+    return Population.from_arrays(
+        Provenance("synthetic", f"{seed}:{n}"), schedule.category_ids(),
+        np.arange(1, n + 1), weights, residents, income_pc, total - monetary, spending,
     )
-    return Population(households, Provenance("synthetic", f"{seed}:{n}"))

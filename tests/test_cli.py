@@ -1,11 +1,12 @@
 """End-to-end checks of the command-line interface and its exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
 from ivasim.cli import main, parse_seed_size, resolve_schedule
-from ivasim.microdata import MicrodataError
+from ivasim.microdata import Household, MicrodataError
 from ivasim.schedule import bundled_schedule_path, load_schedule
 
 TABLE_FILES = (
@@ -228,3 +229,62 @@ def test_validate_skips_dependent_checks_on_schedule_failure(capsys):
     out = capsys.readouterr().out
     assert "skip population loads" in out
     assert "skip taxable base positive" in out
+
+
+# -- households files -------------------------------------------------------------
+
+
+def test_underscore_separator_rejected_with_path(tmp_path, capsys):
+    # float() reads "1_000" as 1000.0; the households reader takes plain decimals only
+    csv_path = tmp_path / "hh.csv"
+    assert main(["generate", "--schedule", "uniform", "--synthetic", "3:4",
+                 "--out", str(csv_path)]) == 0
+    lines = csv_path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[-1] = "1_000"
+    lines[2] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["solve", "--schedule", "uniform", "--households", str(csv_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{csv_path}: row 3: column 'consumo': not a number: '1_000'" in err
+
+
+def test_cli_builds_household_rows_only_for_the_spot_check(tmp_path, monkeypatch):
+    built = []
+    post_init = Household.__post_init__
+
+    def counted(self):
+        built.append(self.id)
+        post_init(self)
+
+    monkeypatch.setattr(Household, "__post_init__", counted)
+    assert main(["tables", "--schedule", "plp68", "--synthetic", "42:2000",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert 0 < len(built) <= 6 * 4  # six sampled rows per scenario, baseline included
+    built.clear()
+    csv_path = tmp_path / "hh.csv"
+    assert main(["generate", "--schedule", "plp68", "--synthetic", "42:2000",
+                 "--out", str(csv_path)]) == 0
+    assert main(["solve", "--schedule", "plp68", "--households", str(csv_path)]) == 0
+    assert built == []
+
+
+def test_manifest_identifies_households_file_by_content(tmp_path):
+    csv_path = tmp_path / "hh.csv"
+
+    def tables(seed, out):
+        assert main(["generate", "--schedule", "plp68", "--synthetic", f"{seed}:300",
+                     "--out", str(csv_path)]) == 0
+        assert main(["tables", "--schedule", "plp68", "--households", str(csv_path),
+                     "--remove", "cesta_basica", "--out", str(out)]) == 0
+        return (out / "manifest.json").read_bytes()
+
+    first = tables(1, tmp_path / "a")
+    second = tables(2, tmp_path / "b")
+    config = json.loads(second)["config"]["population"]
+    data = csv_path.read_bytes()
+    assert config == {"kind": "file", "source": str(csv_path),
+                      "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+    assert json.loads(first)["config_sha256"] != json.loads(second)["config_sha256"]
+    assert tables(2, tmp_path / "c") == second

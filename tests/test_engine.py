@@ -334,3 +334,19 @@ def test_calculator_fixed_cashback_burden(oracle6, fixture_population):
         calc.burden_simultaneous(t), abs=1e-15
     )
     assert calc.burden_with_fixed_cashback(t, 0.0) >= calc.burden_simultaneous(t)
+
+
+def test_denominator_leaves_out_non_denominator_categories(plp68):
+    import dataclasses
+
+    schedule = dataclasses.replace(plp68, categories=tuple(
+        dataclasses.replace(c, in_denominator=c.id not in ("aluguel_imovel", "apostas_loterias"))
+        for c in plp68.categories
+    ))
+    pop = generate_synthetic(3, 300, plp68)
+    in_denom = [c.id for c in schedule.categories if c.in_denominator]
+    reference = math.fsum(
+        h.weight * math.fsum(h.expenditures[cid] for cid in in_denom) for h in pop.households
+    )
+    assert denominator_expenditure(pop, schedule) == reference
+    assert denominator_expenditure(pop, schedule) < denominator_expenditure(pop, plp68)

@@ -210,3 +210,48 @@ def test_household_total_helpers():
     assert h.monetary_total() == 400.0
     assert h.total_expenditure() == 480.0
     assert h.per_capita_total() == 120.0
+
+
+def test_population_rejects_mixed_category_sets():
+    a = Household(1, 1.0, 1, 0.0, {"consumo": 10.0}, 0.0)
+    b = Household(2, 1.0, 1, 0.0, {"consumo": 5.0, "misc": 1.0}, 0.0)
+    with pytest.raises(MicrodataError, match=r"household 2: unknown categories \['misc'\]"):
+        Population((a, b), Provenance("file", "x"))
+
+
+def test_columns_built_at_load_and_synthesis_agree(tmp_path, plp68):
+    p = generate_synthetic(5, 40, plp68)
+    path = tmp_path / "hh.csv"
+    write_population(p, path, plp68)
+    for other in (load_population(path, plp68), Population(p.households, p.provenance)):
+        assert other.category_ids == p.category_ids == plp68.category_ids()
+        for name in ("ids", "weight", "residents", "income_per_capita", "nonmonetary_total",
+                     "spend"):
+            assert getattr(other, name).tobytes() == getattr(p, name).tobytes(), name
+    assert not p.spend.flags.writeable
+
+
+def test_id_beyond_64_bits_rejected(tmp_path, uniform):
+    text = SMALL_CSV.replace("\n3,", f"\n{2**63},")
+    with pytest.raises(MicrodataError, match="row 4: column 'id': outside the 64-bit"):
+        load_population(write_csv(tmp_path, text), uniform)
+
+
+def test_duplicate_id_in_arrays_names_first_repeat(uniform):
+    h = [Household(i, 1.0, 1, 0.0, {"consumo": 1.0}, 0.0) for i in (5, 3, 9, 3, 5)]
+    with pytest.raises(MicrodataError, match="duplicate household id 3"):
+        Population(h, Provenance("file", "x"))
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("\n2,20.0", "\n2_0,20.0", "column 'id': not an integer: '2_0'"),
+    ("20.0,1,", "20.0,١,", "column 'residents': not an integer: '١'"),
+    ("450.5", "4_50.5", "column 'consumo': not a number: '4_50.5'"),
+    ("450.5", "٤٥٠", "column 'consumo': not a number: '٤٥٠'"),
+])
+def test_numbers_are_plain_ascii(tmp_path, uniform, old, new, message):
+    # int() and float() take these; the households reader does not
+    path = write_csv(tmp_path, SMALL_CSV.replace(old, new))
+    with pytest.raises(MicrodataError) as exc:
+        load_population(path, uniform)
+    assert str(exc.value) == f"{path}: row 3: {message}"
