@@ -14,9 +14,9 @@ the transfer-swap variant keeps the reform's solved rate, retaxes the
 food-basket group, and recycles the extra revenue as a flat per-person
 transfer (re-solving the rate instead is available behind a switch).
 
-Scenarios and tables work on the population's id-sorted columns: per-household
-arrays of gross tax, cashback, transfer and net tax, and per-quintile exact
-sums over index masks.  Every scenario spot-checks its arrays against the
+Scenarios and tables work on the population's columns: per-household arrays
+of gross tax, cashback, transfer and net tax, and per-quintile exact sums over
+index masks.  Every scenario spot-checks its arrays against the
 per-household reference functions of ``ivasim.engine`` on a few households.
 
 Outputs are plain data plus deterministic CSV/text renderings: one decimal
@@ -48,7 +48,7 @@ from .engine import (
     weighted_total,
     with_cashback,
 )
-from .microdata import Columns, Household, Population
+from .microdata import Household, Population
 from .rates import Rate
 from .schedule import Schedule, TaxTreatment, with_removal
 from .solver import SolverError, solve_given_cashback, solve_with_cashback
@@ -62,15 +62,10 @@ class QuintileAssignment:
     quintile_of: Mapping[int, int]  # household id -> 1..5
     boundaries: tuple[float, ...]  # per-capita totals opening quintiles 2..5
 
-    def members(self, population: Population, quintile: int) -> tuple[Household, ...]:
-        return tuple(
-            h for h in population.households if self.quintile_of[h.id] == quintile
-        )
-
-    def of(self, cols: Columns) -> np.ndarray:
-        """Quintile of every household of ``cols``, in ascending id order."""
-        return np.fromiter(map(self.quintile_of.__getitem__, cols.ids.tolist()), np.int64,
-                           len(cols.ids))
+    def of(self, population: Population) -> np.ndarray:
+        """Quintile of every household of ``population``, aligned with its columns."""
+        return np.fromiter(map(self.quintile_of.__getitem__, population.ids.tolist()), np.int64,
+                           len(population))
 
 
 def assign_quintiles(population: Population) -> QuintileAssignment:
@@ -125,16 +120,17 @@ def budget_share_table(
     so the groups of one column always add up to 100.  Households with no
     monetary spending carry no shares and are left out of the means.
     """
-    cols = population.columns(schedule)
-    spending = cols.monetary > 0
-    columns = _quintile_rows(quintiles.of(cols), spending)
+    idx = population.column_index(schedule)
+    spending = population.monetary > 0
+    columns = _quintile_rows(quintiles.of(population), spending)
     rows = []
     for g in schedule.groups():
         members = [j for j, c in enumerate(schedule.categories) if c.group == g]
-        group_spend = cols.spend[:, members].sum(axis=1)
-        share = np.divide(group_spend, cols.monetary, out=np.zeros_like(group_spend),
+        group_spend = population.spend[:, idx[members]].sum(axis=1)
+        share = np.divide(group_spend, population.monetary, out=np.zeros_like(group_spend),
                           where=spending)
-        cells = tuple(100.0 * _weighted_mean(cols.weight, share, column) for column in columns)
+        cells = tuple(100.0 * _weighted_mean(population.weight, share, column)
+                      for column in columns)
         rows.append(BudgetShareRow(g, cells))
     totals = tuple(math.fsum(r.cells[i] for r in rows) for i in range(6))
     rows.append(BudgetShareRow("total", totals))
@@ -174,7 +170,7 @@ class ScenarioSpec:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioResult:
-    """One scenario's per-household arrays (ascending household id) and totals."""
+    """One scenario's totals and per-household arrays, in the population's row order."""
 
     spec: ScenarioSpec
     label: str
@@ -182,7 +178,7 @@ class ScenarioResult:
     transfer_per_person: float
     totals: AggregateIncidence
     schedule: Schedule  # the schedule the scenario taxes with
-    columns: Columns  # the population's id-sorted columns, aligned with the arrays
+    population: Population  # the population the arrays describe
     gross: np.ndarray
     cashback: np.ndarray
     transfer: np.ndarray
@@ -200,8 +196,7 @@ class ScenarioResult:
     @cached_property
     def incidences(self) -> tuple[HouseholdIncidence, ...]:
         """Every household's reference-path incidence, in ascending id order."""
-        cols = self.columns
-        return tuple(self.scalar_incidence(cols.household(i)) for i in range(len(cols.ids)))
+        return tuple(map(self.scalar_incidence, self.population.households))
 
 
 def _uniform_vat_schedule(schedule: Schedule) -> Schedule:
@@ -233,10 +228,10 @@ def _result(
     transfer_per_person: float = 0.0,
 ) -> ScenarioResult:
     """Assemble a scenario from its arrays and spot-check it against the reference."""
-    cols = population.columns(schedule)
+    weight = population.weight
     if cashback is None:
         cashback = np.zeros_like(gross)
-    transfer = transfer_per_person * cols.residents
+    transfer = transfer_per_person * population.residents
     net = gross - cashback - transfer
     result = ScenarioResult(
         spec=spec,
@@ -244,37 +239,37 @@ def _result(
         t_ref=t_ref,
         transfer_per_person=transfer_per_person,
         totals=AggregateIncidence(
-            total_gross=weighted_total(cols.weight, gross),
-            total_cashback=weighted_total(cols.weight, cashback),
-            total_transfer=weighted_total(cols.weight, transfer),
-            total_net=weighted_total(cols.weight, net),
+            total_gross=weighted_total(weight, gross),
+            total_cashback=weighted_total(weight, cashback),
+            total_transfer=weighted_total(weight, transfer),
+            total_net=weighted_total(weight, net),
             denominator_expenditure=category_totals(population, schedule).denominator,
         ),
         schedule=schedule,
-        columns=cols,
+        population=population,
         gross=gross,
         cashback=cashback,
         transfer=transfer,
         net=net,
     )
-    _spot_check(population, result)
+    _spot_check(result)
     return result
 
 
-def _spot_check(population: Population, result: ScenarioResult) -> None:
+def _spot_check(result: ScenarioResult) -> None:
     """Compare the arrays, and ``aggregate`` over a sample, with the reference path.
 
     The sample is at most six households: id-sorted positions 0, n/4, n/2,
     3n/4 and n-1, and the lowest-id cashback-eligible one.
     """
-    cols = result.columns
-    n = len(cols.ids)
+    population = result.population
+    n = len(population)
     positions = {0, n // 4, n // 2, 3 * n // 4, n - 1}
     eligible = np.flatnonzero(category_totals(population, result.schedule).eligible)
     if eligible.size:
         positions.add(int(eligible[0]))
     rows = np.array(sorted(positions))
-    sample = [cols.household(i) for i in rows]
+    sample = [population.row(i) for i in rows]
     incidences = [result.scalar_incidence(h) for h in sample]
 
     def check(what: str, fast, reference) -> None:
@@ -294,7 +289,7 @@ def _spot_check(population: Population, result: ScenarioResult) -> None:
 
     agg = aggregate(Population(tuple(sample), population.provenance), incidences,
                     result.schedule)
-    w = cols.weight[rows]
+    w = population.weight[rows]
     reference = (agg.total_gross, agg.total_cashback, agg.total_transfer, agg.total_net)
     check("sample", [weighted_total(w, a[rows]) for a in arrays], reference)
 
@@ -336,8 +331,7 @@ def run_scenario(
         else:
             rate = solve_with_cashback(population, schedule, target).t_ref
         gross, cashback = household_taxes(population, swapped, rate)
-        weights = population.columns(swapped).weight
-        extra = weighted_total(weights, gross - cashback) - baseline.totals.total_net
+        extra = weighted_total(population.weight, gross - cashback) - baseline.totals.total_net
         if extra < 0:
             if extra < -1e-6 * abs(baseline.totals.total_net):
                 raise ValueError(
@@ -357,8 +351,8 @@ def compute_scenarios(
     """Run the requested scenarios; the baseline is always computed first.
 
     Returns the baseline followed by the requested reform scenarios in the
-    order given.  The reform's solved state is reused by the transfer swap
-    when both are requested.
+    order given.  The transfer swap reuses the reform's solved rate when the
+    reform comes before it; otherwise it solves that rate itself.
     """
     if not specs:
         raise ValueError("empty scenario list")
@@ -370,10 +364,6 @@ def compute_scenarios(
     for spec in specs:
         if spec.name is ScenarioName.BASELINE:
             continue
-        if spec.name is ScenarioName.PLP68_TRANSFER_SWAP and plp68_result is None:
-            plp68_result = run_scenario(
-                population, schedule, ScenarioSpec(ScenarioName.PLP68), baseline
-            )
         result = run_scenario(population, schedule, spec, baseline, plp68_result)
         if spec.name is ScenarioName.PLP68:
             plp68_result = result
@@ -400,18 +390,19 @@ def scenario_quintile_stats(
     scenario: ScenarioResult,
     baseline: ScenarioResult,
 ) -> tuple[ScenarioQuintileRow, ...]:
-    cols = population.columns(scenario.schedule)
+    weight, monetary = population.weight, population.monetary
+    total = monetary + population.nonmonetary_total
     delta_net = scenario.net - baseline.net
     rows = []
-    for q, column in zip((1, 2, 3, 4, 5, 0), _quintile_rows(quintiles.of(cols))):
-        mean_mon = _weighted_mean(cols.weight, cols.monetary, column)
-        delta = _weighted_mean(cols.weight, delta_net, column)
+    for q, column in zip((1, 2, 3, 4, 5, 0), _quintile_rows(quintiles.of(population))):
+        mean_mon = _weighted_mean(weight, monetary, column)
+        delta = _weighted_mean(weight, delta_net, column)
         rows.append(
             ScenarioQuintileRow(
                 quintile=q,
-                mean_net_tax=_weighted_mean(cols.weight, scenario.net, column),
+                mean_net_tax=_weighted_mean(weight, scenario.net, column),
                 mean_monetary_expenditure=mean_mon,
-                mean_total_expenditure=_weighted_mean(cols.weight, cols.total, column),
+                mean_total_expenditure=_weighted_mean(weight, total, column),
                 delta_vs_baseline=delta,
                 delta_share_pct=100.0 * delta / mean_mon if mean_mon else 0.0,
             )

@@ -238,26 +238,26 @@ def cmd_tables(args: argparse.Namespace) -> int:
     schedule = resolve_schedule(args.schedule)
     population = _resolve_population(args, schedule)
     target = _resolve_target(args, schedule)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
+    # every table is computed before any file is written, so a failed run
+    # leaves no partial output behind
     quintiles = assign_quintiles(population)
-
     shares = budget_share_table(population, schedule, quintiles)
-    _emit(out, "table1_budget_shares",
-          render_budget_shares_csv(shares), render_budget_shares_text(shares))
-    print(f"table1_budget_shares: {len(shares) - 1} groups")
-
     selectors = list(args.remove) if args.remove else list(default_removal_selectors(schedule))
     impacts = marginal_rate_impact(population, schedule, selectors, target)
-    _emit(out, "table2_rate_impacts",
-          render_rate_impacts_csv(impacts), render_rate_impacts_text(impacts))
-    print(f"table2_rate_impacts: {len(impacts)} rows")
-
     names = args.scenario if args.scenario else list(_DEFAULT_SCENARIOS)
     specs = [ScenarioSpec(ScenarioName(name)) for name in names]
     results = compute_scenarios(population, schedule, specs)
     table = build_scenario_table(population, quintiles, results)
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _emit(out, "table1_budget_shares",
+          render_budget_shares_csv(shares), render_budget_shares_text(shares))
+    print(f"table1_budget_shares: {len(shares) - 1} groups")
+    _emit(out, "table2_rate_impacts",
+          render_rate_impacts_csv(impacts), render_rate_impacts_text(impacts))
+    print(f"table2_rate_impacts: {len(impacts)} rows")
     _emit(out, "table3_scenarios",
           render_scenarios_csv(table), render_scenarios_text(table))
     print(f"table3_scenarios: {len(results)} scenarios")

@@ -9,10 +9,11 @@ per capita with no phase-out.
 
 The per-household functions (``household_tax``, ``household_cashback``,
 ``baseline_tax``, ``aggregate``) are the reference semantics.  The columnar
-path below computes the same quantities from the population's id-sorted
-numpy columns: per-household arrays by one matrix-vector product, and
-population totals from per-category sums, because tax is linear in spending
-and every household faces the same rate vector.
+path below computes the same quantities from the population's numpy
+columns: per-household arrays by one matrix-vector product, and population
+totals from per-category sums, because tax is linear in spending and every
+household faces the same rate vector.  Vectors over categories are in
+schedule order; ``Population.column_index`` maps them onto ``spend``.
 
 Every weighted total is a compensated sum (math.fsum) of per-household or
 per-category products, so it is exact for its addends and therefore
@@ -125,11 +126,12 @@ def baseline_tax(household: Household, schedule: Schedule) -> HouseholdIncidence
 
 def denominator_expenditure(population: Population, schedule: Schedule) -> float:
     """Weighted monetary consumption over the in-denominator categories."""
-    in_denom = tuple(c.id for c in schedule.categories if c.in_denominator)
+    in_denom = [c.id for c in schedule.categories if c.in_denominator]
     if set(in_denom) == set(population.category_ids):
         per_household = population.monetary
     else:
-        per_household = row_fsums(population.spend_in(in_denom))
+        columns = [population.category_ids.index(cid) for cid in in_denom]
+        per_household = row_fsums(population.spend[:, columns])
     return weighted_total(population.weight, per_household)
 
 
@@ -172,28 +174,29 @@ def universal_transfer_amount(extra_revenue: float, population: Population) -> f
 class CategoryTotals:
     """A population reduced to per-category weighted spending sums."""
 
-    eligible: np.ndarray  # cashback eligibility per household, ascending id
-    spend: np.ndarray  # fsum_i(w_i * x_ij) over all households, per category
+    eligible: np.ndarray  # cashback eligibility per household
+    spend: np.ndarray  # fsum_i(w_i * x_ij) over all households, per schedule category
     eligible_spend: np.ndarray  # the same over cashback-eligible households
     denominator: float  # denominator_expenditure
 
 
 def category_totals(population: Population, schedule: Schedule) -> CategoryTotals:
-    """Exact column sums of the raw spending, cached with the population's columns."""
-    cols = population.columns(schedule)
-    in_denom = tuple(c.id for c in schedule.categories if c.in_denominator)
+    """Exact column sums of the raw spending in schedule order, cached in population order."""
+    idx = population.column_index(schedule)
+    memo = population.memo
+    if "spend_totals" not in memo:
+        memo["spend_totals"] = _column_sums(population.weight, population.spend)
+    in_denom = frozenset(c.id for c in schedule.categories if c.in_denominator)
     key = ("category_totals", schedule.eligibility_threshold, in_denom)
-    if key not in cols.memo:
-        if "spend_totals" not in cols.memo:
-            cols.memo["spend_totals"] = _column_sums(cols.weight, cols.spend)
-        eligible = cols.income_per_capita <= schedule.eligibility_threshold
-        cols.memo[key] = CategoryTotals(
-            eligible=eligible,
-            spend=cols.memo["spend_totals"],
-            eligible_spend=_column_sums(np.where(eligible, cols.weight, 0.0), cols.spend),
-            denominator=denominator_expenditure(population, schedule),
+    if key not in memo:
+        eligible = population.income_per_capita <= schedule.eligibility_threshold
+        memo[key] = (
+            eligible,
+            _column_sums(np.where(eligible, population.weight, 0.0), population.spend),
+            denominator_expenditure(population, schedule),
         )
-    return cols.memo[key]
+    eligible, eligible_spend, denominator = memo[key]
+    return CategoryTotals(eligible, memo["spend_totals"][idx], eligible_spend[idx], denominator)
 
 
 def weighted_total(weights: np.ndarray, values: np.ndarray) -> float:
@@ -224,22 +227,23 @@ def _refund_shares(schedule: Schedule) -> np.ndarray:
 
 
 def _base_times(population: Population, schedule: Schedule, v: np.ndarray) -> np.ndarray:
-    """Taxable base (n x k) times ``v``, without materialising the base."""
-    cols = population.columns(schedule)
+    """Taxable base (n x k) times ``v`` (schedule order), without materialising the base."""
+    idx = population.column_index(schedule)
     rent = _rent_columns(schedule)
-    plain = v.copy()
+    plain = np.empty(len(v))  # v along the columns of spend, rent columns left out
+    plain[idx] = v
     for j, _ in rent:
-        plain[j] = 0.0
-    out = cols.spend @ plain
+        plain[idx[j]] = 0.0
+    out = population.spend @ plain
     for j, reducer in rent:
-        out += np.maximum(0.0, cols.spend[:, j] - reducer) * v[j]
+        out += np.maximum(0.0, population.spend[:, idx[j]] - reducer) * v[j]
     return out
 
 
 def household_taxes(
     population: Population, schedule: Schedule, t_ref: Rate
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gross tax and cashback of every household in ascending id order.
+    """Gross tax and cashback of every household.
 
     The columnar counterpart of ``household_tax`` + ``household_cashback``.
     """
@@ -250,9 +254,12 @@ def household_taxes(
 
 
 def baseline_taxes(population: Population, schedule: Schedule) -> np.ndarray:
-    """Pre-reform tax of every household in ascending id order (``baseline_tax``)."""
-    rates = np.array([c.baseline_effective.value for c in schedule.categories])
-    return population.columns(schedule).spend @ rates
+    """Pre-reform tax of every household (``baseline_tax``)."""
+    rates = np.empty(len(schedule.categories))
+    rates[population.column_index(schedule)] = [
+        c.baseline_effective.value for c in schedule.categories
+    ]
+    return population.spend @ rates
 
 
 class IncidenceCalculator:
@@ -274,11 +281,11 @@ class IncidenceCalculator:
         self.denominator = totals.denominator
         self.base_totals = totals.spend.copy()
         eligible_totals = totals.eligible_spend.copy()
-        cols = population.columns(schedule)
-        eligible_weight = np.where(totals.eligible, cols.weight, 0.0)
+        idx = population.column_index(schedule)
+        eligible_weight = np.where(totals.eligible, population.weight, 0.0)
         for j, reducer in _rent_columns(schedule):
-            base = np.maximum(0.0, cols.spend[:, j] - reducer)
-            self.base_totals[j] = weighted_total(cols.weight, base)
+            base = np.maximum(0.0, population.spend[:, idx[j]] - reducer)
+            self.base_totals[j] = weighted_total(population.weight, base)
             eligible_totals[j] = weighted_total(eligible_weight, base)
         self.refund_totals = eligible_totals * _refund_shares(schedule)
 

@@ -7,8 +7,9 @@ or scientific notation, ids fit in 64 bits, "#" starts no comment and blank
 lines are skipped.  Ingestion is strict: unknown or missing columns,
 non-numeric cells, duplicate ids and invariant violations are load errors
 that cite the offending row.  The body is parsed in one numpy pass into the
-population's columns; only when that pass rejects the file does a
-row-at-a-time reader re-read it to name the first bad row.
+population's columns, which are then kept in ascending id order; only when
+that pass rejects the file does a row-at-a-time reader re-read it to name the
+first bad row.
 
 The synthetic generator stands in for expenditure-survey microdata, which
 cannot be redistributed.  It draws per-capita expenditure log-normally and
@@ -85,14 +86,17 @@ class Provenance:
 
 
 class Population:
-    """A household population stored as numpy columns, in input order.
+    """A household population stored as numpy columns, in ascending id order.
 
     ``ids`` and ``residents`` are int64; ``weight``, ``income_per_capita`` and
     ``nonmonetary_total`` are float64; ``spend`` is the n x k monetary
     spending matrix (Fortran order), columns in ``category_ids`` order.  The
     arrays are read-only.  Every row satisfies the ``Household`` invariants
-    and ids are unique.  ``households`` gives the same rows as ``Household``
-    objects, built on first use; the pipeline reads the arrays.
+    and ids are unique; both are checked in input order, so an error names
+    the first bad row, before the rows are sorted by id.  ``households``
+    gives the same rows as ``Household`` objects, built on first use; the
+    pipeline reads the arrays.  ``memo`` keeps reductions derived from the
+    arrays (column indexes, category totals), keyed by what they depend on.
     """
 
     def __init__(self, households: Iterable[Household], provenance: Provenance) -> None:
@@ -113,7 +117,7 @@ class Population:
             residents = np.array([h.residents for h in households], dtype=np.int64)
         except OverflowError:
             raise MicrodataError("household ids and residents must fit in 64 bits") from None
-        self._store(
+        order = self._store(
             provenance, category_ids, ids,
             np.array([h.weight for h in households], dtype=float),
             residents,
@@ -121,7 +125,9 @@ class Population:
             np.array([h.nonmonetary_total for h in households], dtype=float),
             spend,
         )
-        self.__dict__["households"] = households
+        self.__dict__["households"] = (
+            households if order is None else tuple(households[i] for i in order)
+        )
 
     @classmethod
     def from_arrays(
@@ -139,23 +145,35 @@ class Population:
         population = cls.__new__(cls)
         population._store(provenance, category_ids, ids, weight, residents,
                           income_per_capita, nonmonetary_total, spend)
-        population._check_rows()
         return population
 
     def _store(self, provenance, category_ids, ids, weight, residents, income_per_capita,
-               nonmonetary_total, spend) -> None:
+               nonmonetary_total, spend) -> np.ndarray | None:
+        """Check the rows in input order, then keep them sorted by id.
+
+        Returns the sort order, or None when the ids already ascend.
+        """
         self.provenance = provenance
         self.category_ids = tuple(category_ids)
-        self.ids = _read_only(np.ascontiguousarray(ids, dtype=np.int64))
-        self.weight = _read_only(np.ascontiguousarray(weight, dtype=float))
-        self.residents = _read_only(np.ascontiguousarray(residents, dtype=np.int64))
-        self.income_per_capita = _read_only(np.ascontiguousarray(income_per_capita, dtype=float))
-        self.nonmonetary_total = _read_only(np.ascontiguousarray(nonmonetary_total, dtype=float))
-        self.spend = _read_only(np.asfortranarray(spend, dtype=float))
+        self.ids = np.ascontiguousarray(ids, dtype=np.int64)
+        self.weight = np.ascontiguousarray(weight, dtype=float)
+        self.residents = np.ascontiguousarray(residents, dtype=np.int64)
+        self.income_per_capita = np.ascontiguousarray(income_per_capita, dtype=float)
+        self.nonmonetary_total = np.ascontiguousarray(nonmonetary_total, dtype=float)
+        self.spend = np.asfortranarray(spend, dtype=float)
         if len(self.ids) == 0:
             raise MicrodataError("population must contain at least one household")
-        self.id_order = _id_order(self.ids)
-        self._columns: dict[tuple[str, ...], Columns] = {}
+        order = _id_order(self.ids)
+        self._check_rows()
+        if order is not None:
+            for name in _VECTORS:
+                setattr(self, name, getattr(self, name)[order])
+            # row indexing returns C order; keep spend in one layout whatever the input order
+            self.spend = np.asfortranarray(self.spend[order])
+        for name in _VECTORS + ("spend",):
+            _read_only(getattr(self, name))
+        self.memo: dict = {}
+        return order
 
     def _check_rows(self) -> None:
         """Raise the ``Household`` message of the first row that breaks an invariant."""
@@ -175,7 +193,7 @@ class Population:
 
     @cached_property
     def households(self) -> tuple[Household, ...]:
-        """Every household as a ``Household`` row view, in input order."""
+        """Every household as a ``Household`` row view, in ascending id order."""
         cids = self.category_ids
         return tuple(
             Household(hid, w, r, inc, dict(zip(cids, cells)), nm)
@@ -187,7 +205,7 @@ class Population:
         )
 
     def row(self, i: int) -> Household:
-        """The household at input position ``i`` as a ``Household`` row view."""
+        """The household at position ``i`` as a ``Household`` row view."""
         if "households" in self.__dict__:
             return self.households[i]
         return Household(
@@ -199,7 +217,7 @@ class Population:
 
     @cached_property
     def monetary(self) -> np.ndarray:
-        """``Household.monetary_total`` of every household, in input order."""
+        """``Household.monetary_total`` of every household."""
         return row_fsums(self.spend)
 
     def total_weight(self) -> float:
@@ -211,63 +229,22 @@ class Population:
         if mismatch:
             raise MicrodataError(f"household {int(self.ids[0])}: {mismatch}")
 
-    def spend_in(self, category_ids: tuple[str, ...], rows: np.ndarray | None = None) -> np.ndarray:
-        """Spending with columns in ``category_ids`` order, of ``rows`` (default all, in order)."""
-        if rows is None and category_ids == self.category_ids:
-            return self.spend
-        out = np.empty((len(self), len(category_ids)), order="F")
-        for j, cid in enumerate(category_ids):
-            column = self.spend[:, self.category_ids.index(cid)]
-            out[:, j] = column if rows is None else column[rows]
-        return _read_only(out)
+    def column_index(self, schedule: Schedule) -> np.ndarray:
+        """The ``spend`` column of each schedule category, in schedule order.
 
-    def columns(self, schedule: Schedule) -> Columns:
-        """Columns in the schedule's category order; validated and built once per order."""
-        key = schedule.category_ids()
-        if key not in self._columns:
+        The category set is validated once per category order.
+        """
+        key = ("column_index", schedule.category_ids())
+        if key not in self.memo:
             self.validate_against(schedule)
-            self._columns[key] = Columns(self, key)
-        return self._columns[key]
-
-
-class Columns:
-    """A population's columns in ascending id order, spending in one category order.
-
-    These are the population's own arrays when its ids already ascend and the
-    category order matches, otherwise one reordered copy.  ``memo`` keeps
-    reductions derived from the columns (category totals, the denominator),
-    keyed by the schedule parameters they depend on.
-    """
-
-    def __init__(self, population: Population, category_ids: tuple[str, ...]) -> None:
-        self.population = population
-        self.order = population.id_order  # None when input order is id order
-        self.ids = self._sorted(population.ids)
-        self.weight = self._sorted(population.weight)
-        self.residents = self._sorted(population.residents)
-        self.income_per_capita = self._sorted(population.income_per_capita)
-        self.spend = population.spend_in(category_ids, self.order)
-        self.memo: dict = {}
-
-    def _sorted(self, column: np.ndarray) -> np.ndarray:
-        return column if self.order is None else column[self.order]
-
-    def household(self, i: int) -> Household:
-        """Row view of the household at id-sorted position ``i``."""
-        return self.population.row(i if self.order is None else int(self.order[i]))
-
-    @cached_property
-    def monetary(self) -> np.ndarray:
-        """``Household.monetary_total`` of every household."""
-        return self._sorted(self.population.monetary)
-
-    @cached_property
-    def total(self) -> np.ndarray:
-        """``Household.total_expenditure`` of every household."""
-        return self.monetary + self._sorted(self.population.nonmonetary_total)
+            self.memo[key] = _read_only(
+                np.array([self.category_ids.index(cid) for cid in key[1]], dtype=np.intp)
+            )
+        return self.memo[key]
 
 
 _ROW_BLOCK = 8192  # rows turned into Python objects at a time
+_VECTORS = ("ids", "weight", "residents", "income_per_capita", "nonmonetary_total")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -409,9 +386,8 @@ def _read_rows(path: Path, schedule: Schedule) -> Population:
 
 def write_population(population: Population, path: str | Path, schedule: Schedule) -> None:
     """Emit the documented CSV layout; numeric fields round-trip exactly."""
-    population.validate_against(schedule)
+    columns = population.column_index(schedule)
     category_ids = schedule.category_ids()
-    spend = population.spend_in(category_ids)
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(list(FIXED_COLUMNS) + list(category_ids))
@@ -425,7 +401,8 @@ def write_population(population: Population, path: str | Path, schedule: Schedul
                     population.ids[rows].tolist(), population.weight[rows].tolist(),
                     population.residents[rows].tolist(),
                     population.income_per_capita[rows].tolist(),
-                    population.nonmonetary_total[rows].tolist(), spend[rows].tolist(),
+                    population.nonmonetary_total[rows].tolist(),
+                    population.spend[rows][:, columns].tolist(),
                 )
             )
 

@@ -242,6 +242,24 @@ def test_transfer_swap_holds_plp68_rate(scenario_results):
     assert by_name[ScenarioName.PLP68_TRANSFER_SWAP].transfer_per_person > 0
 
 
+def test_transfer_swap_alone_solves_the_reform_rate_once(monkeypatch, synthetic, plp68,
+                                                         scenario_results):
+    calls = []
+    exact = analysis.household_taxes
+
+    def counted(population, schedule, t_ref):
+        calls.append(t_ref)
+        return exact(population, schedule, t_ref)
+
+    monkeypatch.setattr(analysis, "household_taxes", counted)
+    baseline, swap = compute_scenarios(
+        synthetic, plp68, [ScenarioSpec(ScenarioName.PLP68_TRANSFER_SWAP)]
+    )
+    assert len(calls) == 1
+    plp = next(r for r in scenario_results if r.spec.name is ScenarioName.PLP68)
+    assert swap.t_ref.value == plp.t_ref.value
+
+
 def test_transfer_swap_resolve_rate_switch(synthetic, plp68, scenario_results):
     held = next(r for r in scenario_results if r.spec.name is ScenarioName.PLP68_TRANSFER_SWAP)
     resolved = run_scenario(

@@ -164,6 +164,16 @@ def test_tables_unknown_removal_selector_exits_1(tmp_path, capsys):
                "--out", str(tmp_path / "run"), "--remove", "navios"])
     assert rc == 1
     assert "navios" in capsys.readouterr().err
+    assert not list((tmp_path / "run").glob("table*"))
+
+
+def test_tables_default_scenarios_need_the_swapped_group(tmp_path, capsys):
+    # the transfer swap retaxes cesta_basica, which the uniform schedule lacks
+    rc = main(["tables", "--schedule", "uniform", "--synthetic", "11:300",
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert "cesta_basica" in capsys.readouterr().err
+    assert not list((tmp_path / "run").glob("table*"))
 
 
 def test_manifest_is_deterministic_metadata(tmp_path):

@@ -101,8 +101,10 @@ def schedules(draw):
 @st.composite
 def cases(draw):
     """A schedule and a population whose first three rows are an eligible
-    household, a renter below the reducer and a renter above it."""
+    household, a renter below the reducer and a renter above it.  The
+    households list their categories in a drawn order, not the schedule's."""
     schedule = draw(schedules())
+    category_order = draw(st.permutations(schedule.category_ids()))
     threshold = schedule.eligibility_threshold
     reducer = schedule.by_id("aluguel").treatment.reducer
     n = draw(st.integers(3, 8))
@@ -124,7 +126,7 @@ def cases(draw):
         households.append(
             Household(
                 hid, draw(st.floats(0.5, 200.0)), draw(st.integers(1, 6)), income,
-                spend, draw(st.floats(0.0, 300.0)),
+                {c: spend[c] for c in category_order}, draw(st.floats(0.0, 300.0)),
             )
         )
     return schedule, Population(tuple(households), Provenance("file", "property"))
@@ -276,6 +278,7 @@ def test_reader_matches_row_reader_on_valid_files(case, data):
         population = load_population(path, PLP68)
         reference = _read_rows(path, PLP68)
     assert population.category_ids == reference.category_ids
+    assert (population.ids[1:] > population.ids[:-1]).all()
     for a, b in zip(_columns(population), _columns(reference)):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()  # bit-identical, signed zeros included
