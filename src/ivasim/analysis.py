@@ -31,6 +31,7 @@ import io
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -48,6 +49,7 @@ from .engine import (
     weighted_total,
     with_cashback,
 )
+from .exactsum import exact_sum
 from .microdata import Household, Population
 from .rates import Rate
 from .schedule import Schedule, TaxTreatment, with_removal
@@ -57,15 +59,27 @@ from .solver import SolverError, solve_given_cashback, solve_with_cashback
 # -- quintiles ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuintileAssignment:
-    quintile_of: Mapping[int, int]  # household id -> 1..5
+    ids: np.ndarray  # household ids, in the population's row order
+    quintile: np.ndarray  # int8 quintile 1..5 of every row
     boundaries: tuple[float, ...]  # per-capita totals opening quintiles 2..5
+
+    @cached_property
+    def quintile_of(self) -> Mapping[int, int]:
+        """Household id -> quintile."""
+        return MappingProxyType(dict(zip(self.ids.tolist(), self.quintile.tolist())))
 
     def of(self, population: Population) -> np.ndarray:
         """Quintile of every household of ``population``, aligned with its columns."""
-        return np.fromiter(map(self.quintile_of.__getitem__, population.ids.tolist()), np.int64,
-                           len(population))
+        if not np.array_equal(population.ids, self.ids):
+            raise ValueError("the quintiles were assigned to another population")
+        return self.quintile
+
+    def empty(self) -> tuple[int, ...]:
+        """The quintiles that hold no household."""
+        counts = np.bincount(self.quintile, minlength=6)[1:]
+        return tuple(int(q) + 1 for q in np.flatnonzero(counts == 0))
 
 
 def assign_quintiles(population: Population) -> QuintileAssignment:
@@ -78,27 +92,36 @@ def assign_quintiles(population: Population) -> QuintileAssignment:
     per_capita = (population.monetary + population.nonmonetary_total) / population.residents
     order = np.lexsort((population.ids, per_capita))
     cum = np.concatenate(([0.0], np.cumsum(population.weight[order][:-1])))
-    quintile = np.minimum(5, (5.0 * cum / population.total_weight()).astype(np.int64) + 1)
-    opens = np.flatnonzero(np.diff(quintile)) + 1  # ranks where a new quintile starts
-    return QuintileAssignment(
-        dict(zip(population.ids[order].tolist(), quintile.tolist())),
-        tuple(per_capita[order][opens].tolist()),
-    )
+    ranked = np.minimum(5, (5.0 * cum / population.total_weight()).astype(np.int64) + 1)
+    opens = np.flatnonzero(np.diff(ranked)) + 1  # ranks where a new quintile starts
+    quintile = np.empty(len(population), dtype=np.int8)
+    quintile[order] = ranked
+    quintile.flags.writeable = False
+    return QuintileAssignment(population.ids, quintile, tuple(per_capita[order][opens].tolist()))
 
 
-def _weighted_mean(weights: np.ndarray, values: np.ndarray, rows: np.ndarray) -> float:
-    """fsum(w * x) / fsum(w) over the households at index ``rows``."""
-    w = weights[rows]
-    denom = math.fsum(w.tolist())
-    return weighted_total(w, values[rows]) / denom if denom > 0 else 0.0
+class _Rows:
+    """Households at index ``rows``, with their weights and the exact weight sum."""
+
+    def __init__(self, weights: np.ndarray, rows: np.ndarray) -> None:
+        self.rows = rows
+        self.weight = weights[rows]
+        self.weight_sum = exact_sum(self.weight)
+
+    def mean(self, values: np.ndarray) -> float:
+        """fsum(w * x) / fsum(w) over the rows, 0 when they carry no weight."""
+        if self.weight_sum > 0:
+            return weighted_total(self.weight, values[self.rows]) / self.weight_sum
+        return 0.0
 
 
-def _quintile_rows(quintile: np.ndarray, keep: np.ndarray | None = None) -> list[np.ndarray]:
-    """Index arrays of quintiles 1..5, then of the whole population."""
+def _quintile_rows(weights: np.ndarray, quintile: np.ndarray,
+                   keep: np.ndarray | None = None) -> list[_Rows]:
+    """Quintiles 1..5, then the whole population."""
     if keep is None:
         keep = np.ones(len(quintile), dtype=bool)
-    return [np.flatnonzero(keep & (quintile == q)) for q in range(1, 6)] + [
-        np.flatnonzero(keep)
+    return [_Rows(weights, np.flatnonzero(keep & (quintile == q))) for q in range(1, 6)] + [
+        _Rows(weights, np.flatnonzero(keep))
     ]
 
 
@@ -122,15 +145,14 @@ def budget_share_table(
     """
     idx = population.column_index(schedule)
     spending = population.monetary > 0
-    columns = _quintile_rows(quintiles.of(population), spending)
+    columns = _quintile_rows(population.weight, quintiles.of(population), spending)
     rows = []
     for g in schedule.groups():
         members = [j for j, c in enumerate(schedule.categories) if c.group == g]
         group_spend = population.spend[:, idx[members]].sum(axis=1)
         share = np.divide(group_spend, population.monetary, out=np.zeros_like(group_spend),
                           where=spending)
-        cells = tuple(100.0 * _weighted_mean(population.weight, share, column)
-                      for column in columns)
+        cells = tuple(100.0 * column.mean(share) for column in columns)
         rows.append(BudgetShareRow(g, cells))
     totals = tuple(math.fsum(r.cells[i] for r in rows) for i in range(6))
     rows.append(BudgetShareRow("total", totals))
@@ -384,25 +406,40 @@ class ScenarioQuintileRow:
     delta_share_pct: float  # 100 * delta / mean monetary expenditure
 
 
+def _quintile_means(
+    population: Population, quintiles: QuintileAssignment
+) -> list[tuple[_Rows, float, float]]:
+    """Per quintile, then for the whole population: the rows and their mean
+    monetary and total expenditure.  Scenarios share them, so they are
+    computed once per population and quintile assignment."""
+    cached = population.memo.get("quintile_means")
+    if cached is None or cached[0] is not quintiles:
+        total = population.monetary + population.nonmonetary_total
+        means = [(rows, rows.mean(population.monetary), rows.mean(total))
+                 for rows in _quintile_rows(population.weight, quintiles.of(population))]
+        cached = population.memo["quintile_means"] = (quintiles, means)
+    return cached[1]
+
+
 def scenario_quintile_stats(
     population: Population,
     quintiles: QuintileAssignment,
     scenario: ScenarioResult,
     baseline: ScenarioResult,
 ) -> tuple[ScenarioQuintileRow, ...]:
-    weight, monetary = population.weight, population.monetary
-    total = monetary + population.nonmonetary_total
+    # the exact sum of per-household differences, not a difference of sums
     delta_net = scenario.net - baseline.net
     rows = []
-    for q, column in zip((1, 2, 3, 4, 5, 0), _quintile_rows(quintiles.of(population))):
-        mean_mon = _weighted_mean(weight, monetary, column)
-        delta = _weighted_mean(weight, delta_net, column)
+    for q, (column, mean_mon, mean_total) in zip(
+        (1, 2, 3, 4, 5, 0), _quintile_means(population, quintiles)
+    ):
+        delta = column.mean(delta_net)
         rows.append(
             ScenarioQuintileRow(
                 quintile=q,
-                mean_net_tax=_weighted_mean(weight, scenario.net, column),
+                mean_net_tax=column.mean(scenario.net),
                 mean_monetary_expenditure=mean_mon,
-                mean_total_expenditure=_weighted_mean(weight, total, column),
+                mean_total_expenditure=mean_total,
                 delta_vs_baseline=delta,
                 delta_share_pct=100.0 * delta / mean_mon if mean_mon else 0.0,
             )

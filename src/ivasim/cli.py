@@ -242,6 +242,12 @@ def cmd_tables(args: argparse.Namespace) -> int:
     # every table is computed before any file is written, so a failed run
     # leaves no partial output behind
     quintiles = assign_quintiles(population)
+    empty = quintiles.empty()
+    if empty:
+        raise ValueError(
+            f"quintile(s) {', '.join(map(str, empty))} hold no household; "
+            f"the tables need at least one household in each of the five quintiles"
+        )
     shares = budget_share_table(population, schedule, quintiles)
     selectors = list(args.remove) if args.remove else list(default_removal_selectors(schedule))
     impacts = marginal_rate_impact(population, schedule, selectors, target)

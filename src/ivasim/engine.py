@@ -15,10 +15,11 @@ totals from per-category sums, because tax is linear in spending and every
 household faces the same rate vector.  Vectors over categories are in
 schedule order; ``Population.column_index`` maps them onto ``spend``.
 
-Every weighted total is a compensated sum (math.fsum) of per-household or
+Every weighted total is the correctly rounded exact sum of per-household or
 per-category products, so it is exact for its addends and therefore
 independent of household order and of how a survey weight is split across
-duplicate rows.
+duplicate rows.  ``ivasim.exactsum`` computes it in a few numpy passes by
+error-free extraction and returns what ``math.fsum`` returns, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .microdata import Household, Population, row_fsums
+from .exactsum import exact_sum, row_sums
+from .microdata import Household, Population
 from .rates import Rate
 from .schedule import Schedule, TreatmentKind, effective_inside_rate
 
@@ -131,7 +133,7 @@ def denominator_expenditure(population: Population, schedule: Schedule) -> float
         per_household = population.monetary
     else:
         columns = [population.category_ids.index(cid) for cid in in_denom]
-        per_household = row_fsums(population.spend[:, columns])
+        per_household = row_sums(population.spend[:, columns])
     return weighted_total(population.weight, per_household)
 
 
@@ -201,7 +203,7 @@ def category_totals(population: Population, schedule: Schedule) -> CategoryTotal
 
 def weighted_total(weights: np.ndarray, values: np.ndarray) -> float:
     """fsum_i(w_i * x_i): the rounded products, summed without further rounding error."""
-    return math.fsum((weights * values).tolist())
+    return exact_sum(weights * values)
 
 
 def _column_sums(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .exactsum import exact_sum, row_sums
 from .schedule import Schedule, TreatmentKind
 
 FIXED_COLUMNS = ("id", "weight", "residents", "income_pc", "nonmonetary_total")
@@ -218,10 +219,10 @@ class Population:
     @cached_property
     def monetary(self) -> np.ndarray:
         """``Household.monetary_total`` of every household."""
-        return row_fsums(self.spend)
+        return row_sums(self.spend)
 
     def total_weight(self) -> float:
-        return math.fsum(self.weight.tolist())
+        return exact_sum(self.weight)
 
     def validate_against(self, schedule: Schedule) -> None:
         """Every household must carry exactly the schedule's categories."""
@@ -255,15 +256,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _positive(a: np.ndarray, strict: bool = False) -> np.ndarray:
     """Finite and >= 0 (> 0 if ``strict``); NaN fails both comparisons."""
     return ((a > 0) if strict else (a >= 0)) & (a < np.inf)
-
-
-def row_fsums(matrix: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of every row: exact per-household totals, whatever the column order."""
-    out = np.empty(len(matrix))
-    for start in range(0, len(matrix), _ROW_BLOCK):  # bounds the Python floats alive at once
-        block = matrix[start:start + _ROW_BLOCK].tolist()
-        out[start:start + len(block)] = list(map(math.fsum, block))
-    return out
 
 
 def _id_order(ids: np.ndarray) -> np.ndarray | None:

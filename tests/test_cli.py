@@ -176,6 +176,15 @@ def test_tables_default_scenarios_need_the_swapped_group(tmp_path, capsys):
     assert not list((tmp_path / "run").glob("table*"))
 
 
+def test_tables_with_an_empty_quintile_exits_1(tmp_path, capsys):
+    # three households fill quintiles 1 and 3 only
+    out = tmp_path / "run"
+    rc = main(["tables", "--schedule", "plp68", "--synthetic", "3:3", "--out", str(out)])
+    assert rc == 1
+    assert "quintile(s) 2, 4, 5 hold no household" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_manifest_is_deterministic_metadata(tmp_path):
     out = tmp_path / "run"
     main(["tables", "--schedule", "plp68", "--synthetic", "11:300",

@@ -6,12 +6,15 @@ household and renters on both sides of the rent reducer, check that
 * every scenario's per-household arrays match the scalar functions,
 * every reform scenario is revenue neutral,
 * calculator totals match the scalar aggregate and do not change when
-  households are permuted or one household is split into two half-weight rows.
+  households are permuted or one household is split into two half-weight rows,
+* the burden at a fixed cashback never falls as the reference rate rises,
+* under the ``uniform`` schedule the solved rate is t = b / (1 - b).
 
 Random households files check the array reader against the row reader: the
 same arrays bit for bit on valid files, the same message on broken ones.
 Random populations with ties check the vectorised quintiles against the
-sort-and-accumulate loop.
+sort-and-accumulate loop, and that splitting a household's weight across two
+rows moves no household to another quintile.
 """
 
 import math
@@ -31,10 +34,12 @@ from ivasim.microdata import (
     Population,
     Provenance,
     _read_rows,
+    generate_synthetic,
     load_population,
 )
 from ivasim.rates import Rate
 from ivasim.schedule import bundled_schedule_path, load_schedule, parse_schedule
+from ivasim.solver import RATE_TOLERANCE, solve_with_cashback
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 REL = 1e-9
@@ -219,6 +224,28 @@ def test_totals_invariant_to_weight_splitting(case, data):
     )
 
 
+@PROPERTY_SETTINGS
+@given(cases(), st.lists(st.integers(0, 3000), min_size=2, max_size=8, unique=True),
+       st.floats(0.0, 1e4))
+def test_burden_monotone_in_rate_at_fixed_cashback(case, grid, cashback):
+    schedule, population = case
+    calc = IncidenceCalculator(population, schedule)
+    burdens = [calc.burden_with_fixed_cashback(i / 1000, cashback) for i in sorted(grid)]
+    assert burdens == sorted(burdens)
+
+
+UNIFORM = load_schedule(bundled_schedule_path("uniform"))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 10**6), st.floats(0.001, 0.95))
+def test_uniform_schedule_solves_to_b_over_one_minus_b(seed, target):
+    # one category at the reference rate and no cashback: the burden is the
+    # inside rate t / (1 + t), so the target b is met at t = b / (1 - b)
+    result = solve_with_cashback(generate_synthetic(seed, 40, UNIFORM), UNIFORM, target)
+    assert abs(result.t_ref.value - target / (1.0 - target)) <= RATE_TOLERANCE
+
+
 # -- CSV reader ----------------------------------------------------------------
 
 PLP68 = load_schedule(bundled_schedule_path("plp68"))
@@ -384,3 +411,40 @@ def test_quintiles_match_sort_and_accumulate(population):
     quintile_of, boundaries = reference_quintiles(population)
     assert quintiles.quintile_of == quintile_of
     assert quintiles.boundaries == boundaries
+
+
+@st.composite
+def split_quintile_cases(draw):
+    """A population with per-capita ties and dyadic weights (so running sums
+    are exact), and the same population with one household's weight split
+    over two rows; the new row's id follows the household's, so it ranks
+    right after it."""
+    n = draw(st.integers(1, 30))
+    ids = [2 * i for i in draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n,
+                                        unique=True))]
+    weights = [draw(st.integers(1, 64)) / 4 for _ in ids]
+    weights[draw(st.integers(0, n - 1))] = 2.0 * sum(weights)  # spans whole quintiles
+    households = [
+        Household(hid, w, draw(st.integers(1, 3)), 0.0,
+                  {"a": draw(st.sampled_from([0.0, 60.0, 150.0])),
+                   "b": draw(st.sampled_from([0.0, 30.0, 0.1]))},
+                  draw(st.sampled_from([0.0, 30.0])))
+        for hid, w in zip(ids, weights)
+    ]
+    k = draw(st.integers(0, n - 1))
+    h = households[k]
+    halves = [Household(hid, h.weight / 2, h.residents, h.income_per_capita,
+                        dict(h.expenditures), h.nonmonetary_total) for hid in (h.id, h.id + 1)]
+    provenance = Provenance("file", "quintiles")
+    return (Population(tuple(households), provenance),
+            Population(tuple(households[:k] + halves + households[k + 1:]), provenance), h.id)
+
+
+@PROPERTY_SETTINGS
+@given(split_quintile_cases())
+def test_quintiles_invariant_to_weight_splitting(case):
+    population, split, hid = case
+    before = assign_quintiles(population).quintile_of
+    after = assign_quintiles(split).quintile_of
+    assert {i: after[i] for i in before} == dict(before)
+    assert before[hid] <= after[hid + 1]
