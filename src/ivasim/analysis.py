@@ -12,7 +12,7 @@ reform scenario solves its reference rate for that burden; the uniform-VAT
 variant retaxes the whole denominator base at a single rate with no cashback;
 the transfer-swap variant keeps the reform's solved rate, retaxes the
 food-basket group, and recycles the extra revenue as a flat per-person
-transfer (re-solving the rate instead is available behind a switch).
+transfer.
 
 Scenarios and tables work on the population's columns: per-household arrays
 of gross tax, cashback, transfer and net tax, and per-quintile exact sums over
@@ -42,7 +42,8 @@ from .engine import (
     aggregate,
     baseline_tax,
     baseline_taxes,
-    category_totals,
+    cashback_eligible,
+    denominator_expenditure,
     household_tax,
     household_taxes,
     universal_transfer_amount,
@@ -187,7 +188,6 @@ class SpotCheckError(SolverError):
 class ScenarioSpec:
     name: ScenarioName
     swap_selector: str = "cesta_basica"  # transfer swap: group to retax
-    resolve_rate: bool = False  # transfer swap: re-solve instead of holding the rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +265,7 @@ def _result(
             total_cashback=weighted_total(weight, cashback),
             total_transfer=weighted_total(weight, transfer),
             total_net=weighted_total(weight, net),
-            denominator_expenditure=category_totals(population, schedule).denominator,
+            denominator_expenditure=denominator_expenditure(population, schedule),
         ),
         schedule=schedule,
         population=population,
@@ -287,7 +287,7 @@ def _spot_check(result: ScenarioResult) -> None:
     population = result.population
     n = len(population)
     positions = {0, n // 4, n // 2, 3 * n // 4, n - 1}
-    eligible = np.flatnonzero(category_totals(population, result.schedule).eligible)
+    eligible = np.flatnonzero(cashback_eligible(population, result.schedule))
     if eligible.size:
         positions.add(int(eligible[0]))
     rows = np.array(sorted(positions))
@@ -346,9 +346,7 @@ def run_scenario(
 
     if spec.name is ScenarioName.PLP68_TRANSFER_SWAP:
         swapped = with_removal(schedule, spec.swap_selector)
-        if spec.resolve_rate:
-            rate = solve_with_cashback(population, swapped, target).t_ref
-        elif plp68 is not None:
+        if plp68 is not None:
             rate = plp68.t_ref
         else:
             rate = solve_with_cashback(population, schedule, target).t_ref

@@ -15,6 +15,9 @@ totals from per-category sums, because tax is linear in spending and every
 household faces the same rate vector.  Vectors over categories are in
 schedule order; ``Population.column_index`` maps them onto ``spend``.
 
+Each taxable-base column is reduced once per population: ``_base_totals``
+and ``denominator_expenditure`` memoise their sums in ``Population.memo``.
+
 Every weighted total is the correctly rounded exact sum of per-household or
 per-category products, so it is exact for its addends and therefore
 independent of household order and of how a survey weight is split across
@@ -32,7 +35,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .exactsum import exact_sum, row_sums
-from .microdata import Household, Population
+from .microdata import Household, MicrodataError, Population
 from .rates import Rate
 from .schedule import Schedule, TreatmentKind, effective_inside_rate
 
@@ -127,14 +130,17 @@ def baseline_tax(household: Household, schedule: Schedule) -> HouseholdIncidence
 
 
 def denominator_expenditure(population: Population, schedule: Schedule) -> float:
-    """Weighted monetary consumption over the in-denominator categories."""
+    """Weighted monetary consumption over the in-denominator categories (memoised)."""
     in_denom = [c.id for c in schedule.categories if c.in_denominator]
-    if set(in_denom) == set(population.category_ids):
-        per_household = population.monetary
-    else:
-        columns = [population.category_ids.index(cid) for cid in in_denom]
-        per_household = row_sums(population.spend[:, columns])
-    return weighted_total(population.weight, per_household)
+    key = ("denominator", frozenset(in_denom))
+    if key not in population.memo:
+        if key[1] == set(population.category_ids):
+            per_household = population.monetary
+        else:
+            columns = [population.category_ids.index(cid) for cid in in_denom]
+            per_household = row_sums(population.spend[:, columns])
+        population.memo[key] = weighted_total(population.weight, per_household)
+    return population.memo[key]
 
 
 def aggregate(
@@ -172,33 +178,9 @@ def universal_transfer_amount(extra_revenue: float, population: Population) -> f
     return extra_revenue / persons
 
 
-@dataclass(frozen=True)
-class CategoryTotals:
-    """A population reduced to per-category weighted spending sums."""
-
-    eligible: np.ndarray  # cashback eligibility per household
-    spend: np.ndarray  # fsum_i(w_i * x_ij) over all households, per schedule category
-    eligible_spend: np.ndarray  # the same over cashback-eligible households
-    denominator: float  # denominator_expenditure
-
-
-def category_totals(population: Population, schedule: Schedule) -> CategoryTotals:
-    """Exact column sums of the raw spending in schedule order, cached in population order."""
-    idx = population.column_index(schedule)
-    memo = population.memo
-    if "spend_totals" not in memo:
-        memo["spend_totals"] = _column_sums(population.weight, population.spend)
-    in_denom = frozenset(c.id for c in schedule.categories if c.in_denominator)
-    key = ("category_totals", schedule.eligibility_threshold, in_denom)
-    if key not in memo:
-        eligible = population.income_per_capita <= schedule.eligibility_threshold
-        memo[key] = (
-            eligible,
-            _column_sums(np.where(eligible, population.weight, 0.0), population.spend),
-            denominator_expenditure(population, schedule),
-        )
-    eligible, eligible_spend, denominator = memo[key]
-    return CategoryTotals(eligible, memo["spend_totals"][idx], eligible_spend[idx], denominator)
+def cashback_eligible(population: Population, schedule: Schedule) -> np.ndarray:
+    """Whether each household is eligible for cashback."""
+    return population.income_per_capita <= schedule.eligibility_threshold
 
 
 def weighted_total(weights: np.ndarray, values: np.ndarray) -> float:
@@ -206,17 +188,33 @@ def weighted_total(weights: np.ndarray, values: np.ndarray) -> float:
     return exact_sum(weights * values)
 
 
-def _column_sums(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    return np.array([weighted_total(weights, matrix[:, j]) for j in range(matrix.shape[1])])
+def _taxable_column(population: Population, column: int, reducer: float | None) -> np.ndarray:
+    """Taxable base of one ``spend`` column: the spending, less the rent reducer if any."""
+    spend = population.spend[:, column]
+    return spend if reducer is None else np.maximum(0.0, spend - reducer)
 
 
-def _rent_columns(schedule: Schedule) -> list[tuple[int, float]]:
-    """(column, reducer) of every rent-regime category."""
-    return [
-        (j, c.treatment.reducer)
-        for j, c in enumerate(schedule.categories)
-        if c.treatment.kind is TreatmentKind.RENT_REGIME
-    ]
+def _base_totals(population: Population, schedule: Schedule) -> np.ndarray:
+    """Rows W and E: W_j = fsum_i(w_i * b_ij) over all households, E_j over eligible ones.
+
+    In schedule order.  Each (W_j, E_j) is memoised per population, keyed by
+    the ``spend`` column, the reducer (None outside the rent regime) and the
+    eligibility threshold.
+    """
+    memo = population.memo
+    eligible_weight = None
+    pairs = []
+    for column, c in zip(population.column_index(schedule).tolist(), schedule.categories):
+        key = ("base_totals", column, c.treatment.reducer, schedule.eligibility_threshold)
+        if key not in memo:
+            if eligible_weight is None:
+                eligible_weight = np.where(cashback_eligible(population, schedule),
+                                           population.weight, 0.0)
+            base = _taxable_column(population, column, c.treatment.reducer)
+            memo[key] = (weighted_total(population.weight, base),
+                         weighted_total(eligible_weight, base))
+        pairs.append(memo[key])
+    return np.array(pairs).T
 
 
 def rate_vector(schedule: Schedule, t_ref: Rate) -> np.ndarray:
@@ -231,14 +229,13 @@ def _refund_shares(schedule: Schedule) -> np.ndarray:
 def _base_times(population: Population, schedule: Schedule, v: np.ndarray) -> np.ndarray:
     """Taxable base (n x k) times ``v`` (schedule order), without materialising the base."""
     idx = population.column_index(schedule)
-    rent = _rent_columns(schedule)
+    reducers = [c.treatment.reducer for c in schedule.categories]
     plain = np.empty(len(v))  # v along the columns of spend, rent columns left out
-    plain[idx] = v
-    for j, _ in rent:
-        plain[idx[j]] = 0.0
+    plain[idx] = np.where([r is None for r in reducers], v, 0.0)
     out = population.spend @ plain
-    for j, reducer in rent:
-        out += np.maximum(0.0, population.spend[:, idx[j]] - reducer) * v[j]
+    for j, reducer in enumerate(reducers):
+        if reducer is not None:
+            out += _taxable_column(population, idx[j], reducer) * v[j]
     return out
 
 
@@ -252,7 +249,7 @@ def household_taxes(
     rates = rate_vector(schedule, t_ref)
     gross = _base_times(population, schedule, rates)
     refund = _base_times(population, schedule, rates * _refund_shares(schedule))
-    return gross, np.where(category_totals(population, schedule).eligible, refund, 0.0)
+    return gross, np.where(cashback_eligible(population, schedule), refund, 0.0)
 
 
 def baseline_taxes(population: Population, schedule: Schedule) -> np.ndarray:
@@ -270,25 +267,18 @@ class IncidenceCalculator:
     Tax is linear in spending and the rate vector is shared by every household,
     so gross(t) = sum_j W_j * r_j(t) and cashback(t) = sum_j s_j * E_j * r_j(t),
     where W_j = fsum_i(w_i * b_ij) over all households and E_j the same over
-    cashback-eligible ones (b is the taxable base).  The raw column sums are
-    cached per population; a new calculator only re-reduces rent-regime
-    columns, whose base depends on the reducer.  The per-household functions
-    above remain the reference semantics; the test suite pins both together.
+    cashback-eligible ones (b is the taxable base), memoised per population, so
+    a build sums over households only for a new rent reducer or threshold.  The
+    per-household functions above remain the reference semantics; the test
+    suite pins both together.
     """
 
     def __init__(self, population: Population, schedule: Schedule) -> None:
-        self.population = population
         self.schedule = schedule
-        totals = category_totals(population, schedule)
-        self.denominator = totals.denominator
-        self.base_totals = totals.spend.copy()
-        eligible_totals = totals.eligible_spend.copy()
-        idx = population.column_index(schedule)
-        eligible_weight = np.where(totals.eligible, population.weight, 0.0)
-        for j, reducer in _rent_columns(schedule):
-            base = np.maximum(0.0, population.spend[:, idx[j]] - reducer)
-            self.base_totals[j] = weighted_total(population.weight, base)
-            eligible_totals[j] = weighted_total(eligible_weight, base)
+        self.denominator = denominator_expenditure(population, schedule)
+        if not self.denominator > 0.0:
+            raise MicrodataError("no in-denominator expenditure: the net burden is undefined")
+        self.base_totals, eligible_totals = _base_totals(population, schedule)
         self.refund_totals = eligible_totals * _refund_shares(schedule)
 
     def gross_total(self, t_ref_outside: float) -> float:

@@ -97,7 +97,8 @@ class Population:
     the first bad row, before the rows are sorted by id.  ``households``
     gives the same rows as ``Household`` objects, built on first use; the
     pipeline reads the arrays.  ``memo`` keeps reductions derived from the
-    arrays (column indexes, category totals), keyed by what they depend on.
+    arrays (column indexes, taxable-base totals, denominators), keyed by what
+    they depend on.
     """
 
     def __init__(self, households: Iterable[Household], provenance: Provenance) -> None:
@@ -322,7 +323,8 @@ def _read_columns(path: Path, header: list[str], category_ids: tuple[str, ...]) 
                            skiprows=1, ndmin=1, encoding="utf-8")
     spend = np.empty((len(table), len(category_ids)), order="F")
     for j, cid in enumerate(category_ids):
-        spend[:, j] = table[f"f{header.index(cid)}"]
+        # a category may share a fixed column's name; its column comes after them
+        spend[:, j] = table[f"f{header.index(cid, len(FIXED_COLUMNS))}"]
     return Population.from_arrays(
         Provenance("file", str(path)), category_ids,
         table["f0"], table["f1"], table["f2"], table["f3"], table["f4"], spend,
@@ -339,7 +341,7 @@ def _read_rows(path: Path, schedule: Schedule) -> Population:
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = _header(reader, category_ids, path)
-        cat_index = {cid: header.index(cid) for cid in category_ids}
+        cat_index = {cid: header.index(cid, len(FIXED_COLUMNS)) for cid in category_ids}
         households: list[Household] = []
         seen: set[int] = set()
         for lineno, row in enumerate(reader, start=2):

@@ -260,19 +260,6 @@ def test_transfer_swap_alone_solves_the_reform_rate_once(monkeypatch, synthetic,
     assert swap.t_ref.value == plp.t_ref.value
 
 
-def test_transfer_swap_resolve_rate_switch(synthetic, plp68, scenario_results):
-    held = next(r for r in scenario_results if r.spec.name is ScenarioName.PLP68_TRANSFER_SWAP)
-    resolved = run_scenario(
-        synthetic,
-        plp68,
-        ScenarioSpec(ScenarioName.PLP68_TRANSFER_SWAP, resolve_rate=True),
-        baseline=scenario_results[0],
-    )
-    # re-solving absorbs the extra revenue into a lower rate: no transfer left
-    assert resolved.t_ref.value < held.t_ref.value
-    assert resolved.transfer_per_person == pytest.approx(0.0, abs=1e-6)
-
-
 def test_transfer_amounts_scale_with_residents(synthetic, scenario_results):
     swap = next(
         r for r in scenario_results if r.spec.name is ScenarioName.PLP68_TRANSFER_SWAP

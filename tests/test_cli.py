@@ -185,6 +185,26 @@ def test_tables_with_an_empty_quintile_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def _no_spending_csv(path):
+    """Ten households whose category cells are all zero."""
+    ids = load_schedule(bundled_schedule_path("plp68")).category_ids()
+    rows = [f"{i},100.0,2,500.0,{100.0 * i!r}," + ",".join(["0"] * len(ids)) for i in range(1, 11)]
+    header = "id,weight,residents,income_pc,nonmonetary_total," + ",".join(ids)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["solve", "tables"])
+def test_no_in_denominator_spending_exits_1(tmp_path, capsys, command):
+    csv_path = _no_spending_csv(tmp_path / "hh.csv")
+    out = tmp_path / "run"
+    extra = ["--out", str(out)] if command == "tables" else []
+    rc = main([command, "--schedule", "plp68", "--households", str(csv_path), *extra])
+    assert rc == 1
+    assert "no in-denominator expenditure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_manifest_is_deterministic_metadata(tmp_path):
     out = tmp_path / "run"
     main(["tables", "--schedule", "plp68", "--synthetic", "11:300",

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from ivasim import engine
 from ivasim.engine import (
     IncidenceCalculator,
     aggregate,
@@ -25,7 +26,7 @@ from ivasim.engine import (
 )
 from ivasim.microdata import Household, Population, Provenance, generate_synthetic, load_population
 from ivasim.rates import Rate, to_inside
-from ivasim.schedule import bundled_schedule_path, load_schedule
+from ivasim.schedule import bundled_schedule_path, load_schedule, with_removal
 
 DATA = Path(__file__).parent / "data"
 T_REF = Rate.outside(0.379)
@@ -324,6 +325,22 @@ def test_calculator_matches_scalar_path(oracle6, fixture_population, plp68):
                 agg.denominator_expenditure, rel=1e-12
             )
             assert calc.burden_simultaneous(t) == pytest.approx(agg.net_burden, abs=1e-12)
+
+
+def test_calculator_reuses_the_reductions_of_earlier_schedules(plp68, monkeypatch):
+    pop = generate_synthetic(42, 300, plp68)
+    IncidenceCalculator(pop, plp68)
+    calls = []
+    real = engine.weighted_total
+    monkeypatch.setattr(engine, "weighted_total", lambda w, x: calls.append(1) or real(w, x))
+    IncidenceCalculator(pop, with_removal(plp68, "cesta_basica"))
+    assert len(calls) == 0
+    # without its rent regime, the rent column's base is the raw spending: one new pair
+    no_rent = with_removal(plp68, "aluguel_imovel")
+    IncidenceCalculator(pop, no_rent)
+    assert len(calls) == 2
+    IncidenceCalculator(pop, no_rent)
+    assert len(calls) == 2
 
 
 def test_calculator_fixed_cashback_burden(oracle6, fixture_population):

@@ -1,15 +1,18 @@
 """CSV ingestion, writer round-trip, and the synthetic generator."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from ivasim.microdata import (
+    FIXED_COLUMNS,
     Household,
     MicrodataError,
     Population,
     Provenance,
     generate_synthetic,
+    _read_rows,
     load_population,
     write_population,
 )
@@ -229,6 +232,19 @@ def test_columns_built_at_load_and_synthesis_agree(tmp_path, plp68):
                      "spend"):
             assert getattr(other, name).tobytes() == getattr(p, name).tobytes(), name
     assert not p.spend.flags.writeable
+
+
+@pytest.mark.parametrize("name", FIXED_COLUMNS)
+def test_category_named_like_a_fixed_column_round_trips(tmp_path, uniform, name):
+    schedule = replace(uniform, categories=(replace(uniform.categories[0], id=name),))
+    p = generate_synthetic(3, 40, schedule)
+    path = tmp_path / "hh.csv"
+    write_population(p, path, schedule)
+    for other in (load_population(path, schedule), _read_rows(path, schedule)):
+        assert other.category_ids == (name,)
+        for column in ("ids", "weight", "residents", "income_per_capita", "nonmonetary_total",
+                       "spend"):
+            assert getattr(other, column).tobytes() == getattr(p, column).tobytes(), column
 
 
 def test_id_beyond_64_bits_rejected(tmp_path, uniform):

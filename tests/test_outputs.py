@@ -10,6 +10,7 @@ import ivasim
 from ivasim.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden_42_2000"
+GOLDEN_SOLVE = Path(__file__).parent / "data" / "golden_solve_42_2000"
 TABLE_FILES = (
     "table1_budget_shares.csv",
     "table1_budget_shares.txt",
@@ -26,6 +27,14 @@ def test_tables_match_golden_files(tmp_path):
                  "--out", str(tmp_path)]) == 0
     for name in TABLE_FILES:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_solve_trace_matches_golden_file(tmp_path):
+    # golden file written by `ivasim solve --schedule plp68 --synthetic 42:2000 --trace trace.csv`
+    trace = tmp_path / "trace.csv"
+    assert main(["solve", "--schedule", "plp68", "--synthetic", "42:2000",
+                 "--trace", str(trace)]) == 0
+    assert trace.read_bytes() == (GOLDEN_SOLVE / "trace.csv").read_bytes()
 
 
 def test_comma_selector_round_trips_through_csv_reader(tmp_path):

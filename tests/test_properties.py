@@ -7,6 +7,8 @@ household and renters on both sides of the rent reducer, check that
 * every reform scenario is revenue neutral,
 * calculator totals match the scalar aggregate and do not change when
   households are permuted or one household is split into two half-weight rows,
+* calculators built one after another on one population, which reuse its
+  memoised reductions, give the totals of a fresh population bit for bit,
 * the burden at a fixed cashback never falls as the reference rate rises,
 * under the ``uniform`` schedule the solved rate is t = b / (1 - b).
 
@@ -19,13 +21,20 @@ rows moves no household to another quintile.
 
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivasim.analysis import ScenarioName, ScenarioSpec, assign_quintiles, compute_scenarios
+from ivasim.analysis import (
+    ScenarioName,
+    ScenarioSpec,
+    _uniform_vat_schedule,
+    assign_quintiles,
+    compute_scenarios,
+)
 from ivasim.engine import IncidenceCalculator, aggregate, household_tax, with_cashback
 from ivasim.microdata import (
     FIXED_COLUMNS,
@@ -38,7 +47,13 @@ from ivasim.microdata import (
     load_population,
 )
 from ivasim.rates import Rate
-from ivasim.schedule import bundled_schedule_path, load_schedule, parse_schedule
+from ivasim.schedule import (
+    TaxTreatment,
+    bundled_schedule_path,
+    load_schedule,
+    parse_schedule,
+    with_removal,
+)
 from ivasim.solver import RATE_TOLERANCE, solve_with_cashback
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -222,6 +237,40 @@ def test_totals_invariant_to_weight_splitting(case, data):
         IncidenceCalculator(split, schedule).denominator
         == IncidenceCalculator(population, schedule).denominator
     )
+
+
+def _fresh(population):
+    """The same columns, with none of the population's memoised reductions."""
+    p = population
+    return Population.from_arrays(p.provenance, p.category_ids, p.ids, p.weight, p.residents,
+                                  p.income_per_capita, p.nonmonetary_total, p.spend)
+
+
+def _bits(calc):
+    totals = [x for t in RATES for x in (calc.gross_total(t), calc.cashback_total(t))]
+    return [x.hex() for x in totals + [calc.denominator]]
+
+
+@PROPERTY_SETTINGS
+@given(cases(), st.floats(0.0, 2000.0), st.floats(0.0, 1000.0), st.randoms(use_true_random=False))
+def test_calculators_on_one_population_match_fresh_populations(case, threshold, reducer, rnd):
+    schedule, population = case
+    rent = schedule.by_id("aluguel")
+    sequence = [
+        schedule,
+        *(with_removal(schedule, cid) for cid in schedule.category_ids()),
+        _uniform_vat_schedule(schedule),
+        replace(schedule, eligibility_threshold=threshold),
+        replace(schedule, categories=tuple(
+            replace(c, treatment=TaxTreatment.rent(rent.treatment.fraction, reducer))
+            if c is rent else c for c in schedule.categories)),
+        replace(schedule, categories=tuple(
+            replace(c, in_denominator=c is not rent) for c in schedule.categories)),
+    ]
+    rnd.shuffle(sequence)
+    for s in sequence:
+        assert _bits(IncidenceCalculator(population, s)) == _bits(
+            IncidenceCalculator(_fresh(population), s))
 
 
 @PROPERTY_SETTINGS
