@@ -6,18 +6,22 @@ cumulative expansion weight is cut at the 20% marks.  Ranking deliberately
 includes non-monetary consumption while the tax base is monetary only, so
 both expenditure figures are reported side by side.
 
-Scenarios share one neutrality constraint: the population's net tax (after
-cashback or transfers) must reproduce the measured pre-reform burden.  The
-reform scenario solves its reference rate for that burden; the uniform-VAT
-variant retaxes the whole denominator base at a single rate with no cashback;
-the transfer-swap variant keeps the reform's solved rate, retaxes the
-food-basket group, and recycles the extra revenue as a flat per-person
-transfer.
+Scenarios are named by ``ScenarioName`` and share one neutrality
+constraint: the population's net tax (after cashback or transfers) must
+reproduce the measured pre-reform burden.  ``compute_scenarios`` runs them in
+one pass: the baseline first, then each requested reform.  The reform
+scenario solves its reference rate for that burden, once per call; the
+uniform-VAT variant retaxes the whole denominator base at a single rate with
+no cashback; the transfer-swap variant keeps the reform's solved rate,
+retaxes the food-basket group (``SWAP_GROUP``), and recycles the extra
+revenue as a flat per-person transfer.
 
 Scenarios and tables work on the population's columns: per-household arrays
 of gross tax, cashback, transfer and net tax, and per-quintile exact sums over
-index masks.  Every scenario spot-checks its arrays against the
-per-household reference functions of ``ivasim.engine`` on a few households.
+index masks.  Table 3 computes the quintile rows, weight sums and mean
+expenditures once and shares them across scenarios.  Every scenario
+spot-checks its arrays against the per-household reference functions of
+``ivasim.engine`` on a few households.
 
 Outputs are plain data plus deterministic CSV/text renderings: one decimal
 for percentages, whole currency units for monthly amounts.
@@ -184,18 +188,14 @@ class SpotCheckError(SolverError):
     """The columnar scenario arrays disagree with the per-household reference."""
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    name: ScenarioName
-    swap_selector: str = "cesta_basica"  # transfer swap: group to retax
+SWAP_GROUP = "cesta_basica"  # the group the transfer swap retaxes
 
 
 @dataclass(frozen=True, eq=False)
 class ScenarioResult:
     """One scenario's totals and per-household arrays, in the population's row order."""
 
-    spec: ScenarioSpec
-    label: str
+    name: ScenarioName
     t_ref: Rate | None  # None for the pre-reform baseline
     transfer_per_person: float
     totals: AggregateIncidence
@@ -205,6 +205,10 @@ class ScenarioResult:
     cashback: np.ndarray
     transfer: np.ndarray
     net: np.ndarray
+
+    @property
+    def label(self) -> str:
+        return SCENARIO_LABELS[self.name]
 
     def scalar_incidence(self, household: Household) -> HouseholdIncidence:
         """The household's position by the per-household reference functions."""
@@ -243,7 +247,7 @@ def _uniform_vat_schedule(schedule: Schedule) -> Schedule:
 def _result(
     population: Population,
     schedule: Schedule,
-    spec: ScenarioSpec,
+    name: ScenarioName,
     t_ref: Rate | None,
     gross: np.ndarray,
     cashback: np.ndarray | None = None,
@@ -256,8 +260,7 @@ def _result(
     transfer = transfer_per_person * population.residents
     net = gross - cashback - transfer
     result = ScenarioResult(
-        spec=spec,
-        label=SCENARIO_LABELS[spec.name],
+        name=name,
         t_ref=t_ref,
         transfer_per_person=transfer_per_person,
         totals=AggregateIncidence(
@@ -300,7 +303,7 @@ def _spot_check(result: ScenarioResult) -> None:
         for part, a, b in zip(("gross tax", "cashback", "transfer", "net tax"), fast, reference):
             if abs(a - b) > SPOT_CHECK_TOLERANCE * scale:
                 raise SpotCheckError(
-                    f"{result.spec.name.value}: {what} {part} is {a!r} on the columnar "
+                    f"{result.name.value}: {what} {part} is {a!r} on the columnar "
                     f"path but {b!r} on the per-household reference path"
                 )
 
@@ -316,78 +319,50 @@ def _spot_check(result: ScenarioResult) -> None:
     check("sample", [weighted_total(w, a[rows]) for a in arrays], reference)
 
 
-def _run_baseline(population: Population, schedule: Schedule, spec: ScenarioSpec) -> ScenarioResult:
-    return _result(population, schedule, spec, None, baseline_taxes(population, schedule))
+def compute_scenarios(
+    population: Population, schedule: Schedule, names: Sequence[ScenarioName]
+) -> tuple[ScenarioResult, ...]:
+    """The baseline, then the requested reform scenarios in the order given.
 
-
-def run_scenario(
-    population: Population,
-    schedule: Schedule,
-    spec: ScenarioSpec,
-    baseline: ScenarioResult | None = None,
-    plp68: ScenarioResult | None = None,
-) -> ScenarioResult:
-    """Evaluate one scenario; reform scenarios are solved to the baseline burden."""
-    if spec.name is ScenarioName.BASELINE:
-        return _run_baseline(population, schedule, spec)
-    if baseline is None:
-        baseline = _run_baseline(population, schedule, ScenarioSpec(ScenarioName.BASELINE))
+    Every reform is solved to the baseline's net burden.  The reform rate is
+    solved at most once, by the first of ``PLP68`` and ``PLP68_TRANSFER_SWAP``
+    that needs it, and the other reuses it.  ``BASELINE`` among ``names`` is
+    skipped: it always comes first.
+    """
+    if not names:
+        raise ValueError("empty scenario list")
+    baseline = _result(population, schedule, ScenarioName.BASELINE, None,
+                       baseline_taxes(population, schedule))
     target = baseline.totals.net_burden
-
-    if spec.name is ScenarioName.UNIFORM_VAT:
-        uni = _uniform_vat_schedule(schedule)
-        rate = solve_given_cashback(population, uni, 0.0, target)
-        gross, _ = household_taxes(population, uni, rate)
-        return _result(population, uni, spec, rate, gross)
-
-    if spec.name is ScenarioName.PLP68:
-        rate = solve_with_cashback(population, schedule, target).t_ref
-        return _result(population, schedule, spec, rate, *household_taxes(population, schedule, rate))
-
-    if spec.name is ScenarioName.PLP68_TRANSFER_SWAP:
-        swapped = with_removal(schedule, spec.swap_selector)
-        if plp68 is not None:
-            rate = plp68.t_ref
-        else:
-            rate = solve_with_cashback(population, schedule, target).t_ref
-        gross, cashback = household_taxes(population, swapped, rate)
+    results = [baseline]
+    reform_rate: Rate | None = None
+    for name in names:
+        if name is ScenarioName.BASELINE:
+            continue
+        if name is ScenarioName.UNIFORM_VAT:
+            uni = _uniform_vat_schedule(schedule)
+            rate = solve_given_cashback(population, uni, 0.0, target)
+            gross, _ = household_taxes(population, uni, rate)
+            results.append(_result(population, uni, name, rate, gross))
+            continue
+        if reform_rate is None:
+            reform_rate = solve_with_cashback(population, schedule, target).t_ref
+        if name is ScenarioName.PLP68:
+            results.append(_result(population, schedule, name, reform_rate,
+                                   *household_taxes(population, schedule, reform_rate)))
+            continue
+        swapped = with_removal(schedule, SWAP_GROUP)
+        gross, cashback = household_taxes(population, swapped, reform_rate)
         extra = weighted_total(population.weight, gross - cashback) - baseline.totals.total_net
         if extra < 0:
             if extra < -1e-6 * abs(baseline.totals.total_net):
                 raise ValueError(
-                    f"retaxing {spec.swap_selector!r} does not raise revenue; "
+                    f"retaxing {SWAP_GROUP!r} does not raise revenue; "
                     f"no revenue-neutral transfer exists"
                 )
             extra = 0.0
         amount = universal_transfer_amount(extra, population)
-        return _result(population, swapped, spec, rate, gross, cashback, amount)
-
-    raise AssertionError(f"unhandled scenario {spec.name}")
-
-
-def compute_scenarios(
-    population: Population, schedule: Schedule, specs: Sequence[ScenarioSpec]
-) -> tuple[ScenarioResult, ...]:
-    """Run the requested scenarios; the baseline is always computed first.
-
-    Returns the baseline followed by the requested reform scenarios in the
-    order given.  The transfer swap reuses the reform's solved rate when the
-    reform comes before it; otherwise it solves that rate itself.
-    """
-    if not specs:
-        raise ValueError("empty scenario list")
-    baseline = _run_baseline(
-        population, schedule, ScenarioSpec(ScenarioName.BASELINE)
-    )
-    results = [baseline]
-    plp68_result: ScenarioResult | None = None
-    for spec in specs:
-        if spec.name is ScenarioName.BASELINE:
-            continue
-        result = run_scenario(population, schedule, spec, baseline, plp68_result)
-        if spec.name is ScenarioName.PLP68:
-            plp68_result = result
-        results.append(result)
+        results.append(_result(population, swapped, name, reform_rate, gross, cashback, amount))
     return tuple(results)
 
 
@@ -404,33 +379,17 @@ class ScenarioQuintileRow:
     delta_share_pct: float  # 100 * delta / mean monetary expenditure
 
 
-def _quintile_means(
-    population: Population, quintiles: QuintileAssignment
-) -> list[tuple[_Rows, float, float]]:
-    """Per quintile, then for the whole population: the rows and their mean
-    monetary and total expenditure.  Scenarios share them, so they are
-    computed once per population and quintile assignment."""
-    cached = population.memo.get("quintile_means")
-    if cached is None or cached[0] is not quintiles:
-        total = population.monetary + population.nonmonetary_total
-        means = [(rows, rows.mean(population.monetary), rows.mean(total))
-                 for rows in _quintile_rows(population.weight, quintiles.of(population))]
-        cached = population.memo["quintile_means"] = (quintiles, means)
-    return cached[1]
-
-
-def scenario_quintile_stats(
-    population: Population,
-    quintiles: QuintileAssignment,
+def _quintile_stats(
+    shared: Sequence[tuple[_Rows, float, float]],
     scenario: ScenarioResult,
     baseline: ScenarioResult,
 ) -> tuple[ScenarioQuintileRow, ...]:
+    """One scenario's rows; ``shared`` holds each quintile's (then the whole
+    population's) rows and mean monetary and total expenditure."""
     # the exact sum of per-household differences, not a difference of sums
     delta_net = scenario.net - baseline.net
     rows = []
-    for q, (column, mean_mon, mean_total) in zip(
-        (1, 2, 3, 4, 5, 0), _quintile_means(population, quintiles)
-    ):
+    for q, (column, mean_mon, mean_total) in zip((1, 2, 3, 4, 5, 0), shared):
         delta = column.mean(delta_net)
         rows.append(
             ScenarioQuintileRow(
@@ -450,16 +409,17 @@ def build_scenario_table(
     quintiles: QuintileAssignment,
     results: Sequence[ScenarioResult],
 ) -> tuple[tuple[ScenarioResult, tuple[ScenarioQuintileRow, ...]], ...]:
+    """Per-quintile rows of every scenario; the quintile rows, weight sums and
+    mean expenditures are computed once and shared by all scenarios."""
     if not results:
         raise ValueError("empty scenario list")
-    baseline = next(
-        (r for r in results if r.spec.name is ScenarioName.BASELINE), None
-    )
+    baseline = next((r for r in results if r.name is ScenarioName.BASELINE), None)
     if baseline is None:
         raise ValueError("scenario results must include the baseline")
-    return tuple(
-        (r, scenario_quintile_stats(population, quintiles, r, baseline)) for r in results
-    )
+    total = population.monetary + population.nonmonetary_total
+    shared = [(column, column.mean(population.monetary), column.mean(total))
+              for column in _quintile_rows(population.weight, quintiles.of(population))]
+    return tuple((r, _quintile_stats(shared, r, baseline)) for r in results)
 
 
 # -- rendering ------------------------------------------------------------------
@@ -534,7 +494,7 @@ def render_scenarios_csv(
             "mean_total_expenditure", "delta_vs_baseline", "delta_share_pct",
         ),
         (
-            (result.spec.name.value, "total" if r.quintile == 0 else str(r.quintile),
+            (result.name.value, "total" if r.quintile == 0 else str(r.quintile),
              _fmt(r.mean_net_tax, 0), _fmt(r.mean_monetary_expenditure, 0),
              _fmt(r.mean_total_expenditure, 0), _fmt(r.delta_vs_baseline, 0),
              _fmt(r.delta_share_pct, 1))
@@ -571,7 +531,7 @@ def render_scenarios_text(
                 0,
             )
         )
-        if result.spec.name is not ScenarioName.BASELINE:
+        if result.name is not ScenarioName.BASELINE:
             lines.append(
                 row("  Variação (R$/mês)", (r.delta_vs_baseline for r in rows), 0)
             )

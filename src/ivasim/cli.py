@@ -30,8 +30,8 @@ import numpy
 
 from . import __version__
 from .analysis import (
+    SWAP_GROUP,
     ScenarioName,
-    ScenarioSpec,
     assign_quintiles,
     budget_share_table,
     build_scenario_table,
@@ -132,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario",
         action="append",
         choices=[n.value for n in ScenarioName],
-        help="scenario to include (repeatable); default: all reforms",
+        help="scenario to include (repeatable); default: all reforms, less the "
+        f"transfer swap when the schedule has no {SWAP_GROUP} group",
     )
     p_tables.set_defaults(func=cmd_tables)
 
@@ -234,7 +235,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_no_repeats(flag: str, values: Sequence[str] | None) -> None:
+    seen: set[str] = set()
+    for value in values or ():
+        if value in seen:
+            raise ValueError(f"{flag} {value!r} is given more than once")
+        seen.add(value)
+
+
 def cmd_tables(args: argparse.Namespace) -> int:
+    _check_no_repeats("--remove", args.remove)
+    _check_no_repeats("--scenario", args.scenario)
     schedule = resolve_schedule(args.schedule)
     population = _resolve_population(args, schedule)
     target = _resolve_target(args, schedule)
@@ -251,9 +262,10 @@ def cmd_tables(args: argparse.Namespace) -> int:
     shares = budget_share_table(population, schedule, quintiles)
     selectors = list(args.remove) if args.remove else list(default_removal_selectors(schedule))
     impacts = marginal_rate_impact(population, schedule, selectors, target)
-    names = args.scenario if args.scenario else list(_DEFAULT_SCENARIOS)
-    specs = [ScenarioSpec(ScenarioName(name)) for name in names]
-    results = compute_scenarios(population, schedule, specs)
+    names = args.scenario or list(_DEFAULT_SCENARIOS)
+    if not args.scenario and SWAP_GROUP not in schedule.groups():
+        names.remove("plp68_transfer_swap")  # the swap has no group to retax
+    results = compute_scenarios(population, schedule, [ScenarioName(n) for n in names])
     table = build_scenario_table(population, quintiles, results)
 
     out = Path(args.out)
@@ -274,7 +286,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
         "population": _population_identity(population),
         "target_burden": target,
         "removals": selectors,
-        "scenarios": [r.spec.name.value for r in results],
+        "scenarios": [r.name.value for r in results],
     }
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     manifest = {

@@ -117,8 +117,7 @@ def solve_with_cashback(population: Population, schedule: Schedule, target: floa
     t = _bisect(calc, 0.0, target)
     trace = [TraceRow(0, t, calc.cashback_total(t), calc.burden_simultaneous(t))]
     for k in range(1, MAX_OUTER_ITERATIONS + 1):
-        cashback = calc.cashback_total(t)
-        t_next = _bisect(calc, cashback, target)
+        t_next = _bisect(calc, trace[-1].cashback_total, target)
         trace.append(TraceRow(k, t_next, calc.cashback_total(t_next), calc.burden_simultaneous(t_next)))
         moved = abs(t_next - t)
         t = t_next
@@ -127,8 +126,8 @@ def solve_with_cashback(population: Population, schedule: Schedule, target: floa
                 t_ref=Rate.outside(t),
                 t_ref_inside=to_inside(Rate.outside(t)),
                 iterations=k,
-                residual=abs(calc.burden_simultaneous(t) - target),
-                cashback_total=calc.cashback_total(t),
+                residual=abs(trace[-1].net_burden - target),
+                cashback_total=trace[-1].cashback_total,
                 trace=tuple(trace),
             )
     raise NonConvergenceError(

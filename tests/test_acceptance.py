@@ -15,7 +15,6 @@ import pytest
 
 from ivasim.analysis import (
     ScenarioName,
-    ScenarioSpec,
     assign_quintiles,
     budget_share_table,
     compute_scenarios,
@@ -226,9 +225,9 @@ def test_criterion_7_scenario_neutrality(pop2k, plp68):
         pop2k,
         plp68,
         [
-            ScenarioSpec(ScenarioName.UNIFORM_VAT),
-            ScenarioSpec(ScenarioName.PLP68),
-            ScenarioSpec(ScenarioName.PLP68_TRANSFER_SWAP),
+            ScenarioName.UNIFORM_VAT,
+            ScenarioName.PLP68,
+            ScenarioName.PLP68_TRANSFER_SWAP,
         ],
     )
     baseline = results[0]

@@ -7,7 +7,6 @@ import pytest
 import ivasim.analysis as analysis
 from ivasim.analysis import (
     ScenarioName,
-    ScenarioSpec,
     SpotCheckError,
     assign_quintiles,
     budget_share_table,
@@ -19,7 +18,6 @@ from ivasim.analysis import (
     render_rate_impacts_text,
     render_scenarios_csv,
     render_scenarios_text,
-    run_scenario,
     _fmt,
 )
 from ivasim.cli import main
@@ -54,9 +52,9 @@ def scenario_results(synthetic, plp68):
         synthetic,
         plp68,
         [
-            ScenarioSpec(ScenarioName.UNIFORM_VAT),
-            ScenarioSpec(ScenarioName.PLP68),
-            ScenarioSpec(ScenarioName.PLP68_TRANSFER_SWAP),
+            ScenarioName.UNIFORM_VAT,
+            ScenarioName.PLP68,
+            ScenarioName.PLP68_TRANSFER_SWAP,
         ],
     )
 
@@ -192,7 +190,7 @@ def test_zero_spending_household_left_out_of_shares(plp68):
 
 
 def test_baseline_always_first(synthetic, plp68, scenario_results):
-    names = [r.spec.name for r in scenario_results]
+    names = [r.name for r in scenario_results]
     assert names[0] is ScenarioName.BASELINE
     assert names[1:] == [
         ScenarioName.UNIFORM_VAT,
@@ -211,21 +209,21 @@ def test_every_scenario_is_revenue_neutral(synthetic, scenario_results):
                 sorted(synthetic.households, key=lambda h: h.id), result.incidences
             )
         )
-        assert abs(delta) <= 1e-6 * base.totals.total_net, result.spec.name
+        assert abs(delta) <= 1e-6 * base.totals.total_net, result.name
 
 
 def test_uniform_vat_rate_identity(uniform):
     # baseline burden is exactly 0.201 here, so the uniform outside rate must
     # be 0.201/0.799
     pop = generate_synthetic(5, 800, uniform)
-    result = run_scenario(pop, uniform, ScenarioSpec(ScenarioName.UNIFORM_VAT))
+    result = compute_scenarios(pop, uniform, [ScenarioName.UNIFORM_VAT])[1]
     assert result.t_ref.value == pytest.approx(0.201 / 0.799, abs=2e-3)
     assert result.t_ref.value == pytest.approx(0.2516, abs=2e-3)
 
 
 def test_transfer_swap_is_more_progressive_in_q1(synthetic, quintiles, scenario_results):
     table = dict(
-        (r.spec.name, rows)
+        (r.name, rows)
         for r, rows in build_scenario_table(synthetic, quintiles, scenario_results)
     )
     plp = table[ScenarioName.PLP68]
@@ -234,7 +232,7 @@ def test_transfer_swap_is_more_progressive_in_q1(synthetic, quintiles, scenario_
 
 
 def test_transfer_swap_holds_plp68_rate(scenario_results):
-    by_name = {r.spec.name: r for r in scenario_results}
+    by_name = {r.name: r for r in scenario_results}
     assert (
         by_name[ScenarioName.PLP68_TRANSFER_SWAP].t_ref.value
         == by_name[ScenarioName.PLP68].t_ref.value
@@ -253,16 +251,40 @@ def test_transfer_swap_alone_solves_the_reform_rate_once(monkeypatch, synthetic,
 
     monkeypatch.setattr(analysis, "household_taxes", counted)
     baseline, swap = compute_scenarios(
-        synthetic, plp68, [ScenarioSpec(ScenarioName.PLP68_TRANSFER_SWAP)]
+        synthetic, plp68, [ScenarioName.PLP68_TRANSFER_SWAP]
     )
     assert len(calls) == 1
-    plp = next(r for r in scenario_results if r.spec.name is ScenarioName.PLP68)
+    plp = next(r for r in scenario_results if r.name is ScenarioName.PLP68)
     assert swap.t_ref.value == plp.t_ref.value
+
+
+@pytest.mark.parametrize("order", [
+    [ScenarioName.PLP68, ScenarioName.PLP68_TRANSFER_SWAP],
+    [ScenarioName.PLP68_TRANSFER_SWAP, ScenarioName.PLP68],
+    [ScenarioName.PLP68_TRANSFER_SWAP, ScenarioName.PLP68, ScenarioName.PLP68_TRANSFER_SWAP],
+])
+def test_reform_rate_is_solved_once_in_either_order(monkeypatch, synthetic, plp68,
+                                                    scenario_results, order):
+    calls = []
+    exact = analysis.solve_with_cashback
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(analysis, "solve_with_cashback", counted)
+    by_name = {r.name: r for r in compute_scenarios(synthetic, plp68, order)}
+    assert len(calls) == 1
+    for name in order:
+        reference = next(r for r in scenario_results if r.name is name)
+        assert by_name[name].t_ref == reference.t_ref
+        for part in ("gross", "cashback", "net"):
+            assert getattr(by_name[name], part).tobytes() == getattr(reference, part).tobytes()
 
 
 def test_transfer_amounts_scale_with_residents(synthetic, scenario_results):
     swap = next(
-        r for r in scenario_results if r.spec.name is ScenarioName.PLP68_TRANSFER_SWAP
+        r for r in scenario_results if r.name is ScenarioName.PLP68_TRANSFER_SWAP
     )
     by_id = {h.id: h for h in synthetic.households}
     for inc in swap.incidences[:50]:
@@ -280,7 +302,7 @@ def test_uniform_vat_delta_share_constant_for_proportional_households(plp68):
         ),
         Provenance("file", "inline"),
     )
-    results = compute_scenarios(pop, plp68, [ScenarioSpec(ScenarioName.UNIFORM_VAT)])
+    results = compute_scenarios(pop, plp68, [ScenarioName.UNIFORM_VAT])
     base, uni = results
     base_by_id = {i.household_id: i.net_tax for i in base.incidences}
     ratios = [
@@ -303,7 +325,7 @@ def test_spot_check_samples_at_most_six_households(monkeypatch, plp68):
     monkeypatch.setattr(analysis, "household_tax", counted(analysis.household_tax))
     monkeypatch.setattr(analysis, "baseline_tax", counted(analysis.baseline_tax))
     pop = generate_synthetic(8, 1000, plp68)
-    compute_scenarios(pop, plp68, [ScenarioSpec(ScenarioName.PLP68)])
+    compute_scenarios(pop, plp68, [ScenarioName.PLP68])
     sampled = [hid for name, hid in calls if name == "household_tax"]
     assert 0 < len(sampled) <= 6
     assert sorted(hid for name, hid in calls if name == "baseline_tax") == sorted(sampled)
@@ -321,7 +343,7 @@ def test_spot_check_rejects_a_columnar_fault(monkeypatch, plp68, tmp_path, capsy
     monkeypatch.setattr(analysis, "household_taxes", skewed)
     pop = generate_synthetic(5, 200, plp68)
     with pytest.raises(SpotCheckError, match="plp68: household .* gross tax"):
-        compute_scenarios(pop, plp68, [ScenarioSpec(ScenarioName.PLP68)])
+        compute_scenarios(pop, plp68, [ScenarioName.PLP68])
     rc = main(["tables", "--schedule", "plp68", "--synthetic", "5:200",
                "--out", str(tmp_path)])
     assert rc == 2

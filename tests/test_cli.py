@@ -167,13 +167,36 @@ def test_tables_unknown_removal_selector_exits_1(tmp_path, capsys):
     assert not list((tmp_path / "run").glob("table*"))
 
 
-def test_tables_default_scenarios_need_the_swapped_group(tmp_path, capsys):
+def test_tables_transfer_swap_needs_the_swapped_group(tmp_path, capsys):
     # the transfer swap retaxes cesta_basica, which the uniform schedule lacks
     rc = main(["tables", "--schedule", "uniform", "--synthetic", "11:300",
-               "--out", str(tmp_path / "run")])
+               "--out", str(tmp_path / "run"), "--scenario", "plp68_transfer_swap"])
     assert rc == 1
     assert "cesta_basica" in capsys.readouterr().err
     assert not list((tmp_path / "run").glob("table*"))
+
+
+def test_tables_default_scenarios_leave_out_a_swap_without_its_group(tmp_path):
+    out = tmp_path / "run"
+    rc = main(["tables", "--schedule", "uniform", "--synthetic", "11:300",
+               "--out", str(out)])
+    assert rc == 0
+    expected = ["baseline", "uniform_vat", "plp68"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["scenarios"] == expected
+    rows = (out / "table3_scenarios.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows[5::6]] == expected
+
+
+@pytest.mark.parametrize("flag,value", [("--scenario", "plp68"),
+                                        ("--remove", "cesta_basica")])
+def test_tables_repeated_flag_value_exits_1(tmp_path, capsys, flag, value):
+    out = tmp_path / "run"
+    rc = main(["tables", "--schedule", "plp68", "--synthetic", "11:300",
+               "--out", str(out), flag, value, flag, value])
+    assert rc == 1
+    assert f"{flag} {value!r} is given more than once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tables_with_an_empty_quintile_exits_1(tmp_path, capsys):

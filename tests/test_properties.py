@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 
 from ivasim.analysis import (
     ScenarioName,
-    ScenarioSpec,
     _uniform_vat_schedule,
     assign_quintiles,
     compute_scenarios,
@@ -157,9 +156,9 @@ def _close(fast, reference, scale):
 
 
 REFORMS = [
-    ScenarioSpec(ScenarioName.UNIFORM_VAT),
-    ScenarioSpec(ScenarioName.PLP68),
-    ScenarioSpec(ScenarioName.PLP68_TRANSFER_SWAP),
+    ScenarioName.UNIFORM_VAT,
+    ScenarioName.PLP68,
+    ScenarioName.PLP68_TRANSFER_SWAP,
 ]
 
 
@@ -168,22 +167,22 @@ REFORMS = [
 def test_scenario_arrays_match_scalar_oracle(case):
     schedule, population = case
     results = compute_scenarios(population, schedule, REFORMS)
-    assert [r.spec.name for r in results] == [ScenarioName.BASELINE] + [s.name for s in REFORMS]
+    assert [r.name for r in results] == [ScenarioName.BASELINE] + REFORMS
     ordered = sorted(population.households, key=lambda h: h.id)
     for result in results:
         assert [inc.household_id for inc in result.incidences] == [h.id for h in ordered]
         for i, inc in enumerate(result.incidences):
             scale = abs(inc.gross_tax) + abs(inc.cashback) + abs(inc.transfer)
-            assert _close(result.gross[i], inc.gross_tax, scale), (result.spec.name, i)
-            assert _close(result.cashback[i], inc.cashback, scale), (result.spec.name, i)
-            assert _close(result.transfer[i], inc.transfer, scale), (result.spec.name, i)
-            assert _close(result.net[i], inc.net_tax, scale), (result.spec.name, i)
+            assert _close(result.gross[i], inc.gross_tax, scale), (result.name, i)
+            assert _close(result.cashback[i], inc.cashback, scale), (result.name, i)
+            assert _close(result.transfer[i], inc.transfer, scale), (result.name, i)
+            assert _close(result.net[i], inc.net_tax, scale), (result.name, i)
 
     baseline = results[0]
     weights = [h.weight for h in ordered]
     for result in results[1:]:
         delta = math.fsum(w * (a - b) for w, a, b in zip(weights, result.net, baseline.net))
-        assert abs(delta) <= 1e-6 * baseline.totals.total_net, result.spec.name
+        assert abs(delta) <= 1e-6 * baseline.totals.total_net, result.name
 
 
 def _totals(population, schedule, rates):
