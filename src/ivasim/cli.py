@@ -332,7 +332,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     def ok(name: str, detail: str = "") -> None:
         print(f"ok   {name}" + (f" ({detail})" if detail else ""))
 
-    def fail(name: str, exc: Exception) -> None:
+    def fail(name: str, exc: Exception | str) -> None:
         nonlocal failures
         failures += 1
         print(f"FAIL {name}: {exc}")
@@ -346,18 +346,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
         ok("schedule loads", f"{len(schedule.categories)} categories")
 
     if schedule is not None:
-        try:
-            t_ref = Rate.outside(
-                schedule.target_net_burden / (1.0 - schedule.target_net_burden)
-            )
-            for c in schedule.categories:
-                r = effective_inside_rate(c, t_ref).value
-                if not 0.0 <= r < 1.0:
-                    raise ScheduleError(
-                        f"category {c.id!r}: effective rate {r} outside [0, 1)"
-                    )
-        except ScheduleError as exc:
-            fail("effective rates well-formed", exc)
+        t_ref = Rate.outside(
+            schedule.target_net_burden / (1.0 - schedule.target_net_burden)
+        )
+        for c in schedule.categories:
+            try:
+                effective_inside_rate(c, t_ref)
+            except ValueError as exc:  # Rate refuses an out-of-range rate
+                fail("effective rates well-formed", f"category {c.id!r}: {exc}")
+                break
         else:
             ok("effective rates well-formed")
 

@@ -40,6 +40,10 @@ Treatment objects by kind::
      "vat_fraction": 1.0}                   # vat_fraction optional, default 1
     {"kind": "rent_regime", "fraction": 0.4, "reducer": 400.0}
     {"kind": "untaxed"}
+
+The module-level ``_KIND_PARAMS`` table lists each kind's parameters and the
+basis each rate parameter is stored on; validation, parsing and ``to_dict``
+all read it.  Every numeric field rejects NaN.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable
 
-from .rates import Rate, RateBasis, apply_fraction, compose_selective, to_inside
+from .rates import Rate, RateBasis, apply_fraction, compose_selective, to_inside, to_outside
 
 
 class ScheduleError(ValueError):
@@ -75,6 +79,20 @@ class CashbackClass(enum.Enum):
     STANDARD = "standard"
     EXCLUDED = "excluded"
 
+
+# Parameters of each treatment kind, in config order.  A rate parameter maps to
+# the basis it is stored on, which is also the basis of a bare number in a
+# config; a plain number maps to None.  This table drives TaxTreatment's
+# checks, the parser and serialisation.
+_KIND_PARAMS: dict[TreatmentKind, dict[str, RateBasis | None]] = {
+    TreatmentKind.ZERO_RATE: {},
+    TreatmentKind.REFERENCE_RATE: {},
+    TreatmentKind.REDUCED_FRACTION: {"fraction": None},
+    TreatmentKind.SPECIFIC_REGIME: {"effective": RateBasis.INSIDE},
+    TreatmentKind.SELECTIVE: {"is_rate": RateBasis.OUTSIDE, "vat_fraction": None},
+    TreatmentKind.RENT_REGIME: {"fraction": None, "reducer": None},
+    TreatmentKind.UNTAXED: {},
+}
 
 # Default presentation/removal group per treatment kind, used when a category
 # does not set "group" explicitly.
@@ -101,35 +119,27 @@ class TaxTreatment:
 
     def __post_init__(self) -> None:
         k = self.kind
-        expected = {
-            TreatmentKind.ZERO_RATE: (),
-            TreatmentKind.REFERENCE_RATE: (),
-            TreatmentKind.UNTAXED: (),
-            TreatmentKind.REDUCED_FRACTION: ("fraction",),
-            TreatmentKind.SPECIFIC_REGIME: ("effective",),
-            TreatmentKind.SELECTIVE: ("is_rate", "vat_fraction"),
-            TreatmentKind.RENT_REGIME: ("fraction", "reducer"),
-        }[k]
+        params = _KIND_PARAMS[k]
         for name in ("fraction", "effective", "is_rate", "vat_fraction", "reducer"):
             value = getattr(self, name)
-            if name in expected and value is None:
+            if name in params and value is None:
                 raise ScheduleError(f"treatment {k.value!r} requires parameter {name!r}")
-            if name not in expected and value is not None:
+            if name not in params and value is not None:
                 raise ScheduleError(f"treatment {k.value!r} does not take parameter {name!r}")
+            basis = params.get(name)
+            if basis is not None:  # a rate parameter, kept on its stored basis
+                stored = to_inside(value) if basis is RateBasis.INSIDE else to_outside(value)
+                object.__setattr__(self, name, stored)
+        # written so that NaN fails every range check
         if k is TreatmentKind.REDUCED_FRACTION and not 0.0 < self.fraction < 1.0:
             raise ScheduleError(f"reduced_fraction fraction must be in (0, 1), got {self.fraction}")
         if k is TreatmentKind.RENT_REGIME:
             if not 0.0 < self.fraction <= 1.0:
                 raise ScheduleError(f"rent_regime fraction must be in (0, 1], got {self.fraction}")
-            if self.reducer < 0.0:
+            if not self.reducer >= 0.0:
                 raise ScheduleError(f"rent_regime reducer must be >= 0, got {self.reducer}")
-        if k is TreatmentKind.SELECTIVE:
-            if self.vat_fraction < 0.0:
-                raise ScheduleError(f"selective vat_fraction must be >= 0, got {self.vat_fraction}")
-            if self.is_rate.basis is not RateBasis.OUTSIDE:
-                raise ScheduleError("selective is_rate must be stored on the outside basis")
-        if k is TreatmentKind.SPECIFIC_REGIME and self.effective.basis is not RateBasis.INSIDE:
-            raise ScheduleError("specific_regime effective rate must be stored on the inside basis")
+        if k is TreatmentKind.SELECTIVE and not self.vat_fraction >= 0.0:
+            raise ScheduleError(f"selective vat_fraction must be >= 0, got {self.vat_fraction}")
 
     @classmethod
     def zero_rate(cls) -> "TaxTreatment":
@@ -149,13 +159,11 @@ class TaxTreatment:
 
     @classmethod
     def specific(cls, effective: Rate) -> "TaxTreatment":
-        return cls(TreatmentKind.SPECIFIC_REGIME, effective=to_inside(effective))
+        return cls(TreatmentKind.SPECIFIC_REGIME, effective=effective)
 
     @classmethod
     def selective(cls, is_rate: Rate, vat_fraction: float = 1.0) -> "TaxTreatment":
-        from .rates import to_outside
-
-        return cls(TreatmentKind.SELECTIVE, is_rate=to_outside(is_rate), vat_fraction=vat_fraction)
+        return cls(TreatmentKind.SELECTIVE, is_rate=is_rate, vat_fraction=vat_fraction)
 
     @classmethod
     def rent(cls, fraction: float, reducer: float) -> "TaxTreatment":
@@ -225,7 +233,7 @@ class Schedule:
             share = getattr(self, share_name)
             if not 0.0 <= share <= 1.0:
                 raise ScheduleError(f"{share_name} must be in [0, 1], got {share}")
-        if self.eligibility_threshold < 0.0:
+        if not self.eligibility_threshold >= 0.0:  # NaN fails too
             raise ScheduleError(f"eligibility_threshold must be >= 0, got {self.eligibility_threshold}")
         if not 0.0 < self.target_net_burden < 1.0:
             raise ScheduleError(f"target_net_burden must be in (0, 1), got {self.target_net_burden}")
@@ -386,15 +394,6 @@ _TOP_KEYS = {"name", "categories", "cashback", "eligibility_threshold", "target_
 _CASHBACK_KEYS = {"utility_refund_share", "standard_refund_share"}
 _CATEGORY_KEYS = {"id", "label", "group", "treatment", "cashback_class", "in_denominator", "baseline_effective"}
 _CATEGORY_REQUIRED = {"id", "label", "treatment", "cashback_class", "in_denominator", "baseline_effective"}
-_TREATMENT_PARAMS = {
-    "zero_rate": set(),
-    "reference_rate": set(),
-    "untaxed": set(),
-    "reduced_fraction": {"fraction"},
-    "specific_regime": {"effective"},
-    "selective": {"is_rate", "vat_fraction"},
-    "rent_regime": {"fraction", "reducer"},
-}
 
 
 def load_schedule(path: str | Path) -> Schedule:
@@ -497,33 +496,22 @@ def _parse_rate(v: Any, where: str, default_basis: RateBasis) -> Rate:
 def _parse_treatment(raw: Any, where: str) -> TaxTreatment:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ScheduleError(f"{where}: treatment must be an object with a 'kind'")
-    kind_token = raw["kind"]
-    if kind_token not in _TREATMENT_PARAMS:
-        raise ScheduleError(
-            f"{where}: unknown treatment kind {kind_token!r}; expected one of "
-            + ", ".join(sorted(_TREATMENT_PARAMS))
-        )
-    allowed = _TREATMENT_PARAMS[kind_token] | {"kind"}
-    _reject_unknown(raw, allowed, f"{where} treatment")
     try:
-        if kind_token == "zero_rate":
-            return TaxTreatment.zero_rate()
-        if kind_token == "reference_rate":
-            return TaxTreatment.reference_rate()
-        if kind_token == "untaxed":
-            return TaxTreatment.untaxed()
-        if kind_token == "reduced_fraction":
-            return TaxTreatment.reduced(_number(_require(raw, "fraction", where), f"{where}.fraction"))
-        if kind_token == "specific_regime":
-            eff = _parse_rate(_require(raw, "effective", where), f"{where}.effective", RateBasis.INSIDE)
-            return TaxTreatment.specific(eff)
-        if kind_token == "selective":
-            is_rate = _parse_rate(_require(raw, "is_rate", where), f"{where}.is_rate", RateBasis.OUTSIDE)
-            return TaxTreatment.selective(is_rate, _number(raw.get("vat_fraction", 1.0), f"{where}.vat_fraction"))
-        return TaxTreatment.rent(
-            _number(_require(raw, "fraction", where), f"{where}.fraction"),
-            _number(_require(raw, "reducer", where), f"{where}.reducer"),
-        )
+        kind = TreatmentKind(raw["kind"])
+    except ValueError:
+        raise ScheduleError(
+            f"{where}: unknown treatment kind {raw['kind']!r}; expected one of "
+            + ", ".join(sorted(k.value for k in TreatmentKind))
+        ) from None
+    params = _KIND_PARAMS[kind]
+    _reject_unknown(raw, {"kind", *params}, f"{where} treatment")
+    values: dict[str, Any] = {}
+    try:
+        for name, basis in params.items():
+            v = raw.get(name, 1.0) if name == "vat_fraction" else _require(raw, name, where)
+            at = f"{where}.{name}"
+            values[name] = _number(v, at) if basis is None else _parse_rate(v, at, basis)
+        return TaxTreatment(kind, **values)
     except ValueError as e:  # Rate / treatment invariant violations
         if isinstance(e, ScheduleError):
             raise
@@ -577,16 +565,9 @@ def _parse_category(raw: Any, index: int) -> Category:
 def _category_to_dict(c: Category) -> dict[str, Any]:
     t = c.treatment
     treatment: dict[str, Any] = {"kind": t.kind.value}
-    if t.kind is TreatmentKind.REDUCED_FRACTION:
-        treatment["fraction"] = t.fraction
-    elif t.kind is TreatmentKind.SPECIFIC_REGIME:
-        treatment["effective"] = {"value": t.effective.value, "basis": t.effective.basis.value}
-    elif t.kind is TreatmentKind.SELECTIVE:
-        treatment["is_rate"] = {"value": t.is_rate.value, "basis": t.is_rate.basis.value}
-        treatment["vat_fraction"] = t.vat_fraction
-    elif t.kind is TreatmentKind.RENT_REGIME:
-        treatment["fraction"] = t.fraction
-        treatment["reducer"] = t.reducer
+    for name, basis in _KIND_PARAMS[t.kind].items():
+        v = getattr(t, name)
+        treatment[name] = v if basis is None else {"value": v.value, "basis": v.basis.value}
     return {
         "id": c.id,
         "label": c.label,

@@ -155,10 +155,11 @@ def marginal_rate_impact(
     The anchor row is the cashback-free solved rate on the intact schedule;
     each removal row re-solves (still cashback-free) on the counterfactual
     schedule; the final row adds cashback back on the intact schedule.
-    Deltas are in percentage points against the anchor.
+    Deltas are in percentage points against the anchor, which is the first,
+    cashback-free step of the self-consistent solve.
     """
-    _check_target(target)
-    base_rate = solve_given_cashback(population, schedule, 0.0, target).value
+    with_cb = solve_with_cashback(population, schedule, target)
+    base_rate = with_cb.trace[0].t_ref_outside
     rows = [RateImpactRow("Alíquota de referência sem cashback", "", base_rate, None)]
     for selector in removals:
         counterfactual = with_removal(schedule, selector)
@@ -166,7 +167,6 @@ def marginal_rate_impact(
         rows.append(
             RateImpactRow(f"Sem {selector}", selector, rate, (rate - base_rate) * 100.0)
         )
-    with_cb = solve_with_cashback(population, schedule, target)
     rows.append(
         RateImpactRow(
             "Alíquota de referência com cashback",

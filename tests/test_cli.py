@@ -293,6 +293,72 @@ def test_validate_skips_dependent_checks_on_schedule_failure(capsys):
     assert "skip taxable base positive" in out
 
 
+def _plp68_variant(tmp_path, edit):
+    """plp68 written to a file after ``edit(raw)``; json writes NaN as ``NaN``."""
+    raw = json.loads(bundled_schedule_path("plp68").read_text())
+    edit(raw)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def _category(raw, cid):
+    return next(c for c in raw["categories"] if c["id"] == cid)
+
+
+def test_validate_reports_invalid_effective_rate_and_runs_population_checks(
+    tmp_path, capsys
+):
+    # an IS rate this large composes to an inside rate of 1.0, which Rate refuses
+    def edit(raw):
+        _category(raw, "bebidas_alcoolicas")["treatment"]["is_rate"] = {
+            "value": 1e300, "basis": "outside"
+        }
+
+    rc = main(["validate", "--schedule", str(_plp68_variant(tmp_path, edit)),
+               "--synthetic", "1:50"])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "ok   schedule loads" in out
+    assert "FAIL effective rates well-formed: category 'bebidas_alcoolicas': inside rate" in out
+    assert "ok   population loads" in out
+    assert "ok   population matches schedule" in out
+    assert "ok   taxable base positive" in out
+    assert "1 check(s) failed" in out
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: raw.update(eligibility_threshold=float("nan")),
+         "eligibility_threshold must be >= 0, got nan"),
+        (lambda raw: _category(raw, "aluguel_imovel")["treatment"].update(reducer=float("nan")),
+         "rent_regime reducer must be >= 0, got nan"),
+        (lambda raw: _category(raw, "gasolina").update(
+            treatment={"kind": "selective", "is_rate": 0.19, "vat_fraction": float("nan")},
+            cashback_class="excluded"),
+         "selective vat_fraction must be >= 0, got nan"),
+    ],
+    ids=["eligibility_threshold", "reducer", "vat_fraction"],
+)
+def test_solve_rejects_nan_schedule_parameter(tmp_path, capsys, edit, message):
+    path = _plp68_variant(tmp_path, edit)
+    assert "NaN" in path.read_text()
+    rc = main(["solve", "--schedule", str(path), "--synthetic", "42:2000"])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
+def test_solve_rejects_unhashable_treatment_kind(tmp_path, capsys):
+    def edit(raw):
+        _category(raw, "gasolina")["treatment"] = {"kind": ["x"]}
+
+    rc = main(["solve", "--schedule", str(_plp68_variant(tmp_path, edit)),
+               "--synthetic", "42:2000"])
+    assert rc == 1
+    assert "category 'gasolina': unknown treatment kind ['x']" in capsys.readouterr().err
+
+
 # -- households files -------------------------------------------------------------
 
 

@@ -410,3 +410,185 @@ def test_fixture_json_is_strict_subset():
         "rent_regime",
         "untaxed",
     }
+
+
+# -- the per-kind parameter table ----------------------------------------------
+
+# One category per treatment kind, plus a second specific_regime and selective
+# category: bare-number rates on the default basis, rate objects on the other
+# basis, an omitted vat_fraction and an integer reducer and threshold.
+ALL_KINDS = {
+    "name": "all_kinds",
+    "categories": [
+        {"id": "alimentos", "label": "Alimentos", "treatment": {"kind": "zero_rate"},
+         "cashback_class": "standard", "in_denominator": True, "baseline_effective": 0.08},
+        {"id": "geral", "label": "Geral", "treatment": {"kind": "reference_rate"},
+         "cashback_class": "standard", "in_denominator": True,
+         "baseline_effective": {"value": 0.25, "basis": "outside"}},
+        {"id": "saude", "label": "Saúde",
+         "treatment": {"kind": "reduced_fraction", "fraction": 0.4},
+         "cashback_class": "standard", "in_denominator": True, "baseline_effective": 0.1},
+        {"id": "combustivel", "label": "Combustível",
+         "treatment": {"kind": "specific_regime", "effective": {"value": 0.5, "basis": "outside"}},
+         "cashback_class": "excluded", "in_denominator": True, "baseline_effective": 0.3},
+        {"id": "servicos_financeiros", "label": "Serviços financeiros", "group": "financeiro",
+         "treatment": {"kind": "specific_regime", "effective": 0.18},
+         "cashback_class": "standard", "in_denominator": True, "baseline_effective": 0.1},
+        {"id": "bebidas", "label": "Bebidas",
+         "treatment": {"kind": "selective", "is_rate": 0.19},
+         "cashback_class": "excluded", "in_denominator": True, "baseline_effective": 0.3},
+        {"id": "fumo", "label": "Fumo", "group": "imposto_seletivo",
+         "treatment": {"kind": "selective", "is_rate": {"value": 0.2, "basis": "inside"},
+                       "vat_fraction": 0.5},
+         "cashback_class": "excluded", "in_denominator": True, "baseline_effective": 0.4},
+        {"id": "aluguel", "label": "Aluguel",
+         "treatment": {"kind": "rent_regime", "fraction": 0.4, "reducer": 400},
+         "cashback_class": "utility_enhanced", "in_denominator": True, "baseline_effective": 0.0},
+        {"id": "doacoes", "label": "Doações", "treatment": {"kind": "untaxed"},
+         "cashback_class": "excluded", "in_denominator": False, "baseline_effective": 0.0},
+    ],
+    "eligibility_threshold": 477,
+}
+
+
+def _canonical(cid, label, group, treatment, cashback, in_den, baseline):
+    return {"id": cid, "label": label, "group": group, "treatment": treatment,
+            "cashback_class": cashback, "in_denominator": in_den,
+            "baseline_effective": {"value": baseline, "basis": "inside"}}
+
+
+# ALL_KINDS in canonical form: defaults filled in, rate parameters on their
+# stored basis, numbers as floats, keys in writing order
+ALL_KINDS_CANONICAL = {
+    "name": "all_kinds",
+    "categories": [
+        _canonical("alimentos", "Alimentos", "aliquota_zero", {"kind": "zero_rate"},
+                   "standard", True, 0.08),
+        _canonical("geral", "Geral", "referencia", {"kind": "reference_rate"},
+                   "standard", True, 0.2),
+        _canonical("saude", "Saúde", "reduzida_40",
+                   {"kind": "reduced_fraction", "fraction": 0.4}, "standard", True, 0.1),
+        _canonical("combustivel", "Combustível", "regime_especifico",
+                   {"kind": "specific_regime",
+                    "effective": {"value": 0.3333333333333333, "basis": "inside"}},
+                   "excluded", True, 0.3),
+        _canonical("servicos_financeiros", "Serviços financeiros", "financeiro",
+                   {"kind": "specific_regime", "effective": {"value": 0.18, "basis": "inside"}},
+                   "standard", True, 0.1),
+        _canonical("bebidas", "Bebidas", "imposto_seletivo",
+                   {"kind": "selective", "is_rate": {"value": 0.19, "basis": "outside"},
+                    "vat_fraction": 1.0},
+                   "excluded", True, 0.3),
+        _canonical("fumo", "Fumo", "imposto_seletivo",
+                   {"kind": "selective", "is_rate": {"value": 0.25, "basis": "outside"},
+                    "vat_fraction": 0.5},
+                   "excluded", True, 0.4),
+        _canonical("aluguel", "Aluguel", "aluguel",
+                   {"kind": "rent_regime", "fraction": 0.4, "reducer": 400.0},
+                   "utility_enhanced", True, 0.0),
+        _canonical("doacoes", "Doações", "nao_tributado", {"kind": "untaxed"},
+                   "excluded", False, 0.0),
+    ],
+    "cashback": {"utility_refund_share": 0.466, "standard_refund_share": 0.2},
+    "eligibility_threshold": 477.0,
+    "target_net_burden": 0.201,
+}
+
+
+def test_all_kinds_to_dict_matches_canonical_literal():
+    s = parse_schedule(ALL_KINDS)
+    assert {c.treatment.kind for c in s.categories} == set(TreatmentKind)
+    d = s.to_dict()
+    assert d == ALL_KINDS_CANONICAL
+    # == does not tell 400 from 400.0, nor key order; the serialised text does
+    assert json.dumps(d) == json.dumps(ALL_KINDS_CANONICAL)
+    assert s.fingerprint() == "8913f8f9f41b7f4d416b395343f16147e8184c39b1b71f2f789070a09066006f"
+
+
+def test_all_kinds_round_trips(tmp_path):
+    s = parse_schedule(ALL_KINDS)
+    assert parse_schedule(s.to_dict()) == s
+    path = tmp_path / "all_kinds.json"
+    save_schedule(s, path)
+    assert load_schedule(path) == s
+
+
+def test_rate_parameters_stored_on_their_basis():
+    s = parse_schedule(ALL_KINDS)
+    assert s.by_id("combustivel").treatment.effective == Rate.inside(0.5 / 1.5)
+    assert s.by_id("fumo").treatment.is_rate == Rate.outside(0.2 / 0.8)
+    # the classmethods and the plain constructor store the same values
+    assert TaxTreatment.specific(Rate.outside(0.5)) == s.by_id("combustivel").treatment
+    assert TaxTreatment(
+        TreatmentKind.SELECTIVE, is_rate=Rate.inside(0.2), vat_fraction=0.5
+    ) == s.by_id("fumo").treatment
+
+
+def test_bundled_fingerprints_pinned():
+    # a fingerprint seeds the synthetic draws, so drift would move every table
+    assert load_schedule(bundled_schedule_path("plp68")).fingerprint() == (
+        "b0558844a0b0a0bf36bd8fafe936a50ffceaa6dfaf18d7cf6305a2a63bda972f"
+    )
+    assert load_schedule(bundled_schedule_path("uniform")).fingerprint() == (
+        "1556b21ccfe0d1343af3eda0e96f6f137d0cdaecb89ad18027e63c23c519ab06"
+    )
+
+
+@pytest.mark.parametrize("kind", [["x"], {"a": 1}, 7, None])
+def test_unhashable_or_non_string_kind_is_unknown(kind):
+    raw = minimal_raw()
+    raw["categories"][1]["treatment"] = {"kind": kind}
+    with pytest.raises(ScheduleError, match="unknown treatment kind"):
+        parse_schedule(raw)
+
+
+def test_treatment_kind_missing_parameter_names_it():
+    raw = minimal_raw()
+    raw["categories"][1]["treatment"] = {"kind": "rent_regime", "fraction": 0.4}
+    with pytest.raises(ScheduleError, match="missing required key 'reducer'"):
+        parse_schedule(raw)
+
+
+def test_treatment_constructor_checks_parameters_against_kind():
+    with pytest.raises(ScheduleError, match="requires parameter 'reducer'"):
+        TaxTreatment(TreatmentKind.RENT_REGIME, fraction=0.4)
+    with pytest.raises(ScheduleError, match="does not take parameter 'fraction'"):
+        TaxTreatment(TreatmentKind.ZERO_RATE, fraction=0.4)
+
+
+# -- NaN in numeric fields ---------------------------------------------------------
+
+NAN = float("nan")
+
+
+def _with_treatment(treatment):
+    raw = minimal_raw()
+    raw["categories"][0]["treatment"] = treatment
+    if treatment["kind"] == "selective":
+        raw["categories"][0]["cashback_class"] = "excluded"
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (minimal_raw(eligibility_threshold=NAN), "eligibility_threshold must be >= 0, got nan"),
+        (_with_treatment({"kind": "rent_regime", "fraction": 0.4, "reducer": NAN}),
+         "rent_regime reducer must be >= 0, got nan"),
+        (_with_treatment({"kind": "selective", "is_rate": 0.19, "vat_fraction": NAN}),
+         "selective vat_fraction must be >= 0, got nan"),
+    ],
+    ids=["eligibility_threshold", "reducer", "vat_fraction"],
+)
+def test_nan_parameter_rejected_by_parser(raw, message):
+    with pytest.raises(ScheduleError, match=message):
+        parse_schedule(raw)
+
+
+def test_nan_parameter_rejected_by_constructors(plp68):
+    with pytest.raises(ScheduleError, match="reducer"):
+        TaxTreatment.rent(0.4, NAN)
+    with pytest.raises(ScheduleError, match="vat_fraction"):
+        TaxTreatment.selective(Rate.outside(0.19), NAN)
+    with pytest.raises(ScheduleError, match="eligibility_threshold"):
+        Schedule(plp68.categories, eligibility_threshold=NAN)

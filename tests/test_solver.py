@@ -19,6 +19,7 @@ from ivasim.schedule import (
     parse_schedule,
     with_removal,
 )
+from ivasim import solver
 from ivasim.solver import (
     NonConvergenceError,
     RateImpactRow,
@@ -324,6 +325,20 @@ def test_marginal_rate_impact_layout(synthetic, plp68):
     assert removal.delta_pp < 0
     assert cashback.delta_pp > 0
     assert cashback.rate_outside > anchor.rate_outside
+
+
+def test_marginal_rate_impact_anchor_is_first_cashback_free_step(synthetic, plp68, monkeypatch):
+    # the anchor is read from the self-consistent solve's first step; only the
+    # removal rows solve on their own
+    anchor = solve_given_cashback(synthetic, plp68, 0.0, 0.201).value
+    calls = []
+    original = solver.solve_given_cashback
+    monkeypatch.setattr(
+        solver, "solve_given_cashback", lambda *a: calls.append(a) or original(*a)
+    )
+    rows = marginal_rate_impact(synthetic, plp68, ["cesta_basica", "aluguel"], 0.201)
+    assert rows[0].rate_outside == anchor
+    assert [a[1] for a in calls] == [with_removal(plp68, "cesta_basica"), with_removal(plp68, "aluguel")]
 
 
 def test_marginal_rate_impact_full_default_set(synthetic, plp68):
