@@ -312,7 +312,7 @@ def _spot_check(result: ScenarioResult) -> None:
         reference = (inc.gross_tax, inc.cashback, inc.transfer, inc.net_tax)
         check(f"household {h.id}", [float(a[i]) for a in arrays], reference)
 
-    agg = aggregate(Population(tuple(sample), population.provenance), incidences,
+    agg = aggregate(Population.from_households(sample, population.provenance), incidences,
                     result.schedule)
     w = population.weight[rows]
     reference = (agg.total_gross, agg.total_cashback, agg.total_transfer, agg.total_net)

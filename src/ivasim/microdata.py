@@ -7,9 +7,9 @@ or scientific notation, ids fit in 64 bits, "#" starts no comment and blank
 lines are skipped.  Ingestion is strict: unknown or missing columns,
 non-numeric cells, duplicate ids and invariant violations are load errors
 that cite the offending row.  The body is parsed in one numpy pass into the
-population's columns, which are then kept in ascending id order; only when
-that pass rejects the file does a row-at-a-time reader re-read it to name the
-first bad row.
+columns ``Population`` takes; only when that pass rejects the file does a
+row-at-a-time reader re-read it as ``Household`` records (stacked by
+``Population.from_households``) to name the first bad row.
 
 The synthetic generator stands in for expenditure-survey microdata, which
 cannot be redistributed.  It draws per-capita expenditure log-normally and
@@ -94,46 +94,16 @@ class Population:
     spending matrix (Fortran order), columns in ``category_ids`` order.  The
     arrays are read-only.  Every row satisfies the ``Household`` invariants
     and ids are unique; both are checked in input order, so an error names
-    the first bad row, before the rows are sorted by id.  ``households``
-    gives the same rows as ``Household`` objects, built on first use; the
+    the first bad row, before the rows are sorted by id.  ``from_households``
+    stacks ``Household`` records into these columns.  ``households`` and
+    ``row`` give the rows as ``Household`` views built from the arrays; the
     pipeline reads the arrays.  ``memo`` keeps reductions derived from the
     arrays (column indexes, taxable-base totals, denominators), keyed by what
     they depend on.
     """
 
-    def __init__(self, households: Iterable[Household], provenance: Provenance) -> None:
-        households = tuple(households)
-        if not households:
-            raise MicrodataError("population must contain at least one household")
-        category_ids = tuple(households[0].expenditures)
-        expected = set(category_ids)
-        for h in households:
-            mismatch = _category_mismatch(expected, set(h.expenditures))
-            if mismatch:
-                raise MicrodataError(f"household {h.id}: {mismatch}")
-        spend = np.empty((len(households), len(category_ids)), order="F")
-        for j, cid in enumerate(category_ids):
-            spend[:, j] = [h.expenditures[cid] for h in households]
-        try:
-            ids = np.array([h.id for h in households], dtype=np.int64)
-            residents = np.array([h.residents for h in households], dtype=np.int64)
-        except OverflowError:
-            raise MicrodataError("household ids and residents must fit in 64 bits") from None
-        order = self._store(
-            provenance, category_ids, ids,
-            np.array([h.weight for h in households], dtype=float),
-            residents,
-            np.array([h.income_per_capita for h in households], dtype=float),
-            np.array([h.nonmonetary_total for h in households], dtype=float),
-            spend,
-        )
-        self.__dict__["households"] = (
-            households if order is None else tuple(households[i] for i in order)
-        )
-
-    @classmethod
-    def from_arrays(
-        cls,
+    def __init__(
+        self,
         provenance: Provenance,
         category_ids: tuple[str, ...],
         ids: np.ndarray,
@@ -142,19 +112,7 @@ class Population:
         income_per_capita: np.ndarray,
         nonmonetary_total: np.ndarray,
         spend: np.ndarray,
-    ) -> Population:
-        """A population over existing columns; every row is checked like a ``Household``."""
-        population = cls.__new__(cls)
-        population._store(provenance, category_ids, ids, weight, residents,
-                          income_per_capita, nonmonetary_total, spend)
-        return population
-
-    def _store(self, provenance, category_ids, ids, weight, residents, income_per_capita,
-               nonmonetary_total, spend) -> np.ndarray | None:
-        """Check the rows in input order, then keep them sorted by id.
-
-        Returns the sort order, or None when the ids already ascend.
-        """
+    ) -> None:
         self.provenance = provenance
         self.category_ids = tuple(category_ids)
         self.ids = np.ascontiguousarray(ids, dtype=np.int64)
@@ -175,7 +133,34 @@ class Population:
         for name in _VECTORS + ("spend",):
             _read_only(getattr(self, name))
         self.memo: dict = {}
-        return order
+
+    @classmethod
+    def from_households(cls, households: Iterable[Household], provenance: Provenance) -> Population:
+        """The population of ``Household`` records, which must share one category set."""
+        households = tuple(households)
+        # an empty population reaches cls(), which refuses it
+        category_ids = tuple(households[0].expenditures) if households else ()
+        expected = set(category_ids)
+        for h in households:
+            mismatch = _category_mismatch(expected, set(h.expenditures))
+            if mismatch:
+                raise MicrodataError(f"household {h.id}: {mismatch}")
+        spend = np.empty((len(households), len(category_ids)), order="F")
+        for j, cid in enumerate(category_ids):
+            spend[:, j] = [h.expenditures[cid] for h in households]
+        try:
+            ids = np.array([h.id for h in households], dtype=np.int64)
+            residents = np.array([h.residents for h in households], dtype=np.int64)
+        except OverflowError:
+            raise MicrodataError("household ids and residents must fit in 64 bits") from None
+        return cls(
+            provenance, category_ids, ids,
+            np.array([h.weight for h in households], dtype=float),
+            residents,
+            np.array([h.income_per_capita for h in households], dtype=float),
+            np.array([h.nonmonetary_total for h in households], dtype=float),
+            spend,
+        )
 
     def _check_rows(self) -> None:
         """Raise the ``Household`` message of the first row that breaks an invariant."""
@@ -208,8 +193,6 @@ class Population:
 
     def row(self, i: int) -> Household:
         """The household at position ``i`` as a ``Household`` row view."""
-        if "households" in self.__dict__:
-            return self.households[i]
         return Household(
             int(self.ids[i]), float(self.weight[i]), int(self.residents[i]),
             float(self.income_per_capita[i]),
@@ -325,7 +308,7 @@ def _read_columns(path: Path, header: list[str], category_ids: tuple[str, ...]) 
     for j, cid in enumerate(category_ids):
         # a category may share a fixed column's name; its column comes after them
         spend[:, j] = table[f"f{header.index(cid, len(FIXED_COLUMNS))}"]
-    return Population.from_arrays(
+    return Population(
         Provenance("file", str(path)), category_ids,
         table["f0"], table["f1"], table["f2"], table["f3"], table["f4"], spend,
     )
@@ -375,7 +358,7 @@ def _read_rows(path: Path, schedule: Schedule) -> Population:
                 raise MicrodataError(f"{path}: row {lineno}: {e}") from None
     if not households:
         raise MicrodataError(f"{path}: no data rows")
-    return Population(tuple(households), Provenance("file", str(path)))
+    return Population.from_households(households, Provenance("file", str(path)))
 
 
 def write_population(population: Population, path: str | Path, schedule: Schedule) -> None:
@@ -541,7 +524,7 @@ def generate_synthetic(seed: int, n: int, schedule: Schedule) -> Population:
     spending = np.empty((n, k), order="F")
     np.multiply(shares, monetary[:, None], out=spending)
 
-    return Population.from_arrays(
+    return Population(
         Provenance("synthetic", f"{seed}:{n}"), schedule.category_ids(),
         np.arange(1, n + 1), weights, residents, income_pc, total - monetary, spending,
     )

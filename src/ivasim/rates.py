@@ -16,6 +16,7 @@ All functions are pure and operate on immutable :class:`Rate` values.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 
@@ -29,7 +30,7 @@ class Rate:
     """A dimensionless ad-valorem tax rate with an explicit basis.
 
     Inside rates live in [0, 1): an inside rate of 1 would mean the tax
-    consumes the entire price.  Outside rates only need to be non-negative.
+    consumes the entire price.  Outside rates only need to be finite and non-negative.
     """
 
     value: float
@@ -41,6 +42,8 @@ class Rate:
         v = float(self.value)
         if v != v:  # NaN
             raise ValueError("rate value must not be NaN")
+        if v == math.inf:
+            raise ValueError(f"rate value must be finite, got {v}")
         if v < 0.0:
             raise ValueError(f"rate value must be non-negative, got {v}")
         if self.basis is RateBasis.INSIDE and v >= 1.0:

@@ -43,7 +43,7 @@ Treatment objects by kind::
 
 The module-level ``_KIND_PARAMS`` table lists each kind's parameters and the
 basis each rate parameter is stored on; validation, parsing and ``to_dict``
-all read it.  Every numeric field rejects NaN.
+all read it.  Every numeric field rejects NaN and +/-Infinity (both read by ``json``).
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -130,16 +131,15 @@ class TaxTreatment:
             if basis is not None:  # a rate parameter, kept on its stored basis
                 stored = to_inside(value) if basis is RateBasis.INSIDE else to_outside(value)
                 object.__setattr__(self, name, stored)
-        # written so that NaN fails every range check
+        # written so that NaN fails every range check; infinity fails the bounded ones
         if k is TreatmentKind.REDUCED_FRACTION and not 0.0 < self.fraction < 1.0:
             raise ScheduleError(f"reduced_fraction fraction must be in (0, 1), got {self.fraction}")
         if k is TreatmentKind.RENT_REGIME:
             if not 0.0 < self.fraction <= 1.0:
                 raise ScheduleError(f"rent_regime fraction must be in (0, 1], got {self.fraction}")
-            if not self.reducer >= 0.0:
-                raise ScheduleError(f"rent_regime reducer must be >= 0, got {self.reducer}")
-        if k is TreatmentKind.SELECTIVE and not self.vat_fraction >= 0.0:
-            raise ScheduleError(f"selective vat_fraction must be >= 0, got {self.vat_fraction}")
+            _check_nonnegative("rent_regime reducer", self.reducer)
+        if k is TreatmentKind.SELECTIVE:
+            _check_nonnegative("selective vat_fraction", self.vat_fraction)
 
     @classmethod
     def zero_rate(cls) -> "TaxTreatment":
@@ -233,8 +233,7 @@ class Schedule:
             share = getattr(self, share_name)
             if not 0.0 <= share <= 1.0:
                 raise ScheduleError(f"{share_name} must be in [0, 1], got {share}")
-        if not self.eligibility_threshold >= 0.0:  # NaN fails too
-            raise ScheduleError(f"eligibility_threshold must be >= 0, got {self.eligibility_threshold}")
+        _check_nonnegative("eligibility_threshold", self.eligibility_threshold)
         if not 0.0 < self.target_net_burden < 1.0:
             raise ScheduleError(f"target_net_burden must be in (0, 1), got {self.target_net_burden}")
 
@@ -465,6 +464,14 @@ def _default_group(treatment: TaxTreatment) -> str:
     return _DEFAULT_GROUP[treatment.kind]
 
 
+def _check_nonnegative(name: str, value: float) -> None:
+    """``value`` must be a finite number >= 0; NaN and infinity are refused."""
+    if not value >= 0.0:
+        raise ScheduleError(f"{name} must be >= 0, got {value}")
+    if value == math.inf:
+        raise ScheduleError(f"{name} must be finite, got {value}")
+
+
 def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
@@ -545,8 +552,9 @@ def _parse_category(raw: Any, index: int) -> Category:
         ) from None
     if not isinstance(raw["in_denominator"], bool):
         raise ScheduleError(f"{where}: in_denominator must be a boolean")
-    baseline = _parse_rate(raw["baseline_effective"], f"{where}.baseline_effective", RateBasis.INSIDE)
     try:
+        baseline = _parse_rate(raw["baseline_effective"], f"{where}.baseline_effective",
+                               RateBasis.INSIDE)
         return Category(
             id=str(raw["id"]),
             label=str(raw["label"]),

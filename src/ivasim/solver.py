@@ -114,11 +114,15 @@ def solve_with_cashback(population: Population, schedule: Schedule, target: floa
     _check_target(target)
     calc = IncidenceCalculator(population, schedule)
 
+    def row(k: int, t: float) -> TraceRow:
+        cashback = calc.cashback_total(t)  # evaluated once; the burden reuses it
+        return TraceRow(k, t, cashback, calc.burden_with_fixed_cashback(t, cashback))
+
     t = _bisect(calc, 0.0, target)
-    trace = [TraceRow(0, t, calc.cashback_total(t), calc.burden_simultaneous(t))]
+    trace = [row(0, t)]
     for k in range(1, MAX_OUTER_ITERATIONS + 1):
         t_next = _bisect(calc, trace[-1].cashback_total, target)
-        trace.append(TraceRow(k, t_next, calc.cashback_total(t_next), calc.burden_simultaneous(t_next)))
+        trace.append(row(k, t_next))
         moved = abs(t_next - t)
         t = t_next
         if moved < FIXED_POINT_TOLERANCE:

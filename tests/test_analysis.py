@@ -60,7 +60,7 @@ def scenario_results(synthetic, plp68):
 
 
 def five_households(weights=(1.0,) * 5, totals=(100.0, 200.0, 300.0, 400.0, 500.0)):
-    return Population(
+    return Population.from_households(
         tuple(
             Household(i + 1, w, 1, 0.0, {"consumo": t}, 0.0)
             for i, (w, t) in enumerate(zip(weights, totals))
@@ -80,7 +80,7 @@ def test_five_equal_households_one_per_quintile():
 
 def test_weight_splitting_keeps_boundaries():
     pop = five_households()
-    halves = Population(
+    halves = Population.from_households(
         tuple(
             Household(h.id * 2 + off, h.weight / 2, 1, 0.0, dict(h.expenditures), 0.0)
             for h in pop.households
@@ -92,7 +92,7 @@ def test_weight_splitting_keeps_boundaries():
 
 
 def test_quintiles_invariant_under_weight_scaling(synthetic):
-    scaled = Population(
+    scaled = Population.from_households(
         tuple(
             Household(
                 h.id, h.weight * 3.7, h.residents, h.income_per_capita,
@@ -179,7 +179,7 @@ def test_total_column_is_population_share(synthetic, plp68, quintiles):
 def test_zero_spending_household_left_out_of_shares(plp68):
     pop = generate_synthetic(4, 60, plp68)
     idle = Household(10_000, 5.0, 2, 100.0, dict.fromkeys(plp68.category_ids(), 0.0), 0.0)
-    with_idle = Population(pop.households + (idle,), pop.provenance)
+    with_idle = Population.from_households(pop.households + (idle,), pop.provenance)
     rows = budget_share_table(with_idle, plp68, assign_quintiles(with_idle))
     assert all(math.isfinite(c) for r in rows for c in r.cells)
     without = budget_share_table(pop, plp68, assign_quintiles(pop))
@@ -295,7 +295,7 @@ def test_transfer_amounts_scale_with_residents(synthetic, scenario_results):
 
 def test_uniform_vat_delta_share_constant_for_proportional_households(plp68):
     bundle = {c.id: 50.0 for c in plp68.categories}
-    pop = Population(
+    pop = Population.from_households(
         tuple(
             Household(i, 1.0, 1, 5000.0, {k: v * s for k, v in bundle.items()}, 0.0)
             for i, s in ((1, 1.0), (2, 2.0), (3, 5.0))

@@ -349,6 +349,38 @@ def test_solve_rejects_nan_schedule_parameter(tmp_path, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: raw.update(eligibility_threshold=float("inf")),
+         "eligibility_threshold must be finite, got inf"),
+        (lambda raw: _category(raw, "aluguel_imovel")["treatment"].update(reducer=float("inf")),
+         "rent_regime reducer must be finite, got inf"),
+        (lambda raw: _category(raw, "gasolina").update(
+            treatment={"kind": "selective", "is_rate": 0.19, "vat_fraction": float("inf")},
+            cashback_class="excluded"),
+         "selective vat_fraction must be finite, got inf"),
+        (lambda raw: _category(raw, "gasolina").update(
+            treatment={"kind": "selective", "is_rate": float("inf")},
+            cashback_class="excluded"),
+         "category 'gasolina': rate value must be finite, got inf"),
+        (lambda raw: _category(raw, "gasolina").update(
+            baseline_effective={"value": float("inf"), "basis": "outside"}),
+         "category 'gasolina': rate value must be finite, got inf"),
+    ],
+    ids=["eligibility_threshold", "reducer", "vat_fraction", "is_rate", "baseline_effective"],
+)
+def test_solve_and_validate_reject_infinite_schedule_parameter(tmp_path, capsys, edit, message):
+    path = _plp68_variant(tmp_path, edit)
+    assert "Infinity" in path.read_text()
+    rc = main(["solve", "--schedule", str(path), "--synthetic", "42:2000"])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    rc = main(["validate", "--schedule", str(path), "--synthetic", "1:50"])
+    assert rc == 1
+    assert f"FAIL schedule loads: {path}: {message}" in capsys.readouterr().out
+
+
 def test_solve_rejects_unhashable_treatment_kind(tmp_path, capsys):
     def edit(raw):
         _category(raw, "gasolina")["treatment"] = {"kind": ["x"]}

@@ -179,7 +179,7 @@ def test_baseline_electricity_example(oracle6):
 def test_trivial_aggregate_example(oracle6):
     s = single_category_schedule()
     h = Household(7, 2.0, 1, 0.0, {"consumo": 500.0}, 0.0)
-    pop = Population((h,), Provenance("file", "inline"))
+    pop = Population.from_households((h,), Provenance("file", "inline"))
     inc = HouseholdIncidence(7, 50.0, 0.0, 0.0, {"consumo": 50.0})
     agg = aggregate(pop, [inc], s)
     assert agg.total_net == 100.0
@@ -190,7 +190,7 @@ def test_trivial_aggregate_example(oracle6):
 def test_transfer_amount_arithmetic():
     h1 = Household(1, 1.0, 2, 0.0, {"consumo": 1.0}, 0.0)
     h2 = Household(2, 3.0, 4, 0.0, {"consumo": 1.0}, 0.0)
-    pop = Population((h1, h2), Provenance("file", "inline"))
+    pop = Population.from_households((h1, h2), Provenance("file", "inline"))
     amount = universal_transfer_amount(140.0, pop)
     assert amount == pytest.approx(10.0, abs=1e-12)
     assert amount * h1.residents == pytest.approx(20.0)
@@ -254,7 +254,7 @@ def test_aggregate_permutation_invariant(oracle6, fixture_population):
         for h in fixture_population.households
     ]
     forward = aggregate(fixture_population, incs, oracle6)
-    shuffled_pop = Population(tuple(reversed(fixture_population.households)), fixture_population.provenance)
+    shuffled_pop = Population.from_households(tuple(reversed(fixture_population.households)), fixture_population.provenance)
     backward = aggregate(shuffled_pop, list(reversed(incs)), oracle6)
     assert backward.total_net == forward.total_net
     assert backward.total_gross == forward.total_gross
@@ -275,7 +275,7 @@ def test_aggregate_weight_splitting_invariant(oracle6, fixture_population):
                     nonmonetary_total=h.nonmonetary_total,
                 )
             )
-    split_pop = Population(tuple(halves), Provenance("file", "split"))
+    split_pop = Population.from_households(tuple(halves), Provenance("file", "split"))
     whole_incs = [
         with_cashback(h, household_tax(h, oracle6, T_REF), oracle6)
         for h in fixture_population.households

@@ -1,6 +1,7 @@
 """CSV ingestion, writer round-trip, and the synthetic generator."""
 
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -197,9 +198,9 @@ def test_generation_rejects_empty(plp68):
 def test_population_rejects_duplicates_and_empty():
     h = Household(1, 1.0, 1, 0.0, {"consumo": 10.0}, 0.0)
     with pytest.raises(MicrodataError, match="duplicate"):
-        Population((h, h), Provenance("file", "x"))
+        Population.from_households((h, h), Provenance("file", "x"))
     with pytest.raises(MicrodataError, match="at least one"):
-        Population((), Provenance("file", "x"))
+        Population.from_households((), Provenance("file", "x"))
 
 
 def test_validate_against_rejects_mismatched_schedule(plp68, uniform):
@@ -219,19 +220,39 @@ def test_population_rejects_mixed_category_sets():
     a = Household(1, 1.0, 1, 0.0, {"consumo": 10.0}, 0.0)
     b = Household(2, 1.0, 1, 0.0, {"consumo": 5.0, "misc": 1.0}, 0.0)
     with pytest.raises(MicrodataError, match=r"household 2: unknown categories \['misc'\]"):
-        Population((a, b), Provenance("file", "x"))
+        Population.from_households((a, b), Provenance("file", "x"))
 
 
 def test_columns_built_at_load_and_synthesis_agree(tmp_path, plp68):
     p = generate_synthetic(5, 40, plp68)
     path = tmp_path / "hh.csv"
     write_population(p, path, plp68)
-    for other in (load_population(path, plp68), Population(p.households, p.provenance)):
+    for other in (load_population(path, plp68),
+                  Population.from_households(p.households, p.provenance)):
         assert other.category_ids == p.category_ids == plp68.category_ids()
         for name in ("ids", "weight", "residents", "income_per_capita", "nonmonetary_total",
                      "spend"):
             assert getattr(other, name).tobytes() == getattr(p, name).tobytes(), name
     assert not p.spend.flags.writeable
+
+
+def test_from_households_sorts_by_id_and_rows_are_views_of_the_columns(plp68):
+    source = generate_synthetic(9, 30, plp68)
+    shuffled = list(source.households)
+    random.Random(4).shuffle(shuffled)
+    columns = (source.provenance, source.category_ids, source.ids, source.weight,
+               source.residents, source.income_per_capita, source.nonmonetary_total,
+               source.spend)
+    direct = Population(*columns)
+    stacked = Population.from_households(shuffled, source.provenance)
+    rows_before = [stacked.row(i) for i in range(len(stacked))]
+    assert stacked.households == tuple(sorted(shuffled, key=lambda h: h.id))
+    assert rows_before == [stacked.row(i) for i in range(len(stacked))] == list(stacked.households)
+    assert stacked.category_ids == direct.category_ids
+    for name in ("ids", "weight", "residents", "income_per_capita", "nonmonetary_total", "spend"):
+        assert getattr(stacked, name).tobytes() == getattr(direct, name).tobytes(), name
+        assert getattr(stacked, name).dtype == getattr(direct, name).dtype, name
+    assert stacked.spend.flags.f_contiguous
 
 
 @pytest.mark.parametrize("name", FIXED_COLUMNS)
@@ -256,7 +277,7 @@ def test_id_beyond_64_bits_rejected(tmp_path, uniform):
 def test_duplicate_id_in_arrays_names_first_repeat(uniform):
     h = [Household(i, 1.0, 1, 0.0, {"consumo": 1.0}, 0.0) for i in (5, 3, 9, 3, 5)]
     with pytest.raises(MicrodataError, match="duplicate household id 3"):
-        Population(h, Provenance("file", "x"))
+        Population.from_households(h, Provenance("file", "x"))
 
 
 @pytest.mark.parametrize("old, new, message", [

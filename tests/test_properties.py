@@ -148,7 +148,7 @@ def cases(draw):
                 {c: spend[c] for c in category_order}, draw(st.floats(0.0, 300.0)),
             )
         )
-    return schedule, Population(tuple(households), Provenance("file", "property"))
+    return schedule, Population.from_households(tuple(households), Provenance("file", "property"))
 
 
 def _close(fast, reference, scale):
@@ -199,7 +199,7 @@ def test_totals_invariant_to_household_order(case, rnd):
     schedule, population = case
     shuffled = list(population.households)
     rnd.shuffle(shuffled)
-    permuted = Population(tuple(shuffled), population.provenance)
+    permuted = Population.from_households(tuple(shuffled), population.provenance)
     assert _totals(permuted, schedule, RATES) == _totals(population, schedule, RATES)
 
     for t, (gross, cashback) in zip(RATES, _totals(population, schedule, RATES)):
@@ -227,7 +227,7 @@ def test_totals_invariant_to_weight_splitting(case, data):
                   dict(h.expenditures), h.nonmonetary_total)
         for hid in (h.id, new_id)
     ]
-    split = Population(
+    split = Population.from_households(
         population.households[:k] + tuple(halves) + population.households[k + 1:],
         population.provenance,
     )
@@ -241,8 +241,8 @@ def test_totals_invariant_to_weight_splitting(case, data):
 def _fresh(population):
     """The same columns, with none of the population's memoised reductions."""
     p = population
-    return Population.from_arrays(p.provenance, p.category_ids, p.ids, p.weight, p.residents,
-                                  p.income_per_capita, p.nonmonetary_total, p.spend)
+    return Population(p.provenance, p.category_ids, p.ids, p.weight, p.residents,
+                      p.income_per_capita, p.nonmonetary_total, p.spend)
 
 
 def _bits(calc):
@@ -449,7 +449,7 @@ def quintile_populations(draw):
         )
         for hid, w in zip(ids, weights)
     ]
-    return Population(tuple(households), Provenance("file", "quintiles"))
+    return Population.from_households(tuple(households), Provenance("file", "quintiles"))
 
 
 @PROPERTY_SETTINGS
@@ -484,8 +484,9 @@ def split_quintile_cases(draw):
     halves = [Household(hid, h.weight / 2, h.residents, h.income_per_capita,
                         dict(h.expenditures), h.nonmonetary_total) for hid in (h.id, h.id + 1)]
     provenance = Provenance("file", "quintiles")
-    return (Population(tuple(households), provenance),
-            Population(tuple(households[:k] + halves + households[k + 1:]), provenance), h.id)
+    return (Population.from_households(tuple(households), provenance),
+            Population.from_households(households[:k] + halves + households[k + 1:], provenance),
+            h.id)
 
 
 @PROPERTY_SETTINGS

@@ -153,6 +153,10 @@ def test_rate_validation():
         Rate.inside(1.0)  # would consume the whole price
     with pytest.raises(ValueError):
         Rate.inside(float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        Rate.outside(float("inf"))
+    with pytest.raises(ValueError):
+        Rate.outside(float("-inf"))
     # outside rates above 100% are legitimate (e.g. composed excises)
     assert Rate.outside(1.5).value == 1.5
 

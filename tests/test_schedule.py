@@ -559,6 +559,7 @@ def test_treatment_constructor_checks_parameters_against_kind():
 # -- NaN in numeric fields ---------------------------------------------------------
 
 NAN = float("nan")
+INF = float("inf")
 
 
 def _with_treatment(treatment):
@@ -592,3 +593,38 @@ def test_nan_parameter_rejected_by_constructors(plp68):
         TaxTreatment.selective(Rate.outside(0.19), NAN)
     with pytest.raises(ScheduleError, match="eligibility_threshold"):
         Schedule(plp68.categories, eligibility_threshold=NAN)
+    for inf in (INF, -INF):
+        with pytest.raises(ScheduleError, match="reducer"):
+            TaxTreatment.rent(0.4, inf)
+        with pytest.raises(ScheduleError, match="vat_fraction"):
+            TaxTreatment.selective(Rate.outside(0.19), inf)
+        with pytest.raises(ScheduleError, match="eligibility_threshold"):
+            Schedule(plp68.categories, eligibility_threshold=inf)
+
+
+def _with_baseline(baseline):
+    raw = minimal_raw()
+    raw["categories"][0]["baseline_effective"] = baseline
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (minimal_raw(eligibility_threshold=INF), "eligibility_threshold must be finite, got inf"),
+        (minimal_raw(eligibility_threshold=-INF), "eligibility_threshold must be >= 0, got -inf"),
+        (_with_treatment({"kind": "rent_regime", "fraction": 0.4, "reducer": INF}),
+         "rent_regime reducer must be finite, got inf"),
+        (_with_treatment({"kind": "selective", "is_rate": 0.19, "vat_fraction": INF}),
+         "selective vat_fraction must be finite, got inf"),
+        (_with_treatment({"kind": "selective", "is_rate": INF}),
+         "category 'alimentos': rate value must be finite, got inf"),
+        (_with_baseline({"value": INF, "basis": "outside"}),
+         "category 'alimentos': rate value must be finite, got inf"),
+    ],
+    ids=["eligibility_threshold", "eligibility_threshold_negative", "reducer", "vat_fraction",
+         "is_rate", "baseline_effective"],
+)
+def test_infinite_parameter_rejected_by_parser(raw, message):
+    with pytest.raises(ScheduleError, match=message):
+        parse_schedule(json.loads(json.dumps(raw)))  # json reads and writes Infinity

@@ -114,7 +114,7 @@ GRID_SCHEDULE = parse_schedule(
     }
 )
 
-GRID_POPULATION = Population(
+GRID_POPULATION = Population.from_households(
     (
         Household(1, 2.0, 3, 500.0, {"alimentos": 300.0, "geral": 450.0, "servicos": 120.0, "fumo": 30.0}, 50.0),
         Household(2, 1.0, 1, 1200.0, {"alimentos": 150.0, "geral": 900.0, "servicos": 400.0, "fumo": 80.0}, 0.0),
@@ -194,6 +194,19 @@ def test_converged_rate_satisfies_simultaneous_condition(synthetic, plp68):
     burden = scalar_burden(synthetic, plp68, res.t_ref.value, with_cb=True)
     assert burden == pytest.approx(0.201, abs=1e-7)
     assert res.residual <= 1e-7
+
+
+def test_trace_rows_evaluate_cashback_once(synthetic, plp68, monkeypatch):
+    calls = []
+    original = IncidenceCalculator.cashback_total
+    monkeypatch.setattr(
+        IncidenceCalculator, "cashback_total", lambda self, t: calls.append(t) or original(self, t)
+    )
+    res = solve_with_cashback(synthetic, plp68, 0.201)
+    assert calls == [row.t_ref_outside for row in res.trace]
+    for row in res.trace:
+        calc = IncidenceCalculator(synthetic, plp68)
+        assert row.net_burden == calc.burden_simultaneous(row.t_ref_outside)
 
 
 # -- examples and degenerate cases -------------------------------------------
@@ -295,7 +308,7 @@ def test_removing_unbought_group_changes_nothing():
         }
     )
     schedule = parse_schedule(raw)
-    pop = Population(
+    pop = Population.from_households(
         tuple(
             Household(
                 h.id, h.weight, h.residents, h.income_per_capita,
