@@ -520,9 +520,10 @@ def generate_synthetic(seed: int, n: int, schedule: Schedule) -> Population:
         raw[:, j] = base * np.exp(gradient * z + noise)
         if c.treatment.kind is TreatmentKind.RENT_REGIME:
             raw[:, j] *= rng.random(n) < _RENTER_SHARE
-    shares = raw / raw.sum(axis=1, keepdims=True)
+    # normalised in place; raw stays C-order, as the bits of its row sums depend on it
+    raw /= raw.sum(axis=1, keepdims=True)
     spending = np.empty((n, k), order="F")
-    np.multiply(shares, monetary[:, None], out=spending)
+    np.multiply(raw, monetary[:, None], out=spending)
 
     return Population(
         Provenance("synthetic", f"{seed}:{n}"), schedule.category_ids(),

@@ -43,7 +43,8 @@ Treatment objects by kind::
 
 The module-level ``_KIND_PARAMS`` table lists each kind's parameters and the
 basis each rate parameter is stored on; validation, parsing and ``to_dict``
-all read it.  Every numeric field rejects NaN and +/-Infinity (both read by ``json``).
+all read it.  Every numeric field rejects NaN and +/-Infinity (both read by ``json``),
+and a rate out of range names its field, e.g. ``category 'gasolina'.is_rate``.
 """
 
 from __future__ import annotations
@@ -484,20 +485,31 @@ def _number(v: Any, where: str) -> float:
     return float(v)
 
 
-def _parse_rate(v: Any, where: str, default_basis: RateBasis) -> Rate:
+def _parse_rate(v: Any, where: str, basis: RateBasis) -> Rate:
+    """A rate from a config, stored on ``basis``, which is also the basis of a bare number.
+
+    A value out of range for its basis, or after the conversion, is a
+    ``ScheduleError`` that names the field (``where``).
+    """
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return Rate(float(v), default_basis)
-    if isinstance(v, dict):
+        value, given = float(v), basis
+    elif isinstance(v, dict):
         _reject_unknown(v, {"value", "basis"}, where)
         if "value" not in v:
             raise ScheduleError(f"{where}: rate object needs a 'value'")
-        basis_token = v.get("basis", default_basis.value)
+        basis_token = v.get("basis", basis.value)
         try:
-            basis = RateBasis(basis_token)
+            given = RateBasis(basis_token)
         except ValueError:
             raise ScheduleError(f"{where}: unknown rate basis {basis_token!r}") from None
-        return Rate(_number(v["value"], where), basis)
-    raise ScheduleError(f"{where}: expected a number or {{value, basis}} object, got {v!r}")
+        value = _number(v["value"], where)
+    else:
+        raise ScheduleError(f"{where}: expected a number or {{value, basis}} object, got {v!r}")
+    try:
+        rate = Rate(value, given)
+        return to_inside(rate) if basis is RateBasis.INSIDE else to_outside(rate)
+    except ValueError as e:  # out of range for its basis
+        raise ScheduleError(f"{where}: {e}") from e
 
 
 def _parse_treatment(raw: Any, where: str) -> TaxTreatment:
@@ -513,16 +525,11 @@ def _parse_treatment(raw: Any, where: str) -> TaxTreatment:
     params = _KIND_PARAMS[kind]
     _reject_unknown(raw, {"kind", *params}, f"{where} treatment")
     values: dict[str, Any] = {}
-    try:
-        for name, basis in params.items():
-            v = raw.get(name, 1.0) if name == "vat_fraction" else _require(raw, name, where)
-            at = f"{where}.{name}"
-            values[name] = _number(v, at) if basis is None else _parse_rate(v, at, basis)
-        return TaxTreatment(kind, **values)
-    except ValueError as e:  # Rate / treatment invariant violations
-        if isinstance(e, ScheduleError):
-            raise
-        raise ScheduleError(f"{where}: {e}") from e
+    for name, basis in params.items():
+        v = raw.get(name, 1.0) if name == "vat_fraction" else _require(raw, name, where)
+        at = f"{where}.{name}"
+        values[name] = _number(v, at) if basis is None else _parse_rate(v, at, basis)
+    return TaxTreatment(kind, **values)
 
 
 def _require(obj: dict, key: str, where: str) -> Any:
@@ -552,22 +559,16 @@ def _parse_category(raw: Any, index: int) -> Category:
         ) from None
     if not isinstance(raw["in_denominator"], bool):
         raise ScheduleError(f"{where}: in_denominator must be a boolean")
-    try:
-        baseline = _parse_rate(raw["baseline_effective"], f"{where}.baseline_effective",
-                               RateBasis.INSIDE)
-        return Category(
-            id=str(raw["id"]),
-            label=str(raw["label"]),
-            treatment=_parse_treatment(raw["treatment"], where),
-            cashback=cashback,
-            in_denominator=raw["in_denominator"],
-            baseline_effective=to_inside(baseline),
-            group=str(raw.get("group", "")),
-        )
-    except ValueError as e:
-        if isinstance(e, ScheduleError):
-            raise
-        raise ScheduleError(f"{where}: {e}") from e
+    return Category(
+        id=str(raw["id"]),
+        label=str(raw["label"]),
+        treatment=_parse_treatment(raw["treatment"], where),
+        cashback=cashback,
+        in_denominator=raw["in_denominator"],
+        baseline_effective=_parse_rate(raw["baseline_effective"], f"{where}.baseline_effective",
+                                       RateBasis.INSIDE),
+        group=str(raw.get("group", "")),
+    )
 
 
 def _category_to_dict(c: Category) -> dict[str, Any]:

@@ -9,6 +9,10 @@ the rate stops moving.  The inner solve is plain bisection; net revenue at
 fixed cashback is strictly increasing in the rate whenever any spending sits
 under the reference or a reduced fraction of it, so the bracket is safe.
 
+Every solve checks the calculator's float rate vector against the
+``Rate``-object reference (``engine.rate_vector``) at the rate it returns and
+raises ``SolverError`` on any bit difference.
+
 Iteration counts, residuals, and a per-iteration trace are returned for
 diagnostics; the trace's net_burden column re-evaluates cashback at that
 iteration's own rate (the self-consistent burden), which converges to the
@@ -20,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import IncidenceCalculator
+from .engine import IncidenceCalculator, rate_vector
 from .microdata import Population
 from .rates import Rate, to_inside
 from .schedule import Schedule, with_removal
@@ -100,13 +104,26 @@ def _bisect(calc: IncidenceCalculator, fixed_cashback: float, target: float) -> 
     return 0.5 * (lo + hi)
 
 
+def _check_rates(calc: IncidenceCalculator, t: float) -> None:
+    """The calculator's float rates at ``t`` must equal ``rate_vector``'s bit for bit."""
+    reference = rate_vector(calc.schedule, Rate.outside(t)).tolist()
+    for c, fast, ref in zip(calc.schedule.categories, calc.inside_rates(t), reference):
+        if fast.hex() != ref.hex():
+            raise SolverError(
+                f"category {c.id!r}: inside rate at t = {t!r} is {fast!r} on the float "
+                f"path but {ref!r} on the reference path"
+            )
+
+
 def solve_given_cashback(
     population: Population, schedule: Schedule, fixed_cashback: float, target: float
 ) -> Rate:
     """Reference rate hitting ``target`` with the cashback total held fixed."""
     _check_target(target)
     calc = IncidenceCalculator(population, schedule)
-    return Rate.outside(_bisect(calc, fixed_cashback, target))
+    t = _bisect(calc, fixed_cashback, target)
+    _check_rates(calc, t)
+    return Rate.outside(t)
 
 
 def solve_with_cashback(population: Population, schedule: Schedule, target: float) -> SolveResult:
@@ -126,6 +143,7 @@ def solve_with_cashback(population: Population, schedule: Schedule, target: floa
         moved = abs(t_next - t)
         t = t_next
         if moved < FIXED_POINT_TOLERANCE:
+            _check_rates(calc, t)
             return SolveResult(
                 t_ref=Rate.outside(t),
                 t_ref_inside=to_inside(Rate.outside(t)),

@@ -363,10 +363,10 @@ def test_solve_rejects_nan_schedule_parameter(tmp_path, capsys, edit, message):
         (lambda raw: _category(raw, "gasolina").update(
             treatment={"kind": "selective", "is_rate": float("inf")},
             cashback_class="excluded"),
-         "category 'gasolina': rate value must be finite, got inf"),
+         "category 'gasolina'.is_rate: rate value must be finite, got inf"),
         (lambda raw: _category(raw, "gasolina").update(
             baseline_effective={"value": float("inf"), "basis": "outside"}),
-         "category 'gasolina': rate value must be finite, got inf"),
+         "category 'gasolina'.baseline_effective: rate value must be finite, got inf"),
     ],
     ids=["eligibility_threshold", "reducer", "vat_fraction", "is_rate", "baseline_effective"],
 )

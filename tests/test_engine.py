@@ -327,6 +327,22 @@ def test_calculator_matches_scalar_path(oracle6, fixture_population, plp68):
             assert calc.burden_simultaneous(t) == pytest.approx(agg.net_burden, abs=1e-12)
 
 
+@pytest.mark.parametrize("t, message", [
+    (float("nan"), "must not be NaN"),
+    (-0.1, "must be non-negative, got -0.1"),
+    (-math.inf, "must be non-negative, got -inf"),
+    (math.inf, "must be finite, got inf"),
+])
+def test_calculator_refuses_an_invalid_rate_like_rate_outside(oracle6, fixture_population, t,
+                                                             message):
+    calc = IncidenceCalculator(fixture_population, oracle6)
+    with pytest.raises(ValueError, match=message):
+        Rate.outside(t)
+    for total in (calc.gross_total, calc.cashback_total):
+        with pytest.raises(ValueError, match=message):
+            total(t)
+
+
 def test_calculator_reuses_the_reductions_of_earlier_schedules(plp68, monkeypatch):
     pop = generate_synthetic(42, 300, plp68)
     IncidenceCalculator(pop, plp68)

@@ -10,6 +10,8 @@ household and renters on both sides of the rent reducer, check that
 * calculators built one after another on one population, which reuse its
   memoised reductions, give the totals of a fresh population bit for bit,
 * the burden at a fixed cashback never falls as the reference rate rises,
+* the calculator's float rate vector equals ``effective_inside_rate`` bit for
+  bit for every treatment kind, over the whole bisection bracket,
 * under the ``uniform`` schedule the solved rate is t = b / (1 - b).
 
 Random households files check the array reader against the row reader: the
@@ -47,13 +49,17 @@ from ivasim.microdata import (
 )
 from ivasim.rates import Rate
 from ivasim.schedule import (
+    CashbackClass,
+    Category,
+    Schedule,
     TaxTreatment,
     bundled_schedule_path,
+    effective_inside_rate,
     load_schedule,
     parse_schedule,
     with_removal,
 )
-from ivasim.solver import RATE_TOLERANCE, solve_with_cashback
+from ivasim.solver import BRACKET_HI_MAX, RATE_TOLERANCE, solve_with_cashback
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 REL = 1e-9
@@ -280,6 +286,42 @@ def test_burden_monotone_in_rate_at_fixed_cashback(case, grid, cashback):
     calc = IncidenceCalculator(population, schedule)
     burdens = [calc.burden_with_fixed_cashback(i / 1000, cashback) for i in sorted(grid)]
     assert burdens == sorted(burdens)
+
+
+@st.composite
+def all_kinds_schedules(draw):
+    """One category of each treatment kind, with drawn parameters, in a drawn order."""
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    treatments = {
+        "zero": TaxTreatment.zero_rate(),
+        "geral": TaxTreatment.reference_rate(),
+        "reduzida": TaxTreatment.reduced(draw(unit)),
+        "especifico": TaxTreatment.specific(
+            Rate.inside(draw(st.floats(0.0, 1.0, exclude_max=True)))),
+        "seletivo": TaxTreatment.selective(Rate.outside(draw(st.floats(0.0, 1e3))),
+                                           draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))),
+        "aluguel": TaxTreatment.rent(draw(st.floats(0.0, 1.0, exclude_min=True)),
+                                     draw(st.floats(0.0, 1000.0))),
+        "nao_tributado": TaxTreatment.untaxed(),
+    }
+    categories = [
+        Category(cid, cid, treatment,
+                 CashbackClass.EXCLUDED if cid == "seletivo" else CashbackClass.STANDARD,
+                 True, Rate.inside(0.1))
+        for cid, treatment in treatments.items()
+    ]
+    return Schedule(tuple(draw(st.permutations(categories))), eligibility_threshold=500.0)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(all_kinds_schedules(),
+       st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-10, BRACKET_HI_MAX]),
+                          st.floats(0.0, BRACKET_HI_MAX)), min_size=1, max_size=8))
+def test_float_rate_vector_matches_effective_inside_rate(schedule, rates):
+    calc = IncidenceCalculator(generate_synthetic(0, 5, schedule), schedule)
+    for t in rates:
+        reference = [effective_inside_rate(c, Rate.outside(t)).value for c in schedule.categories]
+        assert [r.hex() for r in calc.inside_rates(t)] == [r.hex() for r in reference]
 
 
 UNIFORM = load_schedule(bundled_schedule_path("uniform"))

@@ -618,9 +618,9 @@ def _with_baseline(baseline):
         (_with_treatment({"kind": "selective", "is_rate": 0.19, "vat_fraction": INF}),
          "selective vat_fraction must be finite, got inf"),
         (_with_treatment({"kind": "selective", "is_rate": INF}),
-         "category 'alimentos': rate value must be finite, got inf"),
+         "category 'alimentos'.is_rate: rate value must be finite, got inf"),
         (_with_baseline({"value": INF, "basis": "outside"}),
-         "category 'alimentos': rate value must be finite, got inf"),
+         "category 'alimentos'.baseline_effective: rate value must be finite, got inf"),
     ],
     ids=["eligibility_threshold", "eligibility_threshold_negative", "reducer", "vat_fraction",
          "is_rate", "baseline_effective"],
@@ -628,3 +628,33 @@ def _with_baseline(baseline):
 def test_infinite_parameter_rejected_by_parser(raw, message):
     with pytest.raises(ScheduleError, match=message):
         parse_schedule(json.loads(json.dumps(raw)))  # json reads and writes Infinity
+
+
+_RATE_FIELDS = {
+    "is_rate": lambda v: _with_treatment({"kind": "selective", "is_rate": v}),
+    "effective": lambda v: _with_treatment({"kind": "specific_regime", "effective": v}),
+    "baseline_effective": _with_baseline,
+}
+_BAD_RATES = {
+    "inf": (INF, "rate value must be finite, got inf"),
+    "negative": (-0.1, "rate value must be non-negative, got -0.1"),
+    "nan": (NAN, "rate value must not be NaN"),
+}
+_INSIDE_AT_ONE = {
+    "inside_one": (1.0, "inside rate must be < 1"),
+    # finite on the outside basis, but its inside value rounds to 1
+    "outside_huge": ({"value": 1e300, "basis": "outside"}, "inside rate must be < 1"),
+}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param(field, value, message, id=f"{field}-{case}")
+    for fields, cases in ((_RATE_FIELDS, _BAD_RATES),
+                          (("effective", "baseline_effective"), _INSIDE_AT_ONE))
+    for field in fields for case, (value, message) in cases.items()
+])
+def test_out_of_range_rate_names_its_field(field, value, message):
+    raw = json.loads(json.dumps(_RATE_FIELDS[field](value)))  # as json reads NaN and Infinity
+    with pytest.raises(ScheduleError) as excinfo:
+        parse_schedule(raw)
+    assert str(excinfo.value).startswith(f"category 'alimentos'.{field}: {message}")
