@@ -17,8 +17,10 @@ retaxes the food-basket group (``SWAP_GROUP``), and recycles the extra
 revenue as a flat per-person transfer.
 
 Scenarios and tables work on the population's columns: per-household arrays
-of gross tax, cashback, transfer and net tax, and per-quintile exact sums over
-index masks.  Table 3 computes the quintile rows, weight sums and mean
+of gross tax, cashback, transfer and net tax.  A quintile assignment groups
+the rows by quintile, so each per-quintile mean is an exact sum over one
+slice of a single gather, and the whole population's total adds up the five
+quintiles' exact parts.  Table 3 gathers the weights and computes the mean
 expenditures once and shares them across scenarios.  Every scenario
 spot-checks its arrays against the per-household reference functions of
 ``ivasim.engine`` on a few households.
@@ -34,9 +36,8 @@ import enum
 import io
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from .engine import (
     weighted_total,
     with_cashback,
 )
-from .exactsum import exact_sum
+from .exactsum import exact_parts
 from .microdata import Household, Population
 from .rates import Rate
 from .schedule import Schedule, TaxTreatment, with_removal
@@ -66,25 +67,16 @@ from .solver import SolverError, solve_given_cashback, solve_with_cashback
 
 @dataclass(frozen=True, eq=False)
 class QuintileAssignment:
+    """Rows grouped by quintile: quintile q is ``order[bounds[q - 1]:bounds[q]]``."""
+
     ids: np.ndarray  # household ids, in the population's row order
-    quintile: np.ndarray  # int8 quintile 1..5 of every row
+    order: np.ndarray  # row positions by quintile, in row order within each
+    bounds: tuple[int, ...]  # six slice bounds into ``order``
     boundaries: tuple[float, ...]  # per-capita totals opening quintiles 2..5
-
-    @cached_property
-    def quintile_of(self) -> Mapping[int, int]:
-        """Household id -> quintile."""
-        return MappingProxyType(dict(zip(self.ids.tolist(), self.quintile.tolist())))
-
-    def of(self, population: Population) -> np.ndarray:
-        """Quintile of every household of ``population``, aligned with its columns."""
-        if not np.array_equal(population.ids, self.ids):
-            raise ValueError("the quintiles were assigned to another population")
-        return self.quintile
 
     def empty(self) -> tuple[int, ...]:
         """The quintiles that hold no household."""
-        counts = np.bincount(self.quintile, minlength=6)[1:]
-        return tuple(int(q) + 1 for q in np.flatnonzero(counts == 0))
+        return tuple(q for q in range(1, 6) if self.bounds[q - 1] == self.bounds[q])
 
 
 def assign_quintiles(population: Population) -> QuintileAssignment:
@@ -101,33 +93,42 @@ def assign_quintiles(population: Population) -> QuintileAssignment:
     opens = np.flatnonzero(np.diff(ranked)) + 1  # ranks where a new quintile starts
     quintile = np.empty(len(population), dtype=np.int8)
     quintile[order] = ranked
-    quintile.flags.writeable = False
-    return QuintileAssignment(population.ids, quintile, tuple(per_capita[order][opens].tolist()))
+    # grouped in row order, not rank order: gathers through it stay near-sequential
+    grouped = np.argsort(quintile, kind="stable")
+    grouped.flags.writeable = False
+    bounds = tuple(np.searchsorted(ranked, np.arange(1, 7)).tolist())
+    return QuintileAssignment(population.ids, grouped, bounds,
+                              tuple(per_capita[order][opens].tolist()))
 
 
-class _Rows:
-    """Households at index ``rows``, with their weights and the exact weight sum."""
+class _QuintileMeans:
+    """Weighted means over each quintile, then the whole population.
 
-    def __init__(self, weights: np.ndarray, rows: np.ndarray) -> None:
-        self.rows = rows
-        self.weight = weights[rows]
-        self.weight_sum = exact_sum(self.weight)
+    The weights are gathered into quintile order once, with zeros for rows
+    outside ``keep``: exact zeros do not move an exact sum.  Every sum is exact,
+    so it does not depend on row order, and the whole population's is
+    ``math.fsum`` of its quintiles' exact parts.
+    """
 
-    def mean(self, values: np.ndarray) -> float:
-        """fsum(w * x) / fsum(w) over the rows, 0 when they carry no weight."""
-        if self.weight_sum > 0:
-            return weighted_total(self.weight, values[self.rows]) / self.weight_sum
-        return 0.0
+    def __init__(self, population: Population, quintiles: QuintileAssignment,
+                 keep: np.ndarray | None = None) -> None:
+        if not np.array_equal(population.ids, quintiles.ids):
+            raise ValueError("the quintiles were assigned to another population")
+        self.order = quintiles.order
+        self.slices = [slice(a, b) for a, b in zip(quintiles.bounds, quintiles.bounds[1:])]
+        self.weight = population.weight[self.order]
+        if keep is not None:
+            self.weight[~keep[self.order]] = 0.0
+        self.weight_sums = self._sums(self.weight)
 
+    def _sums(self, grouped: np.ndarray) -> list[float]:
+        parts = [exact_parts(grouped[s]) for s in self.slices]
+        return [math.fsum(p) for p in parts] + [math.fsum(chain.from_iterable(parts))]
 
-def _quintile_rows(weights: np.ndarray, quintile: np.ndarray,
-                   keep: np.ndarray | None = None) -> list[_Rows]:
-    """Quintiles 1..5, then the whole population."""
-    if keep is None:
-        keep = np.ones(len(quintile), dtype=bool)
-    return [_Rows(weights, np.flatnonzero(keep & (quintile == q))) for q in range(1, 6)] + [
-        _Rows(weights, np.flatnonzero(keep))
-    ]
+    def __call__(self, values: np.ndarray) -> list[float]:
+        """fsum(w * x) / fsum(w) per column, 0 where the rows carry no weight."""
+        totals = self._sums(self.weight * values[self.order])
+        return [t / w if w > 0 else 0.0 for t, w in zip(totals, self.weight_sums)]
 
 
 # -- budget shares (treatment group x quintile) --------------------------------
@@ -150,14 +151,14 @@ def budget_share_table(
     """
     idx = population.column_index(schedule)
     spending = population.monetary > 0
-    columns = _quintile_rows(population.weight, quintiles.of(population), spending)
+    means = _QuintileMeans(population, quintiles, spending)
     rows = []
     for g in schedule.groups():
         members = [j for j, c in enumerate(schedule.categories) if c.group == g]
         group_spend = population.spend[:, idx[members]].sum(axis=1)
         share = np.divide(group_spend, population.monetary, out=np.zeros_like(group_spend),
                           where=spending)
-        cells = tuple(100.0 * column.mean(share) for column in columns)
+        cells = tuple(100.0 * m for m in means(share))
         rows.append(BudgetShareRow(g, cells))
     totals = tuple(math.fsum(r.cells[i] for r in rows) for i in range(6))
     rows.append(BudgetShareRow("total", totals))
@@ -218,11 +219,6 @@ class ScenarioResult:
             household, household_tax(household, self.schedule, self.t_ref), self.schedule
         )
         return replace(inc, transfer=self.transfer_per_person * household.residents)
-
-    @cached_property
-    def incidences(self) -> tuple[HouseholdIncidence, ...]:
-        """Every household's reference-path incidence, in ascending id order."""
-        return tuple(map(self.scalar_incidence, self.population.households))
 
 
 def _uniform_vat_schedule(schedule: Schedule) -> Schedule:
@@ -379,47 +375,32 @@ class ScenarioQuintileRow:
     delta_share_pct: float  # 100 * delta / mean monetary expenditure
 
 
-def _quintile_stats(
-    shared: Sequence[tuple[_Rows, float, float]],
-    scenario: ScenarioResult,
-    baseline: ScenarioResult,
-) -> tuple[ScenarioQuintileRow, ...]:
-    """One scenario's rows; ``shared`` holds each quintile's (then the whole
-    population's) rows and mean monetary and total expenditure."""
-    # the exact sum of per-household differences, not a difference of sums
-    delta_net = scenario.net - baseline.net
-    rows = []
-    for q, (column, mean_mon, mean_total) in zip((1, 2, 3, 4, 5, 0), shared):
-        delta = column.mean(delta_net)
-        rows.append(
-            ScenarioQuintileRow(
-                quintile=q,
-                mean_net_tax=column.mean(scenario.net),
-                mean_monetary_expenditure=mean_mon,
-                mean_total_expenditure=mean_total,
-                delta_vs_baseline=delta,
-                delta_share_pct=100.0 * delta / mean_mon if mean_mon else 0.0,
-            )
-        )
-    return tuple(rows)
-
-
 def build_scenario_table(
     population: Population,
     quintiles: QuintileAssignment,
     results: Sequence[ScenarioResult],
 ) -> tuple[tuple[ScenarioResult, tuple[ScenarioQuintileRow, ...]], ...]:
-    """Per-quintile rows of every scenario; the quintile rows, weight sums and
-    mean expenditures are computed once and shared by all scenarios."""
+    """Per-quintile rows of every scenario; the grouped weights, their sums and
+    the mean expenditures are computed once and shared by all scenarios."""
     if not results:
         raise ValueError("empty scenario list")
     baseline = next((r for r in results if r.name is ScenarioName.BASELINE), None)
     if baseline is None:
         raise ValueError("scenario results must include the baseline")
-    total = population.monetary + population.nonmonetary_total
-    shared = [(column, column.mean(population.monetary), column.mean(total))
-              for column in _quintile_rows(population.weight, quintiles.of(population))]
-    return tuple((r, _quintile_stats(shared, r, baseline)) for r in results)
+    means = _QuintileMeans(population, quintiles)
+    mean_mon = means(population.monetary)
+    mean_total = means(population.monetary + population.nonmonetary_total)
+
+    def rows(scenario: ScenarioResult) -> tuple[ScenarioQuintileRow, ...]:
+        # the exact sum of per-household differences, not a difference of sums
+        delta = means(scenario.net - baseline.net)
+        return tuple(
+            ScenarioQuintileRow(q, net, mon, total, d, 100.0 * d / mon if mon else 0.0)
+            for q, net, mon, total, d in zip((1, 2, 3, 4, 5, 0), means(scenario.net),
+                                             mean_mon, mean_total, delta)
+        )
+
+    return tuple((r, rows(r)) for r in results)
 
 
 # -- rendering ------------------------------------------------------------------

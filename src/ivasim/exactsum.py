@@ -10,14 +10,15 @@ the remainders until they vanish splits the exact sum into a few floats.  Their
 correctly rounded total is the correctly rounded exact sum, which is what
 ``math.fsum`` returns.
 
-``exact_sum`` hands the few partial sums to ``math.fsum``.  ``row_sums``
-extracts every row of a block at once (one sigma per row), turns each row's
-parts into a non-overlapping expansion with TwoSum, and rounds it the way
-``math.fsum`` rounds its partials, half-way correction included, so no row
-needs Python floats unless it is non-finite, near overflow, or spans more
-binades than ``_ROW_PASSES`` extractions cover.  Those rows, and short 1-D
-arrays, go to ``math.fsum`` itself, so results and exceptions match it there
-by construction.
+``exact_sum`` hands the few partial sums, ``exact_parts``, to ``math.fsum``;
+over the parts of several arrays ``math.fsum`` gives ``exact_sum`` of their
+concatenation.  ``row_sums`` extracts every row of a block at once (one sigma
+per row), turns each row's parts into a non-overlapping expansion with TwoSum,
+and rounds it the way ``math.fsum`` rounds its partials, half-way correction
+included, so no row needs Python floats unless it is non-finite, near overflow,
+or spans more binades than ``_ROW_PASSES`` extractions cover.  Those rows, and
+short 1-D arrays, go to ``math.fsum`` itself, so results and exceptions match
+it there by construction.
 """
 
 from __future__ import annotations
@@ -35,15 +36,21 @@ _NEG_ZERO_SUM = math.fsum([-0.0])  # the interpreter's sum of negative zeros
 
 def exact_sum(x: np.ndarray) -> float:
     """``math.fsum(x.tolist())`` for a 1-D float array, bit for bit."""
+    return math.fsum(exact_parts(x))
+
+
+def exact_parts(x: np.ndarray) -> list[float]:
+    """Floats with the exact sum of ``x``: the extraction partials, the elements
+    of a short or extreme array, or one signed zero for an all-zero one."""
     x = np.asarray(x, dtype=float)
     if len(x) <= _SHORT:
-        return math.fsum(x.tolist())
+        return x.tolist()
     m = np.abs(x).max()
     M = (len(x) + 1).bit_length()
     if not m < 2.0 ** (_MAX_EXPONENT - M):  # non-finite or near overflow
-        return math.fsum(x.tolist())
+        return x.tolist()
     if m == 0:
-        return _NEG_ZERO_SUM if np.signbit(x).all() else 0.0
+        return [-0.0 if np.signbit(x).all() else 0.0]
     parts = []
     r, q = x, np.empty_like(x)
     while m:
@@ -53,7 +60,7 @@ def exact_sum(x: np.ndarray) -> float:
         parts.append(float(q.sum()))
         r = np.subtract(r, q, out=None if r is x else r)
         m = np.abs(r, out=q).max()
-    return math.fsum(parts)
+    return parts
 
 
 def row_sums(matrix: np.ndarray) -> np.ndarray:

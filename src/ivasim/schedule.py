@@ -44,7 +44,8 @@ Treatment objects by kind::
 The module-level ``_KIND_PARAMS`` table lists each kind's parameters and the
 basis each rate parameter is stored on; validation, parsing and ``to_dict``
 all read it.  Every numeric field rejects NaN and +/-Infinity (both read by ``json``),
-and a rate out of range names its field, e.g. ``category 'gasolina'.is_rate``.
+and a value out of range names its field, e.g. ``category 'gasolina'.is_rate``
+or ``category 'aluguel_imovel'.fraction``.
 """
 
 from __future__ import annotations
@@ -132,15 +133,8 @@ class TaxTreatment:
             if basis is not None:  # a rate parameter, kept on its stored basis
                 stored = to_inside(value) if basis is RateBasis.INSIDE else to_outside(value)
                 object.__setattr__(self, name, stored)
-        # written so that NaN fails every range check; infinity fails the bounded ones
-        if k is TreatmentKind.REDUCED_FRACTION and not 0.0 < self.fraction < 1.0:
-            raise ScheduleError(f"reduced_fraction fraction must be in (0, 1), got {self.fraction}")
-        if k is TreatmentKind.RENT_REGIME:
-            if not 0.0 < self.fraction <= 1.0:
-                raise ScheduleError(f"rent_regime fraction must be in (0, 1], got {self.fraction}")
-            _check_nonnegative("rent_regime reducer", self.reducer)
-        if k is TreatmentKind.SELECTIVE:
-            _check_nonnegative("selective vat_fraction", self.vat_fraction)
+            elif name in params:
+                _check_number_param(k, name, value)
 
     @classmethod
     def zero_rate(cls) -> "TaxTreatment":
@@ -465,6 +459,19 @@ def _default_group(treatment: TaxTreatment) -> str:
     return _DEFAULT_GROUP[treatment.kind]
 
 
+def _check_number_param(kind: TreatmentKind, name: str, value: float, at: str = "") -> None:
+    """Range check of the plain-number parameter ``name`` of a ``kind`` treatment;
+    the message starts with the config field ``at`` when given."""
+    label = f"{at}: {kind.value} {name}" if at else f"{kind.value} {name}"
+    # written so that NaN fails every range check; infinity fails the bounded ones
+    if name == "fraction" and kind is TreatmentKind.REDUCED_FRACTION and not 0.0 < value < 1.0:
+        raise ScheduleError(f"{label} must be in (0, 1), got {value}")
+    if name == "fraction" and kind is TreatmentKind.RENT_REGIME and not 0.0 < value <= 1.0:
+        raise ScheduleError(f"{label} must be in (0, 1], got {value}")
+    if name in ("reducer", "vat_fraction"):
+        _check_nonnegative(label, value)
+
+
 def _check_nonnegative(name: str, value: float) -> None:
     """``value`` must be a finite number >= 0; NaN and infinity are refused."""
     if not value >= 0.0:
@@ -529,6 +536,8 @@ def _parse_treatment(raw: Any, where: str) -> TaxTreatment:
         v = raw.get(name, 1.0) if name == "vat_fraction" else _require(raw, name, where)
         at = f"{where}.{name}"
         values[name] = _number(v, at) if basis is None else _parse_rate(v, at, basis)
+        if basis is None:  # a rate names its field when out of range; so does a number
+            _check_number_param(kind, name, values[name], at)
     return TaxTreatment(kind, **values)
 
 

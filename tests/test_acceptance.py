@@ -40,6 +40,8 @@ from ivasim.schedule import (
 )
 from ivasim.solver import solve_given_cashback, solve_with_cashback
 
+from helpers import incidences, quintile_of
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -231,13 +233,13 @@ def test_criterion_7_scenario_neutrality(pop2k, plp68):
         ],
     )
     baseline = results[0]
-    base_net = {i.household_id: i.net_tax for i in baseline.incidences}
+    base_net = {i.household_id: i.net_tax for i in incidences(baseline)}
     by_id = {h.id: h for h in pop2k.households}
     worst = 0.0
     for result in results[1:]:
         delta = math.fsum(
             by_id[inc.household_id].weight * (inc.net_tax - base_net[inc.household_id])
-            for inc in result.incidences
+            for inc in incidences(result)
         )
         worst = max(worst, abs(delta) / baseline.totals.total_net)
     _report(
@@ -253,6 +255,7 @@ def test_criterion_8_share_closure_and_quintile_balance(pop10k, plp68):
     totals = next(r for r in rows if r.group == "total")
     closure = max(abs(c - 100.0) for c in totals.cells)
 
+    of = quintile_of(quintiles)
     total_w = pop10k.total_weight()
     w_max = max(h.weight for h in pop10k.households)
     balance = max(
@@ -260,7 +263,7 @@ def test_criterion_8_share_closure_and_quintile_balance(pop10k, plp68):
             math.fsum(
                 h.weight
                 for h in pop10k.households
-                if quintiles.quintile_of[h.id] == k
+                if of[h.id] == k
             )
             / total_w
             - 0.2

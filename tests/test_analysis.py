@@ -25,6 +25,8 @@ from ivasim.microdata import Household, Population, Provenance, generate_synthet
 from ivasim.schedule import bundled_schedule_path, load_schedule
 from ivasim.solver import marginal_rate_impact
 
+from helpers import incidences, quintile_of
+
 
 @pytest.fixture(scope="module")
 def plp68():
@@ -74,7 +76,8 @@ def five_households(weights=(1.0,) * 5, totals=(100.0, 200.0, 300.0, 400.0, 500.
 
 def test_five_equal_households_one_per_quintile():
     q = assign_quintiles(five_households())
-    assert [q.quintile_of[i] for i in range(1, 6)] == [1, 2, 3, 4, 5]
+    of = quintile_of(q)
+    assert [of[i] for i in range(1, 6)] == [1, 2, 3, 4, 5]
     assert q.boundaries == (200.0, 300.0, 400.0, 500.0)
 
 
@@ -102,30 +105,31 @@ def test_quintiles_invariant_under_weight_scaling(synthetic):
         ),
         synthetic.provenance,
     )
-    assert assign_quintiles(scaled).quintile_of == assign_quintiles(synthetic).quintile_of
+    assert quintile_of(assign_quintiles(scaled)) == quintile_of(assign_quintiles(synthetic))
 
 
 def test_quintile_ties_broken_by_id():
     pop = five_households(totals=(100.0, 100.0, 100.0, 100.0, 100.0))
-    q = assign_quintiles(pop)
-    assert [q.quintile_of[i] for i in range(1, 6)] == [1, 2, 3, 4, 5]
+    of = quintile_of(assign_quintiles(pop))
+    assert [of[i] for i in range(1, 6)] == [1, 2, 3, 4, 5]
 
 
 def test_quintile_weight_balance(plp68):
     pop = generate_synthetic(42, 10000, plp68)
-    q = assign_quintiles(pop)
+    of = quintile_of(assign_quintiles(pop))
     total = pop.total_weight()
     w_max = max(h.weight for h in pop.households)
     for k in range(1, 6):
-        share = math.fsum(h.weight for h in pop.households if q.quintile_of[h.id] == k) / total
+        share = math.fsum(h.weight for h in pop.households if of[h.id] == k) / total
         assert abs(share - 0.2) <= w_max / total
         assert abs(share - 0.2) <= 0.005
 
 
 def test_quintiles_ranked_by_percapita_total(synthetic, quintiles):
     cuts = quintiles.boundaries
+    of = quintile_of(quintiles)
     for h in synthetic.households:
-        q = quintiles.quintile_of[h.id]
+        q = of[h.id]
         if q > 1:
             assert h.per_capita_total() >= cuts[q - 2]
         if q < 5:
@@ -201,12 +205,12 @@ def test_baseline_always_first(synthetic, plp68, scenario_results):
 
 def test_every_scenario_is_revenue_neutral(synthetic, scenario_results):
     base = scenario_results[0]
-    base_by_id = {i.household_id: i.net_tax for i in base.incidences}
+    base_by_id = {i.household_id: i.net_tax for i in incidences(base)}
     for result in scenario_results[1:]:
         delta = math.fsum(
             h.weight * (inc.net_tax - base_by_id[inc.household_id])
             for h, inc in zip(
-                sorted(synthetic.households, key=lambda h: h.id), result.incidences
+                sorted(synthetic.households, key=lambda h: h.id), incidences(result)
             )
         )
         assert abs(delta) <= 1e-6 * base.totals.total_net, result.name
@@ -287,7 +291,7 @@ def test_transfer_amounts_scale_with_residents(synthetic, scenario_results):
         r for r in scenario_results if r.name is ScenarioName.PLP68_TRANSFER_SWAP
     )
     by_id = {h.id: h for h in synthetic.households}
-    for inc in swap.incidences[:50]:
+    for inc in incidences(swap)[:50]:
         assert inc.transfer == pytest.approx(
             swap.transfer_per_person * by_id[inc.household_id].residents
         )
@@ -304,10 +308,10 @@ def test_uniform_vat_delta_share_constant_for_proportional_households(plp68):
     )
     results = compute_scenarios(pop, plp68, [ScenarioName.UNIFORM_VAT])
     base, uni = results
-    base_by_id = {i.household_id: i.net_tax for i in base.incidences}
+    base_by_id = {i.household_id: i.net_tax for i in incidences(base)}
     ratios = [
         (inc.net_tax - base_by_id[inc.household_id]) / h.monetary_total()
-        for h, inc in zip(sorted(pop.households, key=lambda h: h.id), uni.incidences)
+        for h, inc in zip(sorted(pop.households, key=lambda h: h.id), incidences(uni))
     ]
     assert ratios[0] == pytest.approx(ratios[1], abs=1e-12)
     assert ratios[0] == pytest.approx(ratios[2], abs=1e-12)

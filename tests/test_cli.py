@@ -333,11 +333,11 @@ def test_validate_reports_invalid_effective_rate_and_runs_population_checks(
         (lambda raw: raw.update(eligibility_threshold=float("nan")),
          "eligibility_threshold must be >= 0, got nan"),
         (lambda raw: _category(raw, "aluguel_imovel")["treatment"].update(reducer=float("nan")),
-         "rent_regime reducer must be >= 0, got nan"),
+         "category 'aluguel_imovel'.reducer: rent_regime reducer must be >= 0, got nan"),
         (lambda raw: _category(raw, "gasolina").update(
             treatment={"kind": "selective", "is_rate": 0.19, "vat_fraction": float("nan")},
             cashback_class="excluded"),
-         "selective vat_fraction must be >= 0, got nan"),
+         "category 'gasolina'.vat_fraction: selective vat_fraction must be >= 0, got nan"),
     ],
     ids=["eligibility_threshold", "reducer", "vat_fraction"],
 )
@@ -355,11 +355,11 @@ def test_solve_rejects_nan_schedule_parameter(tmp_path, capsys, edit, message):
         (lambda raw: raw.update(eligibility_threshold=float("inf")),
          "eligibility_threshold must be finite, got inf"),
         (lambda raw: _category(raw, "aluguel_imovel")["treatment"].update(reducer=float("inf")),
-         "rent_regime reducer must be finite, got inf"),
+         "category 'aluguel_imovel'.reducer: rent_regime reducer must be finite, got inf"),
         (lambda raw: _category(raw, "gasolina").update(
             treatment={"kind": "selective", "is_rate": 0.19, "vat_fraction": float("inf")},
             cashback_class="excluded"),
-         "selective vat_fraction must be finite, got inf"),
+         "category 'gasolina'.vat_fraction: selective vat_fraction must be finite, got inf"),
         (lambda raw: _category(raw, "gasolina").update(
             treatment={"kind": "selective", "is_rate": float("inf")},
             cashback_class="excluded"),
@@ -379,6 +379,17 @@ def test_solve_and_validate_reject_infinite_schedule_parameter(tmp_path, capsys,
     rc = main(["validate", "--schedule", str(path), "--synthetic", "1:50"])
     assert rc == 1
     assert f"FAIL schedule loads: {path}: {message}" in capsys.readouterr().out
+
+
+def test_solve_names_the_field_of_an_out_of_range_treatment_parameter(tmp_path, capsys):
+    path = _plp68_variant(
+        tmp_path, lambda raw: _category(raw, "aluguel_imovel")["treatment"].update(fraction=1.5))
+    rc = main(["solve", "--schedule", str(path), "--synthetic", "42:2000"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: category 'aluguel_imovel'.fraction: "
+        f"rent_regime fraction must be in (0, 1], got 1.5\n"
+    )
 
 
 def test_solve_rejects_unhashable_treatment_kind(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The exact-sum kernel against ``math.fsum``: equal by ``repr``, sign of zero
-included, and the same exception where ``math.fsum`` raises."""
+included, and the same exception where ``math.fsum`` raises.  The exact parts
+of two arrays sum, by ``math.fsum``, to ``exact_sum`` of their concatenation."""
 
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivasim import exactsum
-from ivasim.exactsum import exact_sum, row_sums
+from ivasim.exactsum import exact_parts, exact_sum, row_sums
 
 KERNEL_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 KINDS = ("spread", "uniform", "cancel", "subnormal", "zeros", "ties", "mixed")
@@ -61,6 +62,47 @@ def test_exact_sum_equals_fsum(n, seed):
     for kind in KINDS:
         x = _values(rng, n, kind)
         assert _outcome(exact_sum, x) == _outcome(lambda a: math.fsum(a.tolist()), x), kind
+
+
+def _part_values(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
+    """``_values``, or an all-zero, all-negative-zero or non-finite array."""
+    if kind == "all_zero":
+        return np.zeros(n)
+    if kind == "all_negative_zero":
+        return np.full(n, -0.0)
+    x = _values(rng, n, "spread" if kind == "non_finite" else kind)
+    if kind == "non_finite" and n:
+        x[rng.integers(n)] = rng.choice([math.inf, -math.inf, math.nan])
+    return x
+
+
+PART_KINDS = KINDS + ("all_zero", "all_negative_zero", "non_finite")
+PART_LENGTHS = [0, 1, SHORT - 1, SHORT, SHORT + 1, 1000]
+
+
+@KERNEL_SETTINGS
+@given(
+    st.sampled_from(PART_LENGTHS),
+    st.sampled_from(PART_LENGTHS),
+    st.sampled_from(PART_KINDS),
+    st.sampled_from(PART_KINDS),
+    st.integers(0, 2**32 - 1),
+)
+def test_parts_of_two_arrays_sum_to_their_concatenation(na, nb, kind_a, kind_b, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _part_values(rng, na, kind_a), _part_values(rng, nb, kind_b)
+    assert _outcome(lambda: math.fsum(exact_parts(a) + exact_parts(b))) == _outcome(
+        exact_sum, np.concatenate([a, b])
+    )
+
+
+@pytest.mark.parametrize("n", [SHORT + 1, 1000])
+def test_all_zero_arrays_give_one_signed_zero(n):
+    assert repr(exact_parts(np.zeros(n))) == repr([0.0])
+    assert repr(exact_parts(np.full(n, -0.0))) == repr([-0.0])
+    mixed = np.full(n, -0.0)
+    mixed[n // 2] = 0.0
+    assert repr(exact_parts(mixed)) == repr([0.0])
 
 
 @KERNEL_SETTINGS

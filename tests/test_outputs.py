@@ -6,11 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ivasim
 from ivasim.cli import main
 
-GOLDEN = Path(__file__).parent / "data" / "golden_42_2000"
-GOLDEN_SOLVE = Path(__file__).parent / "data" / "golden_solve_42_2000"
+DATA = Path(__file__).parent / "data"
+GOLDEN_SOLVE = DATA / "golden_solve_42_2000"
 TABLE_FILES = (
     "table1_budget_shares.csv",
     "table1_budget_shares.txt",
@@ -21,12 +23,15 @@ TABLE_FILES = (
 )
 
 
-def test_tables_match_golden_files(tmp_path):
-    # golden files written by `ivasim tables --schedule plp68 --synthetic 42:2000`
-    assert main(["tables", "--schedule", "plp68", "--synthetic", "42:2000",
+@pytest.mark.parametrize("synthetic", ["42:2000", "7:20000"])
+def test_tables_match_golden_files(tmp_path, synthetic):
+    # golden files in golden_<seed>_<n>, written by
+    # `ivasim tables --schedule plp68 --synthetic <seed>:<n>`
+    golden = DATA / f"golden_{synthetic.replace(':', '_')}"
+    assert main(["tables", "--schedule", "plp68", "--synthetic", synthetic,
                  "--out", str(tmp_path)]) == 0
     for name in TABLE_FILES:
-        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def test_solve_trace_matches_golden_file(tmp_path):

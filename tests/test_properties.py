@@ -18,7 +18,9 @@ Random households files check the array reader against the row reader: the
 same arrays bit for bit on valid files, the same message on broken ones.
 Random populations with ties check the vectorised quintiles against the
 sort-and-accumulate loop, and that splitting a household's weight across two
-rows moves no household to another quintile.
+rows moves no household to another quintile.  Random populations, some with
+households that spend nothing (up to a whole quintile of them), pin every
+table 1 and table 3 cell bit for bit to per-quintile ``math.fsum`` means.
 """
 
 import math
@@ -26,6 +28,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,9 +37,12 @@ from ivasim.analysis import (
     ScenarioName,
     _uniform_vat_schedule,
     assign_quintiles,
+    budget_share_table,
+    build_scenario_table,
     compute_scenarios,
 )
 from ivasim.engine import IncidenceCalculator, aggregate, household_tax, with_cashback
+from ivasim.exactsum import _SHORT
 from ivasim.microdata import (
     FIXED_COLUMNS,
     Household,
@@ -60,6 +66,8 @@ from ivasim.schedule import (
     with_removal,
 )
 from ivasim.solver import BRACKET_HI_MAX, RATE_TOLERANCE, solve_with_cashback
+
+from helpers import incidences, quintile_of
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 REL = 1e-9
@@ -176,8 +184,9 @@ def test_scenario_arrays_match_scalar_oracle(case):
     assert [r.name for r in results] == [ScenarioName.BASELINE] + REFORMS
     ordered = sorted(population.households, key=lambda h: h.id)
     for result in results:
-        assert [inc.household_id for inc in result.incidences] == [h.id for h in ordered]
-        for i, inc in enumerate(result.incidences):
+        reference = incidences(result)
+        assert [inc.household_id for inc in reference] == [h.id for h in ordered]
+        for i, inc in enumerate(reference):
             scale = abs(inc.gross_tax) + abs(inc.cashback) + abs(inc.transfer)
             assert _close(result.gross[i], inc.gross_tax, scale), (result.name, i)
             assert _close(result.cashback[i], inc.cashback, scale), (result.name, i)
@@ -458,19 +467,19 @@ def reference_quintiles(population):
     """The sort-and-accumulate quintile assignment over ``Household`` rows."""
     ordered = sorted(population.households, key=lambda h: (h.per_capita_total(), h.id))
     total_weight = population.total_weight()
-    quintile_of = {}
+    mapping = {}
     boundaries = []
     cum = 0.0
     previous = 0
     for h in ordered:
         q = min(5, int(5.0 * cum / total_weight) + 1)
-        quintile_of[h.id] = q
+        mapping[h.id] = q
         if q != previous:
             if q > 1:
                 boundaries.append(h.per_capita_total())
             previous = q
         cum += h.weight
-    return quintile_of, tuple(boundaries)
+    return mapping, tuple(boundaries)
 
 
 @st.composite
@@ -498,8 +507,8 @@ def quintile_populations(draw):
 @given(quintile_populations())
 def test_quintiles_match_sort_and_accumulate(population):
     quintiles = assign_quintiles(population)
-    quintile_of, boundaries = reference_quintiles(population)
-    assert quintiles.quintile_of == quintile_of
+    reference, boundaries = reference_quintiles(population)
+    assert quintile_of(quintiles) == reference
     assert quintiles.boundaries == boundaries
 
 
@@ -535,7 +544,83 @@ def split_quintile_cases(draw):
 @given(split_quintile_cases())
 def test_quintiles_invariant_to_weight_splitting(case):
     population, split, hid = case
-    before = assign_quintiles(population).quintile_of
-    after = assign_quintiles(split).quintile_of
+    before = quintile_of(assign_quintiles(population))
+    after = quintile_of(assign_quintiles(split))
     assert {i: after[i] for i in before} == dict(before)
     assert before[hid] <= after[hid + 1]
+
+
+# -- table cells -----------------------------------------------------------------
+
+
+def reference_means(population, quintiles, values, keep=None):
+    """fsum(w * x) / fsum(w) over each quintile's households, then over all of
+    them, 0 where they carry no weight; households outside ``keep`` are left out."""
+    of = quintile_of(quintiles)
+    rows = {q: [] for q in (1, 2, 3, 4, 5, 0)}  # 0: the whole population
+    for i, hid in enumerate(population.ids.tolist()):
+        if keep is None or keep[i]:
+            rows[of[hid]].append(i)
+            rows[0].append(i)
+    w, x = population.weight.tolist(), values.tolist()
+    means = []
+    for q, members in rows.items():
+        total = math.fsum(w[i] for i in members)
+        means.append(math.fsum(w[i] * x[i] for i in members) / total if total > 0 else 0.0)
+    return means
+
+
+def _without_spending(population, idle):
+    """The population with the ``idle`` rows' monetary and non-monetary spending
+    zeroed, so they rank first and carry no budget shares."""
+    spend, nonmonetary = population.spend.copy(), population.nonmonetary_total.copy()
+    spend[idle] = 0.0
+    nonmonetary[idle] = 0.0
+    return Population(population.provenance, population.category_ids, population.ids,
+                      population.weight, population.residents, population.income_per_capita,
+                      nonmonetary, spend)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10**6), st.integers(0, 2**32 - 1))
+# quintiles shorter and longer than the exact-sum kernel's short-array cut; a
+# share of the weight spends nothing, and 0.3 of it fills the first quintile
+@pytest.mark.parametrize("n", [12, 3 * _SHORT, 8 * _SHORT])
+@pytest.mark.parametrize("idle_share", [0.0, 0.05, 0.3])
+def test_table_cells_match_per_quintile_fsum_means(n, idle_share, seed, pick):
+    population = generate_synthetic(seed, n, PLP68)
+    order = np.random.default_rng(pick).permutation(n)
+    cum = np.cumsum(population.weight[order])
+    population = _without_spending(population, order[: np.searchsorted(cum, idle_share * cum[-1])])
+    quintiles = assign_quintiles(population)
+    spending = population.monetary > 0
+    if idle_share == 0.3:
+        of = quintile_of(quintiles)
+        q1 = [i for i, hid in enumerate(population.ids.tolist()) if of[hid] == 1]
+        assert q1 and not spending[q1].any()
+
+    shares = budget_share_table(population, PLP68, quintiles)
+    idx = population.column_index(PLP68)
+    for row in shares[:-1]:
+        members = [j for j, c in enumerate(PLP68.categories) if c.group == row.group]
+        group_spend = population.spend[:, idx[members]].sum(axis=1)
+        share = np.array([g / m if s else 0.0 for g, m, s in
+                          zip(group_spend.tolist(), population.monetary.tolist(), spending)])
+        want = [100.0 * m for m in reference_means(population, quintiles, share, spending)]
+        assert list(map(repr, row.cells)) == list(map(repr, want)), row.group
+    totals = [math.fsum(r.cells[i] for r in shares[:-1]) for i in range(6)]
+    assert list(map(repr, shares[-1].cells)) == list(map(repr, totals))
+
+    results = compute_scenarios(population, PLP68, REFORMS)
+    mon = reference_means(population, quintiles, population.monetary)
+    total = reference_means(population, quintiles,
+                            population.monetary + population.nonmonetary_total)
+    for result, rows in build_scenario_table(population, quintiles, results):
+        net = reference_means(population, quintiles, result.net)
+        delta = reference_means(population, quintiles, result.net - results[0].net)
+        want = [(q, n, m, t, d, 100.0 * d / m if m else 0.0)
+                for q, n, m, t, d in zip((1, 2, 3, 4, 5, 0), net, mon, total, delta)]
+        got = [(r.quintile, r.mean_net_tax, r.mean_monetary_expenditure,
+                r.mean_total_expenditure, r.delta_vs_baseline, r.delta_share_pct)
+               for r in rows]
+        assert repr(got) == repr(want), result.name

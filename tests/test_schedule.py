@@ -575,9 +575,9 @@ def _with_treatment(treatment):
     [
         (minimal_raw(eligibility_threshold=NAN), "eligibility_threshold must be >= 0, got nan"),
         (_with_treatment({"kind": "rent_regime", "fraction": 0.4, "reducer": NAN}),
-         "rent_regime reducer must be >= 0, got nan"),
+         "category 'alimentos'.reducer: rent_regime reducer must be >= 0, got nan"),
         (_with_treatment({"kind": "selective", "is_rate": 0.19, "vat_fraction": NAN}),
-         "selective vat_fraction must be >= 0, got nan"),
+         "category 'alimentos'.vat_fraction: selective vat_fraction must be >= 0, got nan"),
     ],
     ids=["eligibility_threshold", "reducer", "vat_fraction"],
 )
@@ -614,9 +614,9 @@ def _with_baseline(baseline):
         (minimal_raw(eligibility_threshold=INF), "eligibility_threshold must be finite, got inf"),
         (minimal_raw(eligibility_threshold=-INF), "eligibility_threshold must be >= 0, got -inf"),
         (_with_treatment({"kind": "rent_regime", "fraction": 0.4, "reducer": INF}),
-         "rent_regime reducer must be finite, got inf"),
+         "category 'alimentos'.reducer: rent_regime reducer must be finite, got inf"),
         (_with_treatment({"kind": "selective", "is_rate": 0.19, "vat_fraction": INF}),
-         "selective vat_fraction must be finite, got inf"),
+         "category 'alimentos'.vat_fraction: selective vat_fraction must be finite, got inf"),
         (_with_treatment({"kind": "selective", "is_rate": INF}),
          "category 'alimentos'.is_rate: rate value must be finite, got inf"),
         (_with_baseline({"value": INF, "basis": "outside"}),
@@ -658,3 +658,28 @@ def test_out_of_range_rate_names_its_field(field, value, message):
     with pytest.raises(ScheduleError) as excinfo:
         parse_schedule(raw)
     assert str(excinfo.value).startswith(f"category 'alimentos'.{field}: {message}")
+
+
+@pytest.mark.parametrize("treatment, field, message, construct", [
+    pytest.param({"kind": "reduced_fraction", "fraction": 1.0}, "fraction",
+                 "reduced_fraction fraction must be in (0, 1), got 1.0",
+                 lambda: TaxTreatment.reduced(1.0), id="reduced-fraction"),
+    pytest.param({"kind": "rent_regime", "fraction": 1.5, "reducer": 400.0}, "fraction",
+                 "rent_regime fraction must be in (0, 1], got 1.5",
+                 lambda: TaxTreatment.rent(1.5, 400.0), id="rent-fraction"),
+    pytest.param({"kind": "rent_regime", "fraction": 0.4, "reducer": -1.0}, "reducer",
+                 "rent_regime reducer must be >= 0, got -1.0",
+                 lambda: TaxTreatment.rent(0.4, -1.0), id="rent-reducer"),
+    pytest.param({"kind": "selective", "is_rate": 0.19, "vat_fraction": -0.5}, "vat_fraction",
+                 "selective vat_fraction must be >= 0, got -0.5",
+                 lambda: TaxTreatment.selective(Rate.outside(0.19), -0.5),
+                 id="selective-vat_fraction"),
+])
+def test_out_of_range_treatment_parameter_names_its_field(treatment, field, message, construct):
+    with pytest.raises(ScheduleError) as excinfo:
+        parse_schedule(_with_treatment(treatment))
+    assert str(excinfo.value) == f"category 'alimentos'.{field}: {message}"
+    # a directly constructed treatment keeps its own check, with no field path
+    with pytest.raises(ScheduleError) as excinfo:
+        construct()
+    assert str(excinfo.value) == message
