@@ -6,9 +6,13 @@ category id.  UTF-8, "." decimal separator; numbers are plain ASCII decimal
 or scientific notation, ids fit in 64 bits, "#" starts no comment and blank
 lines are skipped.  Ingestion is strict: unknown or missing columns,
 non-numeric cells, duplicate ids and invariant violations are load errors
-that cite the offending row.  The body is parsed in one numpy pass into the
-columns ``Population`` takes; only when that pass rejects the file does a
-row-at-a-time reader re-read it as ``Household`` records (stacked by
+that cite the offending row.
+
+The body is read in blocks of whole lines (``ivasim.csvbody``: writer-layout
+blocks parse as integer significands scaled exactly, others through
+``np.loadtxt``) straight into the columns ``Population`` takes, counted and
+allocated once.  Only when the file is rejected does a row-at-a-time reader
+re-read it as ``Household`` records (stacked by
 ``Population.from_households``) to name the first bad row.
 
 The synthetic generator stands in for expenditure-survey microdata, which
@@ -229,6 +233,7 @@ class Population:
 
 
 _ROW_BLOCK = 8192  # rows turned into Python objects at a time
+_INT_COLUMNS = (0, 2)  # id and residents, in FIXED_COLUMNS
 _VECTORS = ("ids", "weight", "residents", "income_per_capita", "nonmonetary_total")
 
 
@@ -272,13 +277,12 @@ def _category_mismatch(expected: set[str], got: set[str]) -> str:
 # -- CSV ingestion -----------------------------------------------------------
 
 
-
 def load_population(path: str | Path, schedule: Schedule) -> Population:
     """Read a household CSV validated against the schedule's category set.
 
-    The body is parsed in one ``np.loadtxt`` pass and checked on the arrays.
-    On any rejection the row reader re-reads the file to name the first bad
-    row and cell.
+    The body is parsed block by block into columns (``_read_columns``) and
+    checked on the arrays.  On any rejection the row reader re-reads the file
+    to name the first bad row and cell.
     """
     path = Path(path)
     if not path.exists():
@@ -294,24 +298,45 @@ def load_population(path: str | Path, schedule: Schedule) -> Population:
 
 
 def _read_columns(path: Path, header: list[str], category_ids: tuple[str, ...]) -> Population:
-    # ids and residents parse as int64, so "1.0" is not an integer
-    dtype = np.dtype(
-        [(f"f{i}", np.int64 if i in (0, 2) else float) for i in range(len(header))]
-    )
-    with warnings.catch_warnings():
-        # numpy < 2 parses an integer via float with only a DeprecationWarning;
-        # an empty body is a warning too
-        warnings.simplefilter("error")
-        table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, quotechar='"',
-                           skiprows=1, ndmin=1, encoding="utf-8")
-    spend = np.empty((len(table), len(category_ids)), order="F")
-    for j, cid in enumerate(category_ids):
-        # a category may share a fixed column's name; its column comes after them
-        spend[:, j] = table[f"f{header.index(cid, len(FIXED_COLUMNS))}"]
-    return Population(
-        Provenance("file", str(path)), category_ids,
-        table["f0"], table["f1"], table["f2"], table["f3"], table["f4"], spend,
-    )
+    """Parse the body block by block into columns allocated once.
+
+    A first pass counts the line ends, which bounds the number of rows; each
+    block then fills its rows of the final columns, so the file is never held
+    whole.  Raises ValueError, or a warning as an error, on anything the row
+    reader may reject.
+    """
+    from . import csvbody  # imported here: runs on a synthetic population never load it
+
+    k = len(header)
+    # a category may share a fixed column's name; its column comes after them
+    sources = list(range(len(FIXED_COLUMNS))) + [
+        header.index(cid, len(FIXED_COLUMNS)) for cid in category_ids
+    ]
+    with path.open("rb") as fh:
+        body = csvbody.body_start(fh)
+        fh.seek(body)
+        capacity = csvbody.count_rows(fh)
+        fixed = [np.empty(capacity, np.int64 if i in _INT_COLUMNS else float)
+                 for i in range(len(FIXED_COLUMNS))]
+        spend = np.empty((capacity, len(category_ids)), order="F")
+        targets = fixed + [spend[:, j] for j in range(len(category_ids))]
+        fh.seek(body)
+        n = 0
+        with warnings.catch_warnings():
+            # numpy < 2 parses an integer via float with only a DeprecationWarning
+            warnings.simplefilter("error")
+            for block in csvbody.blocks(fh):
+                columns = csvbody.block_columns(block, k, _INT_COLUMNS)
+                rows = len(columns[0])
+                for target, source in zip(targets, sources):
+                    target[n:n + rows] = columns[source]
+                n += rows
+    if n == 0:
+        raise ValueError("no data rows")
+    if n < capacity:  # blank lines, or line ends inside quoted cells
+        fixed = [a[:n] for a in fixed]
+        spend = spend[:n]
+    return Population(Provenance("file", str(path)), category_ids, *fixed, spend)
 
 
 def _read_rows(path: Path, schedule: Schedule) -> Population:

@@ -5,8 +5,10 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from ivasim import csvbody
 from ivasim.microdata import (
     FIXED_COLUMNS,
     Household,
@@ -301,3 +303,162 @@ def test_numbers_are_plain_ascii(tmp_path, uniform, old, new, message):
     with pytest.raises(MicrodataError) as exc:
         load_population(path, uniform)
     assert str(exc.value) == f"{path}: row 3: {message}"
+
+
+# -- the body in blocks ------------------------------------------------------
+
+COLUMNS = ("ids", "weight", "residents", "income_per_capita", "nonmonetary_total", "spend")
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """Blocks of 1000 bytes (about two plp68 rows), and the parser of each block."""
+    monkeypatch.setattr(csvbody, "_BLOCK_BYTES", 1000)
+    kinds = []
+    plain_columns = csvbody._plain_columns
+
+    def spy(block, k, int_columns):
+        columns = plain_columns(block, k, int_columns)
+        kinds.append("plain" if columns is not None else "structured")
+        return columns
+
+    monkeypatch.setattr(csvbody, "_plain_columns", spy)
+    return kinds
+
+
+def csv_lines(tmp_path, plp68, n=40):
+    """The header and rows write_population writes for a synthetic population."""
+    path = tmp_path / "written.csv"
+    write_population(generate_synthetic(7, n, plp68), path, plp68)
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def reads_like_row_reader(path, schedule):
+    """load_population's columns, asserted bit-identical to the row reader's."""
+    population = load_population(path, schedule)
+    reference = _read_rows(path, schedule)
+    for name in COLUMNS:
+        a, b = getattr(population, name), getattr(reference, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name  # signed zeros included
+    return population
+
+
+@pytest.mark.parametrize("block_bytes", [64, 333, 1000, 4096, 1 << 19])
+def test_rows_straddling_block_boundaries(tmp_path, plp68, parsed, monkeypatch, block_bytes):
+    monkeypatch.setattr(csvbody, "_BLOCK_BYTES", block_bytes)
+    path = write_csv(tmp_path, "\n".join(csv_lines(tmp_path, plp68)) + "\n")
+    assert len(reads_like_row_reader(path, plp68)) == 40
+    assert set(parsed) == {"plain"}
+
+
+def test_last_line_without_line_end(tmp_path, plp68, parsed):
+    path = write_csv(tmp_path, "\n".join(csv_lines(tmp_path, plp68)))
+    assert len(reads_like_row_reader(path, plp68)) == 40
+    assert set(parsed) == {"plain"}
+
+
+def _cell(line, j, text):
+    cells = line.split(",")
+    cells[j] = text
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize("change", ["exponent", "spaces", "plus", "quoted", "quoted_line_end",
+                                    "crlf"])
+def test_other_block_between_plain_blocks(tmp_path, plp68, parsed, change):
+    lines = csv_lines(tmp_path, plp68)
+    if change == "exponent":
+        lines[20] = _cell(lines[20], 7, "1e-05")
+    elif change == "spaces":
+        lines[20] = _cell(lines[20], 7, " 12.5\t")
+    elif change == "plus":
+        lines[20] = _cell(lines[20], 7, "+12.5")
+    elif change == "quoted":
+        lines[20] = _cell(lines[20], 1, '"12.5"')
+    elif change == "quoted_line_end":  # a quoted cell may hold a line end
+        lines[20] = _cell(lines[20], 9, '"0.25\n"')
+    else:
+        lines[18:22] = [line + "\r" for line in lines[18:22]]
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    assert len(reads_like_row_reader(path, plp68)) == 40
+    assert parsed[0] == parsed[-1] == "plain" and "structured" in parsed
+
+
+@pytest.mark.parametrize("line_end", ["\r\n", "\r"])
+def test_other_line_ends_throughout(tmp_path, plp68, parsed, line_end):
+    path = tmp_path / "households.csv"
+    path.write_bytes((line_end.join(csv_lines(tmp_path, plp68)) + line_end).encode())
+    assert len(reads_like_row_reader(path, plp68)) == 40
+    assert set(parsed) == {"structured"}
+
+
+def test_blank_lines(tmp_path, plp68, parsed):
+    lines = csv_lines(tmp_path, plp68)
+    # blank lines after the header, between rows, filling whole blocks, and at the end
+    lines[1:1] = [""] * 3
+    lines[10:10] = [""]
+    lines[25:25] = [""] * 2500
+    path = write_csv(tmp_path, "\n".join(lines) + "\n\n\n")
+    assert len(reads_like_row_reader(path, plp68)) == 40
+    assert {"plain", "structured"} <= set(parsed)
+
+
+def test_negative_zero_spending_keeps_its_sign(tmp_path, plp68, parsed):
+    lines = csv_lines(tmp_path, plp68)
+    lines[20] = _cell(lines[20], 8, "-0.0")
+    lines[30] = _cell(lines[30], 12, "-0")
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    population = reads_like_row_reader(path, plp68)
+    assert set(parsed) == {"plain"}
+    assert np.signbit(population.spend).sum() == 2
+
+
+@pytest.mark.parametrize("column", [0, 2])
+def test_dot_in_an_integer_column_is_not_an_integer(tmp_path, plp68, parsed, column):
+    lines = csv_lines(tmp_path, plp68)
+    value = lines[20].split(",")[column]
+    lines[20] = _cell(lines[20], column, value + ".0")
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(MicrodataError) as fast:
+        load_population(path, plp68)
+    name = FIXED_COLUMNS[column]
+    assert str(fast.value) == f"{path}: row 21: column {name!r}: not an integer: '{value}.0'"
+    with pytest.raises(MicrodataError) as reference:
+        _read_rows(path, plp68)
+    assert str(fast.value) == str(reference.value)
+    assert "structured" in parsed
+
+
+def test_cells_the_kernel_leaves_unsettled_are_read_by_float(tmp_path, plp68, parsed):
+    lines = csv_lines(tmp_path, plp68)
+    # a rounding tie, a tie in the integer range, and more digits than the kernel scales
+    lines[20] = _cell(lines[20], 6, "4503599627370497.5")
+    lines[21] = _cell(lines[21], 7, "9007199254740993")
+    lines[22] = _cell(lines[22], 8, "0." + "0" * 47 + "3")
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    population = reads_like_row_reader(path, plp68)
+    assert set(parsed) == {"plain"}
+    # ties round to the even neighbour
+    assert {4503599627370498.0, 9007199254740992.0, 3e-48} <= set(population.spend.ravel())
+
+
+def test_block_never_ends_inside_a_quoted_cell(tmp_path, plp68, parsed, monkeypatch):
+    lines = csv_lines(tmp_path, plp68)
+    lines[20] = _cell(lines[20], 9, '"0.25\n"')
+    text = "\n".join(lines) + "\n"
+    # the first block read ends just after the line end inside the quotes
+    body = text.index("\n") + 1
+    monkeypatch.setattr(csvbody, "_BLOCK_BYTES", text.index('0.25\n"') + 7 - body)
+    assert len(reads_like_row_reader(write_csv(tmp_path, text), plp68)) == 40
+
+
+@pytest.mark.parametrize("cell", ["1.2.3", ".-0", "0.-0", "-", "-.", ".", "", "1-2", "--1"])
+def test_malformed_plain_cell_gives_the_row_reader_message(tmp_path, plp68, parsed, cell):
+    lines = csv_lines(tmp_path, plp68)
+    lines[20] = _cell(lines[20], 8, cell)
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(MicrodataError) as fast:
+        load_population(path, plp68)
+    column = lines[0].split(",")[8]
+    assert str(fast.value) == f"{path}: row 21: column {column!r}: not a number: {cell!r}"

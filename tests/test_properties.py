@@ -16,6 +16,10 @@ household and renters on both sides of the rent reducer, check that
 
 Random households files check the array reader against the row reader: the
 same arrays bit for bit on valid files, the same message on broken ones.
+Random decimals (repr and fixed-point spellings of doubles, long
+significands, many fractional digits, exact rounding ties and their
+neighbours) check that the significand-scaling kernel gives ``float(text)``
+bit for bit, and leaves to ``float`` exactly the cells it says it does.
 Random populations with ties check the vectorised quintiles against the
 sort-and-accumulate loop, and that splitting a household's weight across two
 rows moves no household to another quintile.  Random populations, some with
@@ -26,6 +30,7 @@ table 1 and table 3 cell bit for bit to per-quintile ``math.fsum`` means.
 import math
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +46,7 @@ from ivasim.analysis import (
     build_scenario_table,
     compute_scenarios,
 )
+from ivasim.csvbody import _decimal_values
 from ivasim.engine import IncidenceCalculator, aggregate, household_tax, with_cashback
 from ivasim.exactsum import _SHORT
 from ivasim.microdata import (
@@ -458,6 +464,141 @@ def test_reader_rejects_like_row_reader(kind, case, data):
             load_population(path, PLP68)
     assert str(fast.value) == str(reference.value)
     assert str(fast.value).startswith(f"{path}: row ")
+
+
+# -- decimal significands ------------------------------------------------------
+
+KERNEL_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def _decimal_parts(text):
+    """(negative, significand, fractional digits) of a plain decimal."""
+    whole, _, fraction = text.lstrip("-").partition(".")
+    return text.startswith("-"), int(whole + fraction or "0"), len(fraction)
+
+
+def _decimal_text(significand, digits):
+    """``significand * 10**-digits`` written with ``digits`` fractional digits."""
+    text = str(significand).rjust(digits + 1, "0")
+    return f"{text[:len(text) - digits]}.{text[len(text) - digits:]}" if digits else text
+
+
+def _slack(text):
+    """How far the decimal lies inside its double's rounding interval, in half
+    gaps on its side: 1 at the double itself, 0 at a rounding tie."""
+    x, r = abs(Fraction(text)), abs(float(text))
+    gap = np.spacing(r) if x >= r else r - np.nextafter(r, 0.0)
+    return 1 - abs(x - Fraction(r)) / (Fraction(gap) / 2)
+
+
+def check_kernel(texts):
+    """``_decimal_values`` on ``texts``: every settled cell is ``float(text)``
+    bit for bit; returns the texts it leaves unsettled, after checking them
+    against the kernel's own rule."""
+    parts = [_decimal_parts(t) for t in texts]
+    assert all(m < 2**64 for _, m, _ in parts)
+    values = _decimal_values(np.array([m for _, m, _ in parts], dtype=np.uint64),
+                             np.array([d for _, _, d in parts], dtype=np.int64))
+    unsettled = []
+    for text, (negative, m, d), value in zip(texts, parts, values.tolist()):
+        fast = m == 0 or m < 2**53 and d <= 22  # Clinger's fast path, and zeros
+        if math.isnan(value):
+            unsettled.append(text)
+            assert not fast, text
+            assert d > 46 or _slack(text) < Fraction(1, 2**38), text
+        else:
+            value = math.copysign(value, -1.0) if negative else value
+            assert np.float64(value).tobytes() == np.float64(float(text)).tobytes(), text
+            assert fast or d <= 46 and _slack(text) >= Fraction(1, 2**40), text
+    return unsettled
+
+
+def _spellings(x):
+    """Plain spellings of the double ``x``: repr, fixed point with 0 to 25
+    digits, with leading zeros, as ".5" and "5.", and negated."""
+    texts = [f"{x:.{p}f}" for p in range(26)]
+    if "e" not in repr(x):
+        texts.append(repr(x))
+    texts += ["000" + t for t in texts[:3]] + [texts[0] + "."]
+    texts += [t[1:] for t in texts if t.startswith("0.") and len(t) > 2]
+    texts += ["-" + t for t in texts]
+    return [t for t in texts if _decimal_parts(t)[1] < 2**64]
+
+
+@KERNEL_SETTINGS
+@given(st.floats(0.0, 1e7) | st.floats(0.0, 1e-3) | st.floats(1e7, 1e19))
+def test_kernel_reads_spellings_of_doubles(x):
+    texts = _spellings(x)
+    unsettled = check_kernel(texts)
+    # repr is the shortest decimal that rounds to x, never near a tie
+    assert repr(x) not in unsettled
+
+
+@KERNEL_SETTINGS
+@given(st.integers(10**14, 2**64 - 1) | st.integers(2**53 - 2**20, 2**53 + 2**20),
+       st.integers(0, 48))
+def test_kernel_reads_long_significands(significand, digits):
+    texts = [_decimal_text(significand, digits), _decimal_text(significand, min(digits, 22))]
+    check_kernel(texts + ["-" + t for t in texts])
+
+
+@pytest.mark.parametrize("significand", [
+    2**53 - 1, 2**53, 2**53 + 1, 2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1, 2**63, 2**63 + 1,
+    2**64 - 1, 10**15, 10**19 - 1,
+])
+def test_kernel_reads_significands_at_powers_of_two(significand):
+    check_kernel([_decimal_text(significand, d) for d in range(49)])
+
+
+def test_kernel_keeps_zeros_and_their_sign():
+    texts = ["0", "-0", "0.0", "-0.0", ".0", "-.0", "0.", "-0.", "000.000",
+             "0." + "0" * 48, "-0." + "0" * 48]
+    assert check_kernel(texts) == []
+
+
+def _ties(r):
+    """The rounding ties beside the double ``r`` as (significand, digits); the
+    gap below a power of two is half of ``np.spacing(r)``."""
+    gap_below = Fraction(r - np.nextafter(r, 0.0))
+    ties = (Fraction(r) - gap_below / 2, Fraction(r) + Fraction(np.spacing(r)) / 2)
+    # a tie's denominator is 2**j, so it has j fractional digits
+    pairs = [(int(t * 10**j), j) for t in ties for j in [t.denominator.bit_length() - 1]]
+    return [(m, d) for m, d in pairs if m + 1 < 2**64]
+
+
+@KERNEL_SETTINGS
+@given(st.floats(2.0**49, 2.0**62) | st.sampled_from([2.0**k for k in range(49, 63)]))
+def test_kernel_leaves_exact_ties_to_float(r):
+    ties = _ties(r)
+    assert ties
+    for m, d in ties:
+        # trailing zeros keep a tie a tie and bring its neighbours closer to it
+        for zeros in (0, 1, 5):
+            m_z, d_z = m * 10**zeros, d + zeros
+            if m_z + 1 >= 2**64:
+                continue
+            tie = _decimal_text(m_z, d_z)
+            assert _slack(tie) == 0
+            assert check_kernel([tie]) == [tie]
+            unsettled = check_kernel([_decimal_text(m_z - 1, d_z), _decimal_text(m_z + 1, d_z)])
+            if zeros == 0:  # one unit in the last digit is far from the tie
+                assert unsettled == []
+
+
+@pytest.mark.parametrize("digits", [18, 20, 22, 24, 26])
+@pytest.mark.parametrize("side", [-1, 1])
+def test_kernel_leaves_near_ties_to_float(digits, side):
+    # m * 2**bits = n * 5**d + side puts x = m / 10**d just beside the tie
+    # n / 2**(bits + d) (n odd, 54 bits), 5**-d of a half gap away
+    five = 5**digits
+    bits = 54 + five.bit_length() - 64
+    n = (-side * pow(five, -1, 2**bits)) % 2**bits
+    n += (2**53 + 2**52 - n) // 2**bits * 2**bits  # mid-binade, still odd
+    m = (n * five + side) >> bits
+    assert m * 2**bits == n * five + side and m < 2**64
+    texts = [_decimal_text(m, digits), "-" + _decimal_text(m, digits)]
+    assert 0 < _slack(texts[0]) < Fraction(1, 2**40)
+    assert check_kernel(texts) == texts
 
 
 # -- quintiles -------------------------------------------------------------------
