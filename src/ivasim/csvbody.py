@@ -1,14 +1,18 @@
-"""The numeric body of a households CSV, read in blocks of whole lines.
+"""The body of a households CSV in the layout ``microdata.write_population`` writes.
 
-A block in the layout ``microdata.write_population`` writes (only digits,
-",", "-", "." and LF; one dot at most per cell, none in an integer column) is
-parsed without a float parser: its dot-free text parses as int64
-significands, and each is scaled by its count of fractional digits to the
+That layout, "plain", holds only digits, ",", "-", "." and LF after a header
+line ended by LF: k cells a row, at most one "." a cell and none in an
+integer column.  It is read in blocks of whole lines without a float parser:
+the dot-free text of a block parses as int64 significands, and each float
+cell's significand is scaled by its count of fractional digits to the
 correctly rounded double, exactly what ``float`` gives (``_decimal_values``;
 the few cells it cannot settle, such as exact rounding ties, go to
-``float``).  Any other block (quotes, exponents, CR, spaces, blank lines)
-goes to a structured ``np.loadtxt``.  A block never ends inside a quoted
-cell, so a file parses as it would in one piece.
+``float``).  A body that is not plain throughout (quotes, exponents, CR,
+spaces, blank lines) is not read here: ``microdata`` parses that file whole
+with one structured ``np.loadtxt``.  The header line and the counting pass
+catch most such files (CR line ends, exponents, text) before any block is
+parsed; the first block that is not plain ends the block reading of the
+rest.
 
 ``microdata`` imports this module only when it reads a file: a run on a
 synthetic population does not load it.
@@ -22,85 +26,62 @@ from functools import cache
 import numpy as np
 
 _BLOCK_BYTES = 1 << 19  # bytes read at a time; a block is the whole lines they hold
+_HEADER_BYTES = 1 << 16  # a longer header line leaves the file to np.loadtxt
 _COMMA, _LF, _DOT, _MINUS, _ZERO, _NINE = b",\n.-09"
 
 
-def body_start(fh) -> int:
-    """Offset just past the header line's end (LF, CRLF or CR), as text mode reads it."""
-    head = b""
-    while True:
-        chunk = fh.read(4096)
-        head += chunk
-        ends = [i for i in (head.find(b"\n"), head.find(b"\r")) if i >= 0]
-        if ends:
-            i = min(ends)
-            if head[i:i + 1] == b"\n" or i + 1 < len(head) or not chunk:
-                return i + 1 + (head[i:i + 2] == b"\r\n")
-        elif not chunk:
-            return len(head)
+def body_start(fh) -> int | None:
+    """Offset just past the header line's LF, or None if that line holds a CR or no LF."""
+    line = fh.readline(_HEADER_BYTES)
+    return len(line) if line.endswith(b"\n") and b"\r" not in line else None
 
 
-def count_rows(fh) -> int:
-    """An upper bound on the rows left: line ends, plus one for an unended last line."""
-    ends, last = 0, b""
+def count_rows(fh) -> int | None:
+    """The lines left, or None for a body seen not to be plain while counting.
+
+    A byte above "9" (an exponent, "nan", a letter, non-ASCII text) or a blank
+    last line is never plain, so such a file goes to ``np.loadtxt`` before
+    any block is parsed.
+    """
+    ends, tail = 0, b""
     while chunk := fh.read(_BLOCK_BYTES):
-        ends += np.count_nonzero(np.frombuffer(chunk, np.uint8) == _LF)
-        if b"\r" in chunk:  # a CRLF split over two chunks counts twice, still a bound
-            ends += chunk.count(b"\r") - chunk.count(b"\r\n")
-        last = chunk[-1:]
-    return ends + (last not in (b"", b"\n", b"\r"))
+        buf = np.frombuffer(chunk, np.uint8)
+        if buf.max() > _NINE:
+            return None
+        ends += np.count_nonzero(buf == _LF)
+        tail = (tail + chunk[-2:])[-2:]
+    if tail == b"\n\n":
+        return None
+    return ends + (tail[-1:] not in (b"", b"\n"))  # an unended last line
 
 
 def blocks(fh):
     """The rest of ``fh`` in blocks of whole lines, each ending in LF.
 
-    A block ends at an LF outside quotes, so a quoted cell never spans two
-    blocks; an unended last line gets an LF.
+    An unended last line gets an LF.
     """
     pending = bytearray()
     while chunk := fh.read(_BLOCK_BYTES):
         pending += chunk
         cut = pending.rfind(b"\n") + 1
-        if cut and (b'"' not in pending or pending.count(b'"', 0, cut) % 2 == 0):
+        if cut:
             yield pending[:cut]
             del pending[:cut]
     if pending:
         yield pending + b"\n"
 
 
-def block_columns(block: bytearray, k: int, int_columns: tuple[int, ...]) -> list[np.ndarray]:
-    """The k columns of a block of rows; those in ``int_columns`` are int64.
-
-    Raises ValueError, or a warning, on a block ``np.loadtxt`` rejects.
-    """
-    columns = _plain_columns(block, k, int_columns)
-    return _structured_columns(block, k, int_columns) if columns is None else columns
-
-
-def _structured_columns(
-    block: bytearray, k: int, int_columns: tuple[int, ...]
-) -> list[np.ndarray]:
-    """The k columns of any block, parsed by ``np.loadtxt`` as text mode reads it."""
-    if not block.strip(b"\r\n"):
-        return [np.empty(0)] * k  # blank lines only; np.loadtxt would warn
-    # integer columns parse as int64, so "1.0" is not an integer
-    dtype = np.dtype([(f"f{i}", np.int64 if i in int_columns else float) for i in range(k)])
-    text = io.StringIO(block.decode("utf-8"), newline=None)  # CR and CRLF end lines
-    table = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
-    return [table[f"f{i}"] for i in range(k)]
-
-
-def _plain_columns(
+def plain_columns(
     block: bytearray, k: int, int_columns: tuple[int, ...]
 ) -> list[np.ndarray] | None:
     """The k columns of a plain block, or None if the block is not plain.
 
-    A plain block, the layout ``write_population`` writes, holds only digits,
-    ",", "-", "." and LF, k cells a row, at most one "." a cell and none in an
-    integer column.  Its text without the dots parses as int64 significands;
-    the bytes after each dot give the number of fractional digits, and a "-"
-    starting a cell its sign, so "-0.0" keeps it.  Cells ``_decimal_values``
-    leaves unsettled are parsed by ``float``.
+    Columns in ``int_columns`` are the int64 significands themselves.  The
+    bytes after each dot give a float cell's number of fractional digits, and
+    a "-" starting a cell its sign, so "-0.0" keeps it.  Cells
+    ``_decimal_values`` leaves unsettled are parsed by ``float``.  A block
+    whose int64 parse fails (an empty cell, a lone sign, a significand beyond
+    64 bits) is not plain either.
     """
     buf = np.frombuffer(block, np.uint8)
     # of the plain bytes, all but the digits sort below "0"
@@ -125,7 +106,8 @@ def _plain_columns(
         return None  # two dots in a cell
     digits = np.full(rows * k, -1)
     digits[dots - np.arange(len(dots))] = marks[dots + 1] - marks[dots] - 1
-    if (digits.reshape(rows, k)[:, int_columns] >= 0).any():
+    digits = digits.reshape(rows, k)
+    if (digits[:, int_columns] >= 0).any():
         return None  # a dot in an integer column
     before = buf[minus - 1]  # the block ends in LF, so a "-" at 0 sees one
     if not ((before == _COMMA) | (before == _LF)).all():
@@ -134,19 +116,26 @@ def _plain_columns(
         significands = np.loadtxt(io.StringIO(block.replace(b".", b"").decode("ascii")),
                                   dtype=np.int64, delimiter=",", comments=None, ndmin=2)
     except (ValueError, Warning):
-        return None  # an empty cell, a lone sign, a significand beyond 64 bits
-    # |int64 min| wraps to itself, whose uint64 view is 2**63
-    values = _decimal_values(np.abs(significands.ravel()).view(np.uint64),
-                             np.maximum(digits, 0))
+        return None
+    floats = [i for i in range(k) if i not in int_columns]
+    place = np.full(k, -1)  # a column's place among the float columns
+    place[floats] = range(len(floats))
+    magnitudes = significands[:, floats]
+    np.abs(magnitudes, out=magnitudes)  # |int64 min| wraps to itself, 2**63 as uint64
+    values = _decimal_values(magnitudes.view(np.uint64).ravel(),
+                             np.maximum(digits[:, floats], 0).ravel())
     unsettled = np.flatnonzero(np.isnan(values))
     if minus.size or unsettled.size:
-        seps = marks[~is_dot]  # seps[i] ends cell i
-        negative = np.searchsorted(seps, minus)
+        seps = marks[~is_dot]  # seps[i] ends cell i, counted over all k columns
+        cells = np.searchsorted(seps, minus)  # the cell each "-" starts
+        column = place[cells % k]  # -1 for an integer column, whose sign is parsed
+        negative = (cells // k * len(floats) + column)[column >= 0]
         values[negative] = np.copysign(values[negative], -1.0)
         for i in unsettled.tolist():
-            values[i] = float(block[seps[i - 1] + 1 if i else 0:seps[i]])
-    values = values.reshape(-1, k)
-    return [significands[:, i] if i in int_columns else values[:, i] for i in range(k)]
+            cell = i // len(floats) * k + floats[i % len(floats)]
+            values[i] = float(block[seps[cell - 1] + 1 if cell else 0:seps[cell]])
+    values = values.reshape(rows, len(floats))
+    return [significands[:, i] if i in int_columns else values[:, place[i]] for i in range(k)]
 
 
 # -- decimal significands to doubles ------------------------------------------

@@ -8,12 +8,12 @@ lines are skipped.  Ingestion is strict: unknown or missing columns,
 non-numeric cells, duplicate ids and invariant violations are load errors
 that cite the offending row.
 
-The body is read in blocks of whole lines (``ivasim.csvbody``: writer-layout
-blocks parse as integer significands scaled exactly, others through
-``np.loadtxt``) straight into the columns ``Population`` takes, counted and
-allocated once.  Only when the file is rejected does a row-at-a-time reader
-re-read it as ``Household`` records (stacked by
-``Population.from_households``) to name the first bad row.
+A body in the layout ``write_population`` writes is read in blocks of whole
+lines (``ivasim.csvbody``: integer significands scaled exactly) straight into
+the columns ``Population`` takes, counted and allocated once; any other body
+is parsed whole by one structured ``np.loadtxt``.  Only when the file is
+rejected does a row-at-a-time reader re-read it as ``Household`` records
+(stacked by ``Population.from_households``) to name the first bad row.
 
 The synthetic generator stands in for expenditure-survey microdata, which
 cannot be redistributed.  It draws per-capita expenditure log-normally and
@@ -280,9 +280,9 @@ def _category_mismatch(expected: set[str], got: set[str]) -> str:
 def load_population(path: str | Path, schedule: Schedule) -> Population:
     """Read a household CSV validated against the schedule's category set.
 
-    The body is parsed block by block into columns (``_read_columns``) and
-    checked on the arrays.  On any rejection the row reader re-reads the file
-    to name the first bad row and cell.
+    The body is parsed into columns (``_read_columns``) and checked on the
+    arrays.  On any rejection the row reader re-reads the file to name the
+    first bad row and cell.
     """
     path = Path(path)
     if not path.exists():
@@ -298,45 +298,69 @@ def load_population(path: str | Path, schedule: Schedule) -> Population:
 
 
 def _read_columns(path: Path, header: list[str], category_ids: tuple[str, ...]) -> Population:
-    """Parse the body block by block into columns allocated once.
+    """Parse the body into columns: block by block if it is plain, else in one piece.
 
-    A first pass counts the line ends, which bounds the number of rows; each
-    block then fills its rows of the final columns, so the file is never held
-    whole.  Raises ValueError, or a warning as an error, on anything the row
-    reader may reject.
+    Raises ValueError, or a warning as an error, on anything the row reader
+    may reject.
     """
-    from . import csvbody  # imported here: runs on a synthetic population never load it
-
-    k = len(header)
     # a category may share a fixed column's name; its column comes after them
     sources = list(range(len(FIXED_COLUMNS))) + [
         header.index(cid, len(FIXED_COLUMNS)) for cid in category_ids
     ]
+    with warnings.catch_warnings():
+        # numpy < 2 parses an integer via float with only a DeprecationWarning;
+        # an empty body is a warning too
+        warnings.simplefilter("error")
+        columns = _read_plain(path, len(header), sources)
+        if columns is None:
+            columns = _read_structured(path, len(header), sources)
+    return Population(Provenance("file", str(path)), category_ids, *columns)
+
+
+def _read_plain(path: Path, k: int, sources: list[int]) -> list[np.ndarray] | None:
+    """The five fixed columns and the spend matrix, or None if the body is not plain.
+
+    A first pass counts the lines; each block then fills its rows of columns
+    allocated once, so the file is never held whole.  At the first block
+    that is not plain the partial columns are dropped.
+    """
+    from . import csvbody  # imported here: runs on a synthetic population never load it
+
     with path.open("rb") as fh:
         body = csvbody.body_start(fh)
-        fh.seek(body)
-        capacity = csvbody.count_rows(fh)
-        fixed = [np.empty(capacity, np.int64 if i in _INT_COLUMNS else float)
+        rows = None if body is None else csvbody.count_rows(fh)
+        if rows is None:
+            return None
+        fixed = [np.empty(rows, np.int64 if i in _INT_COLUMNS else float)
                  for i in range(len(FIXED_COLUMNS))]
-        spend = np.empty((capacity, len(category_ids)), order="F")
-        targets = fixed + [spend[:, j] for j in range(len(category_ids))]
+        spend = np.empty((rows, len(sources) - len(FIXED_COLUMNS)), order="F")
+        targets = fixed + [spend[:, j] for j in range(spend.shape[1])]
         fh.seek(body)
         n = 0
-        with warnings.catch_warnings():
-            # numpy < 2 parses an integer via float with only a DeprecationWarning
-            warnings.simplefilter("error")
-            for block in csvbody.blocks(fh):
-                columns = csvbody.block_columns(block, k, _INT_COLUMNS)
-                rows = len(columns[0])
-                for target, source in zip(targets, sources):
-                    target[n:n + rows] = columns[source]
-                n += rows
-    if n == 0:
-        raise ValueError("no data rows")
-    if n < capacity:  # blank lines, or line ends inside quoted cells
-        fixed = [a[:n] for a in fixed]
-        spend = spend[:n]
-    return Population(Provenance("file", str(path)), category_ids, *fixed, spend)
+        for block in csvbody.blocks(fh):
+            columns = csvbody.plain_columns(block, k, _INT_COLUMNS)
+            if columns is None:
+                return None
+            end = n + len(columns[0])
+            if end > rows:  # the file grew since it was counted
+                return None
+            for target, source in zip(targets, sources):
+                target[n:end] = columns[source]
+            n = end
+    # an empty body is left to np.loadtxt, whose warning names it
+    return [*fixed, spend] if 0 < n == rows else None
+
+
+def _read_structured(path: Path, k: int, sources: list[int]) -> list[np.ndarray]:
+    """The five fixed columns and the spend matrix, from one structured ``np.loadtxt``."""
+    # ids and residents parse as int64, so "1.0" is not an integer
+    dtype = np.dtype([(f"f{i}", np.int64 if i in _INT_COLUMNS else float) for i in range(k)])
+    table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                       skiprows=1, ndmin=1, encoding="utf-8")
+    spend = np.empty((len(table), len(sources) - len(FIXED_COLUMNS)), order="F")
+    for j, source in enumerate(sources[len(FIXED_COLUMNS):]):
+        spend[:, j] = table[f"f{source}"]
+    return [*(table[f"f{i}"] for i in sources[:len(FIXED_COLUMNS)]), spend]
 
 
 def _read_rows(path: Path, schedule: Schedule) -> Population:

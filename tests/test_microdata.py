@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ivasim import csvbody
+from ivasim import csvbody, microdata
 from ivasim.microdata import (
     FIXED_COLUMNS,
     Household,
@@ -312,18 +312,27 @@ COLUMNS = ("ids", "weight", "residents", "income_per_capita", "nonmonetary_total
 
 @pytest.fixture
 def parsed(monkeypatch):
-    """Blocks of 1000 bytes (about two plp68 rows), and the parser of each block."""
-    monkeypatch.setattr(csvbody, "_BLOCK_BYTES", 1000)
-    kinds = []
-    plain_columns = csvbody._plain_columns
+    """Blocks of 1000 bytes (about two plp68 rows), and a log of how the body was read.
 
-    def spy(block, k, int_columns):
+    The log holds "plain" or "other" for each block ``plain_columns`` saw, and
+    "loadtxt" when the whole file went to the structured ``np.loadtxt``.
+    """
+    monkeypatch.setattr(csvbody, "_BLOCK_BYTES", 1000)
+    log = []
+    plain_columns, read_structured = csvbody.plain_columns, microdata._read_structured
+
+    def plain_spy(block, k, int_columns):
         columns = plain_columns(block, k, int_columns)
-        kinds.append("plain" if columns is not None else "structured")
+        log.append("plain" if columns is not None else "other")
         return columns
 
-    monkeypatch.setattr(csvbody, "_plain_columns", spy)
-    return kinds
+    def structured_spy(*args):
+        log.append("loadtxt")
+        return read_structured(*args)
+
+    monkeypatch.setattr(csvbody, "plain_columns", plain_spy)
+    monkeypatch.setattr(microdata, "_read_structured", structured_spy)
+    return log
 
 
 def csv_lines(tmp_path, plp68, n=40):
@@ -366,7 +375,7 @@ def _cell(line, j, text):
 
 @pytest.mark.parametrize("change", ["exponent", "spaces", "plus", "quoted", "quoted_line_end",
                                     "crlf"])
-def test_other_block_between_plain_blocks(tmp_path, plp68, parsed, change):
+def test_other_block_sends_the_file_to_loadtxt(tmp_path, plp68, parsed, change):
     lines = csv_lines(tmp_path, plp68)
     if change == "exponent":
         lines[20] = _cell(lines[20], 7, "1e-05")
@@ -382,7 +391,11 @@ def test_other_block_between_plain_blocks(tmp_path, plp68, parsed, change):
         lines[18:22] = [line + "\r" for line in lines[18:22]]
     path = write_csv(tmp_path, "\n".join(lines) + "\n")
     assert len(reads_like_row_reader(path, plp68)) == 40
-    assert parsed[0] == parsed[-1] == "plain" and "structured" in parsed
+    if change == "exponent":
+        assert parsed == ["loadtxt"]  # the counting pass saw a byte above "9"
+    else:
+        # the plain blocks before it are dropped, and no block after it is read
+        assert parsed[0] == "plain" and parsed[-2:] == ["other", "loadtxt"]
 
 
 @pytest.mark.parametrize("line_end", ["\r\n", "\r"])
@@ -390,18 +403,30 @@ def test_other_line_ends_throughout(tmp_path, plp68, parsed, line_end):
     path = tmp_path / "households.csv"
     path.write_bytes((line_end.join(csv_lines(tmp_path, plp68)) + line_end).encode())
     assert len(reads_like_row_reader(path, plp68)) == 40
-    assert set(parsed) == {"structured"}
+    assert parsed == ["loadtxt"]  # the header line alone decides
 
 
-def test_blank_lines(tmp_path, plp68, parsed):
+@pytest.mark.parametrize("end", ["\n", "\n\n\n"])
+def test_blank_lines(tmp_path, plp68, parsed, end):
     lines = csv_lines(tmp_path, plp68)
     # blank lines after the header, between rows, filling whole blocks, and at the end
     lines[1:1] = [""] * 3
     lines[10:10] = [""]
     lines[25:25] = [""] * 2500
-    path = write_csv(tmp_path, "\n".join(lines) + "\n\n\n")
+    path = write_csv(tmp_path, "\n".join(lines) + end)
     assert len(reads_like_row_reader(path, plp68)) == 40
-    assert {"plain", "structured"} <= set(parsed)
+    # a blank last line shows in the counting pass
+    assert parsed == (["other", "loadtxt"] if end == "\n" else ["loadtxt"])
+
+
+def test_header_only(tmp_path, plp68, parsed):
+    path = write_csv(tmp_path, csv_lines(tmp_path, plp68)[0] + "\n")
+    with pytest.raises(MicrodataError) as fast:
+        load_population(path, plp68)
+    with pytest.raises(MicrodataError) as reference:
+        _read_rows(path, plp68)
+    assert str(fast.value) == str(reference.value)
+    assert parsed == ["loadtxt"]
 
 
 def test_negative_zero_spending_keeps_its_sign(tmp_path, plp68, parsed):
@@ -412,6 +437,33 @@ def test_negative_zero_spending_keeps_its_sign(tmp_path, plp68, parsed):
     population = reads_like_row_reader(path, plp68)
     assert set(parsed) == {"plain"}
     assert np.signbit(population.spend).sum() == 2
+
+
+def test_integer_columns_keep_all_64_bits(tmp_path, plp68, parsed):
+    lines = csv_lines(tmp_path, plp68)
+    # ids a double cannot hold, one a rounding tie away from its neighbours
+    lines[20] = _cell(lines[20], 0, str(2**63 - 1))
+    lines[21] = _cell(lines[21], 0, str(2**53 + 1))
+    lines[22] = _cell(lines[22], 0, "-" + str(2**63))
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    population = reads_like_row_reader(path, plp68)
+    assert set(parsed) == {"plain"}
+    assert {2**63 - 1, 2**53 + 1, -(2**63)} <= set(population.ids.tolist())
+
+
+def test_only_float_columns_are_scaled(tmp_path, plp68, parsed, monkeypatch):
+    scaled = []
+    decimal_values = csvbody._decimal_values
+
+    def spy(significand, digits):
+        scaled.append(len(significand))
+        return decimal_values(significand, digits)
+
+    monkeypatch.setattr(csvbody, "_decimal_values", spy)
+    lines = csv_lines(tmp_path, plp68)
+    reads_like_row_reader(write_csv(tmp_path, "\n".join(lines) + "\n"), plp68)
+    # id and residents are the int64 significands themselves
+    assert sum(scaled) == 40 * (len(lines[0].split(",")) - 2)
 
 
 @pytest.mark.parametrize("column", [0, 2])
@@ -427,7 +479,7 @@ def test_dot_in_an_integer_column_is_not_an_integer(tmp_path, plp68, parsed, col
     with pytest.raises(MicrodataError) as reference:
         _read_rows(path, plp68)
     assert str(fast.value) == str(reference.value)
-    assert "structured" in parsed
+    assert parsed[-2:] == ["other", "loadtxt"]
 
 
 def test_cells_the_kernel_leaves_unsettled_are_read_by_float(tmp_path, plp68, parsed):
@@ -441,16 +493,6 @@ def test_cells_the_kernel_leaves_unsettled_are_read_by_float(tmp_path, plp68, pa
     assert set(parsed) == {"plain"}
     # ties round to the even neighbour
     assert {4503599627370498.0, 9007199254740992.0, 3e-48} <= set(population.spend.ravel())
-
-
-def test_block_never_ends_inside_a_quoted_cell(tmp_path, plp68, parsed, monkeypatch):
-    lines = csv_lines(tmp_path, plp68)
-    lines[20] = _cell(lines[20], 9, '"0.25\n"')
-    text = "\n".join(lines) + "\n"
-    # the first block read ends just after the line end inside the quotes
-    body = text.index("\n") + 1
-    monkeypatch.setattr(csvbody, "_BLOCK_BYTES", text.index('0.25\n"') + 7 - body)
-    assert len(reads_like_row_reader(write_csv(tmp_path, text), plp68)) == 40
 
 
 @pytest.mark.parametrize("cell", ["1.2.3", ".-0", "0.-0", "-", "-.", ".", "", "1-2", "--1"])
