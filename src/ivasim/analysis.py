@@ -58,7 +58,7 @@ from .engine import (
 from .exactsum import exact_parts
 from .microdata import Household, Population
 from .rates import Rate
-from .schedule import Schedule, TaxTreatment, with_removal
+from .schedule import Schedule, TaxTreatment, TreatmentKind, with_removal
 from .solver import SolverError, solve_given_cashback, solve_with_cashback
 
 
@@ -224,12 +224,8 @@ class ScenarioResult:
 def _uniform_vat_schedule(schedule: Schedule) -> Schedule:
     """Every in-denominator category at the reference rate, nothing else taxed."""
     categories = tuple(
-        replace(
-            c,
-            treatment=TaxTreatment.reference_rate()
-            if c.in_denominator
-            else TaxTreatment.untaxed(),
-        )
+        replace(c, treatment=TaxTreatment(
+            TreatmentKind.REFERENCE_RATE if c.in_denominator else TreatmentKind.UNTAXED))
         for c in schedule.categories
     )
     return replace(

@@ -60,7 +60,7 @@ from .schedule import (
     effective_inside_rate,
     load_schedule,
 )
-from .solver import SolverError, marginal_rate_impact, solve_with_cashback
+from .solver import SolverError, check_target, marginal_rate_impact, solve_with_cashback
 
 _DEFAULT_SCENARIOS = ("uniform_vat", "plp68", "plp68_transfer_swap")
 
@@ -170,13 +170,10 @@ def resolve_schedule(value: str) -> Schedule:
     path = Path(value)
     if path.exists():
         return load_schedule(path)
-    stem = value[:-5] if value.endswith(".json") else value
-    if re.fullmatch(r"[a-z][a-z0-9_]*", stem):
-        try:
-            return load_schedule(bundled_schedule_path(stem))
-        except ScheduleError:
-            pass
-    raise ScheduleError(f"schedule file not found: {value}")
+    try:
+        return load_schedule(bundled_schedule_path(value))
+    except ScheduleError:
+        raise ScheduleError(f"schedule file not found: {value}") from None
 
 
 def parse_seed_size(value: str) -> tuple[int, int]:
@@ -199,10 +196,10 @@ def _resolve_population(args: argparse.Namespace, schedule: Schedule) -> Populat
 def _resolve_target(args: argparse.Namespace, schedule: Schedule) -> float:
     if args.target_burden is None:
         return schedule.target_net_burden
-    if not 0.0 <= args.target_burden < 1.0:
-        raise ValueError(
-            f"--target-burden must be in [0, 1), got {args.target_burden}"
-        )
+    try:
+        check_target(args.target_burden)
+    except SolverError as exc:  # an input error here: exit 1, not 2
+        raise ValueError(f"--target-burden: {exc}") from None
     return args.target_burden
 
 

@@ -5,8 +5,8 @@ nonmonetary_total`` followed by one monetary-expenditure column per schedule
 category id.  UTF-8, "." decimal separator; numbers are plain ASCII decimal
 or scientific notation, ids fit in 64 bits, "#" starts no comment and blank
 lines are skipped.  Ingestion is strict: unknown or missing columns,
-non-numeric cells, duplicate ids and invariant violations are load errors
-that cite the offending row.
+non-numeric cells, duplicate ids, invariant violations and bytes that are
+not UTF-8 are load errors that cite the offending row.
 
 A body in the layout ``write_population`` writes is read in blocks of whole
 lines (``ivasim.csvbody``: integer significands scaled exactly) straight into
@@ -31,7 +31,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -288,8 +288,8 @@ def load_population(path: str | Path, schedule: Schedule) -> Population:
     if not path.exists():
         raise MicrodataError(f"household file not found: {path}")
     category_ids = schedule.category_ids()
-    with path.open(newline="", encoding="utf-8") as fh:
-        header = _header(csv.reader(fh), category_ids, path)
+    with _open_text(path) as fh:
+        header = _header(_records(fh, path), category_ids, path)
     try:
         return _read_columns(path, header, category_ids)
     except (ValueError, Warning) as exc:
@@ -370,8 +370,8 @@ def _read_rows(path: Path, schedule: Schedule) -> Population:
     first error in file order, citing the row and column.
     """
     category_ids = schedule.category_ids()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _open_text(path) as fh:
+        reader = _records(fh, path)
         header = _header(reader, category_ids, path)
         cat_index = {cid: header.index(cid, len(FIXED_COLUMNS)) for cid in category_ids}
         households: list[Household] = []
@@ -431,6 +431,24 @@ def write_population(population: Population, path: str | Path, schedule: Schedul
                     population.spend[rows][:, columns].tolist(),
                 )
             )
+
+
+def _open_text(path: Path):
+    # a byte that is not UTF-8 decodes to a lone surrogate, which _records reports
+    return path.open(newline="", encoding="utf-8", errors="surrogateescape")
+
+
+def _records(fh, path: Path) -> Iterator[list[str]]:
+    """The csv records of ``fh``; one holding a byte that is not UTF-8 raises,
+    naming its row as every row error does (the header is row 1)."""
+    for row_number, row in enumerate(csv.reader(fh), start=1):
+        text = ",".join(row)
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as e:
+            byte = ord(text[e.start]) - 0xDC00
+            raise MicrodataError(f"{path}: row {row_number}: byte 0x{byte:02x} is not UTF-8 text") from None
+        yield row
 
 
 def _header(reader, category_ids: tuple[str, ...], path: Path) -> list[str]:

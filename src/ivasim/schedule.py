@@ -55,7 +55,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable
@@ -111,7 +111,8 @@ _DEFAULT_GROUP = {
 
 @dataclass(frozen=True)
 class TaxTreatment:
-    """Per-category policy rule; parameters depend on ``kind``."""
+    """Per-category policy rule: ``TaxTreatment(kind, **params)`` takes exactly the
+    parameters ``_KIND_PARAMS`` lists for ``kind``."""
 
     kind: TreatmentKind
     fraction: float | None = None  # reduced_fraction, rent_regime
@@ -123,8 +124,8 @@ class TaxTreatment:
     def __post_init__(self) -> None:
         k = self.kind
         params = _KIND_PARAMS[k]
-        for name in ("fraction", "effective", "is_rate", "vat_fraction", "reducer"):
-            value = getattr(self, name)
+        for field in fields(self)[1:]:  # the parameters, in declaration order
+            name, value = field.name, getattr(self, field.name)
             if name in params and value is None:
                 raise ScheduleError(f"treatment {k.value!r} requires parameter {name!r}")
             if name not in params and value is not None:
@@ -135,34 +136,6 @@ class TaxTreatment:
                 object.__setattr__(self, name, stored)
             elif name in params:
                 _check_number_param(k, name, value)
-
-    @classmethod
-    def zero_rate(cls) -> "TaxTreatment":
-        return cls(TreatmentKind.ZERO_RATE)
-
-    @classmethod
-    def reference_rate(cls) -> "TaxTreatment":
-        return cls(TreatmentKind.REFERENCE_RATE)
-
-    @classmethod
-    def untaxed(cls) -> "TaxTreatment":
-        return cls(TreatmentKind.UNTAXED)
-
-    @classmethod
-    def reduced(cls, fraction: float) -> "TaxTreatment":
-        return cls(TreatmentKind.REDUCED_FRACTION, fraction=fraction)
-
-    @classmethod
-    def specific(cls, effective: Rate) -> "TaxTreatment":
-        return cls(TreatmentKind.SPECIFIC_REGIME, effective=effective)
-
-    @classmethod
-    def selective(cls, is_rate: Rate, vat_fraction: float = 1.0) -> "TaxTreatment":
-        return cls(TreatmentKind.SELECTIVE, is_rate=is_rate, vat_fraction=vat_fraction)
-
-    @classmethod
-    def rent(cls, fraction: float, reducer: float) -> "TaxTreatment":
-        return cls(TreatmentKind.RENT_REGIME, fraction=fraction, reducer=reducer)
 
 
 @dataclass(frozen=True)
@@ -355,7 +328,7 @@ def with_removal(schedule: Schedule, selector: str) -> Schedule:
     """
     targets = set(resolve_selector(schedule, selector))
     new_categories = tuple(
-        replace(c, treatment=TaxTreatment.reference_rate()) if c.id in targets else c
+        replace(c, treatment=TaxTreatment(TreatmentKind.REFERENCE_RATE)) if c.id in targets else c
         for c in schedule.categories
     )
     return replace(schedule, categories=new_categories)
@@ -437,8 +410,14 @@ def parse_schedule(raw: Any) -> Schedule:
 
 
 def bundled_schedule_path(name: str) -> Path:
-    """Path of a schedule fixture shipped with the package (e.g. ``plp68``)."""
+    """Path of a schedule fixture shipped with the package (e.g. ``plp68``).
+
+    The name, less an optional ``.json``, must be a token, so no name reaches
+    outside the package's data directory.
+    """
     stem = name[:-5] if name.endswith(".json") else name
+    if not _is_token(stem):
+        raise ScheduleError(f"no bundled schedule named {name!r}")
     ref = resources.files("ivasim.data").joinpath(f"{stem}.json")
     with resources.as_file(ref) as p:
         if not p.exists():

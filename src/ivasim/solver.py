@@ -74,7 +74,8 @@ class SolveResult:
     trace: tuple[TraceRow, ...]
 
 
-def _check_target(target: float) -> None:
+def check_target(target: float) -> None:
+    """A solve target must be in [0, 1); ``SolverError`` otherwise."""
     if not 0.0 <= target < 1.0:
         raise SolverError(f"target net burden must be in [0, 1), got {target}")
 
@@ -119,7 +120,7 @@ def solve_given_cashback(
     population: Population, schedule: Schedule, fixed_cashback: float, target: float
 ) -> Rate:
     """Reference rate hitting ``target`` with the cashback total held fixed."""
-    _check_target(target)
+    check_target(target)
     calc = IncidenceCalculator(population, schedule)
     t = _bisect(calc, fixed_cashback, target)
     _check_rates(calc, t)
@@ -128,7 +129,7 @@ def solve_given_cashback(
 
 def solve_with_cashback(population: Population, schedule: Schedule, target: float) -> SolveResult:
     """Self-consistent reference rate: cashback evaluated at the solved rate."""
-    _check_target(target)
+    check_target(target)
     calc = IncidenceCalculator(population, schedule)
 
     def row(k: int, t: float) -> TraceRow:

@@ -97,6 +97,17 @@ def test_out_of_range_target_exits_1(capsys):
     assert "--target-burden" in capsys.readouterr().err
 
 
+def test_out_of_range_target_gives_the_solver_rule(capsys):
+    # the CLI reports the solver's own check, as an input error
+    for target in ("1.0", "-0.1", "nan"):
+        rc = main(["solve", "--schedule", "uniform", "--synthetic", "3:50",
+                   "--target-burden", target])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: --target-burden: target net burden must be in [0, 1), "
+                       f"got {float(target)}\n")
+
+
 def test_parse_seed_size():
     assert parse_seed_size("42:10000") == (42, 10000)
     with pytest.raises(MicrodataError):
@@ -283,6 +294,28 @@ def test_validate_rejects_unknown_category_column(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL population loads" in out
     assert "mystery_goods" in out
+
+
+NOT_UTF8_CSV = (b"id,weight,residents,income_pc,nonmonetary_total,consumo\n"
+                b"1,1.0,2,500.0,0.0,100.0\n2,1.0,2,500.\xff0,0.0,100.0\n")
+
+
+def test_solve_names_file_and_row_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    csv_path = tmp_path / "hh.csv"
+    csv_path.write_bytes(NOT_UTF8_CSV)
+    rc = main(["solve", "--schedule", "uniform", "--households", str(csv_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {csv_path}: row 3: byte 0xff is not UTF-8 text\n"
+
+
+def test_validate_reports_a_byte_that_is_not_utf8(tmp_path, capsys):
+    csv_path = tmp_path / "hh.csv"
+    csv_path.write_bytes(NOT_UTF8_CSV)
+    rc = main(["validate", "--schedule", "uniform", "--households", str(csv_path)])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert f"FAIL population loads: {csv_path}: row 3: byte 0xff is not UTF-8 text" in out
+    assert "1 check(s) failed" in out
 
 
 def test_validate_skips_dependent_checks_on_schedule_failure(capsys):

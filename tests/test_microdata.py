@@ -120,6 +120,30 @@ def test_header_layout_enforced(tmp_path, uniform):
         load_population(write_csv(tmp_path, text), uniform)
 
 
+@pytest.mark.parametrize("edits, row", [
+    ({b",consumo": b",cons\xffumo"}, 1),
+    ({b"450.5": b"4\xff50.5"}, 3),
+    # a quoted cell spanning two lines is one row, as in every other row error
+    ({b"1,10.0,": b'1,"10.0\n",', b"450.5": b"4\xff50.5"}, 3),
+], ids=["header", "body", "after_a_two_line_row"])
+def test_byte_that_is_not_utf8_cites_row(tmp_path, uniform, edits, row):
+    text = SMALL_CSV.encode()
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    path = tmp_path / "households.csv"
+    path.write_bytes(text)
+    with pytest.raises(MicrodataError) as excinfo:
+        load_population(path, uniform)
+    assert str(excinfo.value) == f"{path}: row {row}: byte 0xff is not UTF-8 text"
+
+
+def test_utf8_text_outside_ascii_is_read_as_text(tmp_path, uniform):
+    # a valid multi-byte character is no decoding error: the header check names it
+    text = SMALL_CSV.replace(",consumo", ",consumo_ç")
+    with pytest.raises(MicrodataError, match="unknown column\\(s\\) \\['consumo_ç'\\]"):
+        load_population(write_csv(tmp_path, text), uniform)
+
+
 # -- writer round-trip -------------------------------------------------------
 
 

@@ -65,6 +65,7 @@ from ivasim.schedule import (
     Category,
     Schedule,
     TaxTreatment,
+    TreatmentKind,
     bundled_schedule_path,
     effective_inside_rate,
     load_schedule,
@@ -282,7 +283,7 @@ def test_calculators_on_one_population_match_fresh_populations(case, threshold, 
         _uniform_vat_schedule(schedule),
         replace(schedule, eligibility_threshold=threshold),
         replace(schedule, categories=tuple(
-            replace(c, treatment=TaxTreatment.rent(rent.treatment.fraction, reducer))
+            replace(c, treatment=replace(rent.treatment, reducer=reducer))
             if c is rent else c for c in schedule.categories)),
         replace(schedule, categories=tuple(
             replace(c, in_denominator=c is not rent) for c in schedule.categories)),
@@ -308,16 +309,18 @@ def all_kinds_schedules(draw):
     """One category of each treatment kind, with drawn parameters, in a drawn order."""
     unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
     treatments = {
-        "zero": TaxTreatment.zero_rate(),
-        "geral": TaxTreatment.reference_rate(),
-        "reduzida": TaxTreatment.reduced(draw(unit)),
-        "especifico": TaxTreatment.specific(
-            Rate.inside(draw(st.floats(0.0, 1.0, exclude_max=True)))),
-        "seletivo": TaxTreatment.selective(Rate.outside(draw(st.floats(0.0, 1e3))),
-                                           draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))),
-        "aluguel": TaxTreatment.rent(draw(st.floats(0.0, 1.0, exclude_min=True)),
-                                     draw(st.floats(0.0, 1000.0))),
-        "nao_tributado": TaxTreatment.untaxed(),
+        "zero": TaxTreatment(TreatmentKind.ZERO_RATE),
+        "geral": TaxTreatment(TreatmentKind.REFERENCE_RATE),
+        "reduzida": TaxTreatment(TreatmentKind.REDUCED_FRACTION, fraction=draw(unit)),
+        "especifico": TaxTreatment(TreatmentKind.SPECIFIC_REGIME, effective=Rate.inside(
+            draw(st.floats(0.0, 1.0, exclude_max=True)))),
+        "seletivo": TaxTreatment(TreatmentKind.SELECTIVE,
+                                 is_rate=Rate.outside(draw(st.floats(0.0, 1e3))),
+                                 vat_fraction=draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))),
+        "aluguel": TaxTreatment(TreatmentKind.RENT_REGIME,
+                                fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
+                                reducer=draw(st.floats(0.0, 1000.0))),
+        "nao_tributado": TaxTreatment(TreatmentKind.UNTAXED),
     }
     categories = [
         Category(cid, cid, treatment,

@@ -1,11 +1,14 @@
 """Schedule loading, validation, effective rates and removal counterfactuals."""
 
+import dataclasses
 import json
+import os
 
 import pytest
 
 from ivasim.rates import Rate, RateBasis
 from ivasim.schedule import (
+    _KIND_PARAMS,
     CashbackClass,
     Category,
     Schedule,
@@ -158,7 +161,7 @@ def test_effective_rate_requires_outside_t_ref(plp68):
 
 
 def test_selective_vat_fraction_scales_vat_component():
-    t = TaxTreatment.selective(Rate.outside(0.19), vat_fraction=0.5)
+    t = TaxTreatment(TreatmentKind.SELECTIVE, is_rate=Rate.outside(0.19), vat_fraction=0.5)
     c = Category(
         id="teste",
         label="Teste",
@@ -397,6 +400,16 @@ def test_bundled_path_unknown_name():
         bundled_schedule_path("missing")
 
 
+def test_bundled_path_refuses_path_like_names(tmp_path):
+    # a schedule outside the package data must not resolve by name, even when it exists
+    (tmp_path / "evil.json").write_text(bundled_schedule_path("uniform").read_text())
+    relative = os.path.relpath(tmp_path / "evil", bundled_schedule_path("uniform").parent)
+    for name in (str(tmp_path / "evil"), str(tmp_path / "evil.json"), relative, relative + ".json"):
+        with pytest.raises(ScheduleError) as excinfo:
+            bundled_schedule_path(name)
+        assert str(excinfo.value) == f"no bundled schedule named {name!r}"
+
+
 def test_fixture_json_is_strict_subset():
     # the shipped file exercises every treatment kind
     raw = json.loads(bundled_schedule_path("plp68").read_text())
@@ -517,8 +530,10 @@ def test_rate_parameters_stored_on_their_basis():
     s = parse_schedule(ALL_KINDS)
     assert s.by_id("combustivel").treatment.effective == Rate.inside(0.5 / 1.5)
     assert s.by_id("fumo").treatment.is_rate == Rate.outside(0.2 / 0.8)
-    # the classmethods and the plain constructor store the same values
-    assert TaxTreatment.specific(Rate.outside(0.5)) == s.by_id("combustivel").treatment
+    # the constructor stores a rate given on either basis as the parser does
+    assert TaxTreatment(
+        TreatmentKind.SPECIFIC_REGIME, effective=Rate.outside(0.5)
+    ) == s.by_id("combustivel").treatment
     assert TaxTreatment(
         TreatmentKind.SELECTIVE, is_rate=Rate.inside(0.2), vat_fraction=0.5
     ) == s.by_id("fumo").treatment
@@ -556,6 +571,30 @@ def test_treatment_constructor_checks_parameters_against_kind():
         TaxTreatment(TreatmentKind.ZERO_RATE, fraction=0.4)
 
 
+# one valid value of each parameter, whichever kind takes it
+_VALID_PARAMS = {"fraction": 0.4, "effective": Rate.inside(0.3), "is_rate": Rate.outside(0.19),
+                 "vat_fraction": 1.0, "reducer": 400.0}
+
+
+def test_valid_params_cover_every_treatment_field():
+    assert list(_VALID_PARAMS) == [f.name for f in dataclasses.fields(TaxTreatment)][1:]
+
+
+@pytest.mark.parametrize("kind", list(TreatmentKind), ids=lambda k: k.value)
+def test_constructor_takes_exactly_the_kind_params(kind):
+    given = {name: _VALID_PARAMS[name] for name in _KIND_PARAMS[kind]}
+    t = TaxTreatment(kind, **given)
+    assert {name: getattr(t, name) for name in given} == given
+    for name in given:
+        with pytest.raises(ScheduleError) as excinfo:
+            TaxTreatment(kind, **{n: v for n, v in given.items() if n != name})
+        assert str(excinfo.value) == f"treatment {kind.value!r} requires parameter {name!r}"
+    for name in _VALID_PARAMS.keys() - given.keys():
+        with pytest.raises(ScheduleError) as excinfo:
+            TaxTreatment(kind, **given, **{name: _VALID_PARAMS[name]})
+        assert str(excinfo.value) == f"treatment {kind.value!r} does not take parameter {name!r}"
+
+
 # -- NaN in numeric fields ---------------------------------------------------------
 
 NAN = float("nan")
@@ -588,16 +627,16 @@ def test_nan_parameter_rejected_by_parser(raw, message):
 
 def test_nan_parameter_rejected_by_constructors(plp68):
     with pytest.raises(ScheduleError, match="reducer"):
-        TaxTreatment.rent(0.4, NAN)
+        TaxTreatment(TreatmentKind.RENT_REGIME, fraction=0.4, reducer=NAN)
     with pytest.raises(ScheduleError, match="vat_fraction"):
-        TaxTreatment.selective(Rate.outside(0.19), NAN)
+        TaxTreatment(TreatmentKind.SELECTIVE, is_rate=Rate.outside(0.19), vat_fraction=NAN)
     with pytest.raises(ScheduleError, match="eligibility_threshold"):
         Schedule(plp68.categories, eligibility_threshold=NAN)
     for inf in (INF, -INF):
         with pytest.raises(ScheduleError, match="reducer"):
-            TaxTreatment.rent(0.4, inf)
+            TaxTreatment(TreatmentKind.RENT_REGIME, fraction=0.4, reducer=inf)
         with pytest.raises(ScheduleError, match="vat_fraction"):
-            TaxTreatment.selective(Rate.outside(0.19), inf)
+            TaxTreatment(TreatmentKind.SELECTIVE, is_rate=Rate.outside(0.19), vat_fraction=inf)
         with pytest.raises(ScheduleError, match="eligibility_threshold"):
             Schedule(plp68.categories, eligibility_threshold=inf)
 
@@ -663,16 +702,17 @@ def test_out_of_range_rate_names_its_field(field, value, message):
 @pytest.mark.parametrize("treatment, field, message, construct", [
     pytest.param({"kind": "reduced_fraction", "fraction": 1.0}, "fraction",
                  "reduced_fraction fraction must be in (0, 1), got 1.0",
-                 lambda: TaxTreatment.reduced(1.0), id="reduced-fraction"),
+                 lambda: TaxTreatment(TreatmentKind.REDUCED_FRACTION, fraction=1.0), id="reduced-fraction"),
     pytest.param({"kind": "rent_regime", "fraction": 1.5, "reducer": 400.0}, "fraction",
                  "rent_regime fraction must be in (0, 1], got 1.5",
-                 lambda: TaxTreatment.rent(1.5, 400.0), id="rent-fraction"),
+                 lambda: TaxTreatment(TreatmentKind.RENT_REGIME, fraction=1.5, reducer=400.0), id="rent-fraction"),
     pytest.param({"kind": "rent_regime", "fraction": 0.4, "reducer": -1.0}, "reducer",
                  "rent_regime reducer must be >= 0, got -1.0",
-                 lambda: TaxTreatment.rent(0.4, -1.0), id="rent-reducer"),
+                 lambda: TaxTreatment(TreatmentKind.RENT_REGIME, fraction=0.4, reducer=-1.0), id="rent-reducer"),
     pytest.param({"kind": "selective", "is_rate": 0.19, "vat_fraction": -0.5}, "vat_fraction",
                  "selective vat_fraction must be >= 0, got -0.5",
-                 lambda: TaxTreatment.selective(Rate.outside(0.19), -0.5),
+                 lambda: TaxTreatment(TreatmentKind.SELECTIVE, is_rate=Rate.outside(0.19),
+                                      vat_fraction=-0.5),
                  id="selective-vat_fraction"),
 ])
 def test_out_of_range_treatment_parameter_names_its_field(treatment, field, message, construct):
