@@ -166,14 +166,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_schedule(value: str) -> Schedule:
-    """Load a schedule from a file path, falling back to bundled names."""
+    """Load the schedule file ``value`` names, else the bundled schedule of that name.
+
+    Only a file shadows a bundled name: a directory called ``plp68`` does not.
+    """
     path = Path(value)
-    if path.exists():
+    if path.is_file():
         return load_schedule(path)
     try:
-        return load_schedule(bundled_schedule_path(value))
+        bundled = bundled_schedule_path(value)
     except ScheduleError:
         raise ScheduleError(f"schedule file not found: {value}") from None
+    return load_schedule(bundled)
 
 
 def parse_seed_size(value: str) -> tuple[int, int]:

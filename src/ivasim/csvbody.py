@@ -14,8 +14,17 @@ catch most such files (CR line ends, exponents, text) before any block is
 parsed; the first block that is not plain ends the block reading of the
 rest.
 
-``microdata`` imports this module only when it reads a file: a run on a
-synthetic population does not load it.
+It is written in blocks of rows too (``text_blocks``), each float as
+``repr`` spells it: the shortest decimal that reads back as the same double.
+Those digits are found with the reader's tools run backwards: x scaled
+exactly to its nearest 17-digit integer, then rounded to fewer digits while
+``_decimal_values`` still reads the result back as x.  The few cells that
+``repr`` writes with an exponent, or whose digits need a tie broken, are
+left to ``repr`` itself, as the reader leaves its unsettled cells to
+``float``.
+
+``microdata`` imports this module only when it reads or writes a file: a run
+on a synthetic population does not load it.
 """
 
 from __future__ import annotations
@@ -221,3 +230,222 @@ def _decimal_values(significand: np.ndarray, digits: np.ndarray) -> np.ndarray:
     settled = (np.abs(t) < half * (1 - 2.0**-39)) & (d <= _SCALED_DIGITS)
     values[scaled] = np.where(settled, r, np.nan)
     return values
+
+
+# -- rows to text ---------------------------------------------------------------
+#
+# A block of rows is rendered as uint32 words of 4 text bytes each: an
+# integer cell takes _INT_WORDS words, a float cell _FLOAT_WORDS (the places
+# before the dot, a "." word, the places after it), and each cell a
+# separator word.  Places a cell leaves unused hold NUL, which one
+# ``bytes.translate`` a block deletes.
+
+_WRITE_CELLS = 1 << 15  # cells formatted at a time; bounds the block's buffers
+_INT_WORDS = 5  # 20 places: any int64, its sign included
+_WHOLE_WORDS, _FRACTION_WORDS = 4, 5  # 16 places before the dot, 20 after it
+_FLOAT_WORDS = _WHOLE_WORDS + 1 + _FRACTION_WORDS  # 40 bytes: room for any float's repr
+_CHUNK = 10**4  # the digits of one word
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_MANTISSA = np.uint64(2**52 - 1)
+
+
+def text_blocks(columns: list[np.ndarray], int_columns: tuple[int, ...]):
+    """The plain body of ``columns`` as bytes, in blocks of whole lines.
+
+    Row i holds cell i of each column.  A column in ``int_columns`` (int64)
+    is written as ``str`` writes it, any other (float64) as ``repr`` does:
+    the shortest decimal that reads back as the same double, and of those
+    the nearest.
+    """
+    k = len(columns)
+    groups = [(_int_words, [i for i in range(k) if i in int_columns]),
+              (_float_words, [i for i in range(k) if i not in int_columns])]
+    step = max(_WRITE_CELLS // k, 1)
+    for start in range(0, len(columns[0]), step):
+        block = slice(start, start + step)
+        rows = len(columns[0][block])
+        cells = {}
+        for render, group in groups:
+            if group:
+                words = render(np.column_stack([columns[i][block] for i in group]).ravel())
+                cells.update(zip(group, words.reshape(rows, len(group), -1).transpose(1, 0, 2)))
+        comma, lf = (np.broadcast_to(_word(text), (rows, 1)) for text in (b",", b"\n"))
+        line = [part for i in range(k) for part in (cells[i], comma if i < k - 1 else lf)]
+        yield np.concatenate(line, axis=1).tobytes().translate(None, b"\0")
+
+
+def _int_words(v: np.ndarray) -> np.ndarray:
+    """(n, _INT_WORDS): each int64 as ``str`` writes it, NUL-padded."""
+    words = _whole(np.maximum(v, 0), _INT_WORDS)
+    negative = np.flatnonzero(v < 0)
+    if negative.size:
+        words[negative] = _texts(map(str, v[negative].tolist()), _INT_WORDS)
+    return words
+
+
+def _float_words(x: np.ndarray) -> np.ndarray:
+    """(n, _FLOAT_WORDS): each double as ``repr`` writes it, NUL-padded.
+
+    0.0 and the doubles ``repr`` writes without an exponent, [1e-4, 1e16),
+    are rendered from ``_shortest``'s digits.  ``repr`` itself formats the
+    rest, as the reader leaves its unsettled cells to ``float``: -0.0, the
+    exponent forms, the exact powers of two (whose rounding interval is
+    lopsided, so the nearest short decimal need not be one that reads back)
+    and the cells ``_shortest`` leaves unsettled.
+    """
+    bits = x.view(np.uint64)
+    fixed = np.flatnonzero((x >= 1e-4) & (x < 1e16) & (bits & _MANTISSA != 0))
+    digits, exponent, settled = _shortest(x[fixed])
+    fixed, digits, exponent = fixed[settled], digits[settled], exponent[settled]
+    # repr's decimal as whole + fraction / 10**places; past 18 places the
+    # digits (< 10**17) are all fraction
+    places = np.maximum(-exponent, 0)
+    digits *= _POW10[np.maximum(exponent, 0)]
+    below = _POW10[np.minimum(places, 18)]
+    whole = np.zeros(len(x), np.int64)
+    whole[fixed] = digits // below
+    fraction = digits - whole[fixed] * below
+    # the 20 places after the dot, as their first 16 and their last 4
+    shift = np.maximum(places - 16, 0)
+    high = fraction // _POW10[shift]
+    first, last = np.zeros(len(x), np.int64), np.zeros(len(x), np.int64)
+    first[fixed] = high * _POW10[np.maximum(16 - places, 0)]
+    last[fixed] = (fraction - high * _POW10[shift]) * _POW10[4 - shift]
+    words = np.concatenate([_whole(whole, _WHOLE_WORDS),
+                            np.broadcast_to(_word(b"."), (len(x), 1)),
+                            _fraction(first, last)], axis=1)
+    rest = np.ones(len(x), bool)
+    rest[fixed] = False
+    rest = np.flatnonzero(rest & (bits != 0))  # 0.0 is rendered as "0" "." "0"
+    if rest.size:
+        words[rest] = _texts(map(repr, x[rest].tolist()), _FLOAT_WORDS)
+    return words
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``repr``'s digits of each x in [1e-4, 1e16) that is no power of two.
+
+    Returns int64 (digits, exponent) and bool settled: where settled,
+    digits * 10**exponent is the decimal ``repr`` writes, the shortest that
+    reads back as x and of those the nearest to x.  Left unsettled are the
+    cells that would need a tie broken or a decimal read that
+    ``_decimal_values`` leaves unsettled.
+
+    1. With d chosen so that x 10**d lies in [1e16, 1e17), ``_scaled`` gives
+       it exactly as m + f: m is the nearest 17-digit integer, and as half an
+       ulp of x is more than 0.55 in these units, m reads back as x.
+    2. For p = 16, 15, ..., m is rounded to p digits (an exact half of the
+       dropped part rounds as f's sign says) while the result still reads
+       back as x.  The nearest (p+1)-digit decimal is never farther from x
+       than the nearest p-digit one, and away from a power of two x's
+       rounding interval is symmetric, so the last decimal that reads back
+       is the shortest, and the nearest of that length.  A dropped part of
+       exactly half with f = 0 is a tie: if the candidate reads back, so does
+       its twin, and ``repr`` breaks the tie.
+    """
+    d = 16 - np.floor(np.log10(x)).astype(np.int64)
+    m, f = _scaled(x, d)
+    off = np.flatnonzero((m < 10**16) | (m >= 10**17))  # log10 is off by one next to a power of ten
+    d[off] += np.where(m[off] < 10**16, 1, -1)
+    m[off], f[off] = _scaled(x[off], d[off])
+    settled = (m >= 10**16) & (m < 10**17)
+    digits, length = m.copy(), np.full(len(x), 17)
+    # the cells still shortening, and their m, f, d and x
+    active = np.flatnonzero(settled)
+    ma, fa, da, xa = m[active], f[active], d[active], x[active]
+    unit = 1
+    for p in range(16, 0, -1):
+        if not active.size:
+            break
+        unit *= 10
+        candidate = ma // unit
+        dropped = ma - candidate * unit
+        half = dropped == unit // 2
+        candidate += (dropped > unit // 2) | (half & (fa > 0))
+        exponent = 17 - p - da  # the candidate is candidate * 10**exponent
+        value = _decimal_values((candidate * _POW10[np.maximum(exponent, 0)]).view(np.uint64),
+                                np.maximum(-exponent, 0))
+        reads = value == xa
+        tie = half & (fa == 0)
+        settled[active[np.isnan(value) | (tie & reads)]] = False
+        keep = np.flatnonzero(reads & ~tie)
+        active, ma, fa, da, xa = active[keep], ma[keep], fa[keep], da[keep], xa[keep]
+        digits[active], length[active] = candidate[keep], p
+    settled &= (length < 17) | (np.abs(f) != 0.5)  # a tie between two 17-digit decimals
+    return digits, 17 - length - d, settled
+
+
+def _scaled(x: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, f): x * 10**d == m + f exactly, m the nearest int64 and |f| <= 1/2.
+
+    10**d (0 <= d <= 22) is a double, so Dekker's two-product over Veltkamp
+    halves gives x 10**d exactly as ph + pl.  Exact where x 10**d >= 2**53,
+    which makes ph an integer.
+    """
+    hi, hi_hi, hi_lo, _ = _powers_of_ten()
+    p, p_hi, p_lo = hi[d], hi_hi[d], hi_lo[d]
+    ph = x * p
+    x_hi, x_lo = _split(x)
+    pl = ((x_hi * p_hi - ph) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
+    near = np.rint(pl)
+    return ph.astype(np.int64) + near.astype(np.int64), pl - near
+
+
+def _whole(v: np.ndarray, words: int) -> np.ndarray:
+    """(n, words): each v >= 0 in decimal, right-aligned, NUL for its leading zeros."""
+    lead, units = _digit_words()[:2]
+    out = np.empty((len(v), words), np.uint32)
+    for w in range(words - 1, -1, -1):
+        higher = v // _CHUNK
+        table = units if w == words - 1 else lead
+        out[:, w] = np.take(table, v - higher * _CHUNK + _CHUNK * (higher == 0))
+        v = higher
+    return out
+
+
+def _fraction(first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """(n, _FRACTION_WORDS): 20 places after the dot, NUL for their trailing zeros.
+
+    ``first`` holds the first 16 places and ``last`` the last 4; a fraction
+    of 0 is written "0".
+    """
+    trail, tenths = _digit_words()[2:]
+    out = np.empty((len(first), _FRACTION_WORDS), np.uint32)
+    out[:, -1] = np.take(trail, last + _CHUNK)
+    zeros_after = last == 0
+    for w in range(_FRACTION_WORDS - 2, -1, -1):
+        higher = first // _CHUNK
+        chunk = first - higher * _CHUNK
+        out[:, w] = np.take(tenths if w == 0 else trail, chunk + _CHUNK * zeros_after)
+        zeros_after &= chunk == 0
+        first = higher
+    return out
+
+
+@cache
+def _digit_words() -> tuple[np.ndarray, ...]:
+    """Word tables for a chunk c of 4 digits: entry c is its digits, entry
+    10**4 + c the same with its leading zeros (``lead``, ``units``) or its
+    trailing zeros (``trail``, ``tenths``) as NUL.  ``units``, for the last
+    word before the dot, and ``tenths``, for the first after it, keep one
+    "0" of 0000."""
+    plain = [f"{c:04d}" for c in range(_CHUNK)]
+
+    def table(strip):
+        return np.frombuffer("".join(plain + [strip(t) for t in plain]).encode(), np.uint32)
+
+    return (table(lambda t: t.lstrip("0").rjust(4, "\0")),
+            table(lambda t: (t.lstrip("0") or "0").rjust(4, "\0")),
+            table(lambda t: t.rstrip("0").ljust(4, "\0")),
+            table(lambda t: (t.rstrip("0") or "0").ljust(4, "\0")))
+
+
+def _texts(texts, words: int) -> np.ndarray:
+    """(n, words): each str, NUL-padded to 4 * words bytes."""
+    padded = b"".join(t.encode().ljust(4 * words, b"\0") for t in texts)
+    return np.frombuffer(padded, np.uint32).reshape(-1, words)
+
+
+def _word(text: bytes) -> np.ndarray:
+    """Up to 4 bytes of text as one word, NUL-padded."""
+    return np.frombuffer(text.ljust(4, b"\0"), np.uint32)

@@ -14,6 +14,8 @@ the columns ``Population`` takes, counted and allocated once; any other body
 is parsed whole by one structured ``np.loadtxt``.  Only when the file is
 rejected does a row-at-a-time reader re-read it as ``Household`` records
 (stacked by ``Population.from_households``) to name the first bad row.
+``write_population`` writes that layout in blocks of rows through the same
+module, each float spelled as ``repr`` spells it.
 
 The synthetic generator stands in for expenditure-survey microdata, which
 cannot be redistributed.  It draws per-capita expenditure log-normally and
@@ -26,6 +28,7 @@ estimates.  Generation is a pure function of (seed, n, schedule fingerprint).
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -232,7 +235,6 @@ class Population:
         return self.memo[key]
 
 
-_ROW_BLOCK = 8192  # rows turned into Python objects at a time
 _INT_COLUMNS = (0, 2)  # id and residents, in FIXED_COLUMNS
 _VECTORS = ("ids", "weight", "residents", "income_per_capita", "nonmonetary_total")
 
@@ -412,25 +414,17 @@ def _read_rows(path: Path, schedule: Schedule) -> Population:
 
 def write_population(population: Population, path: str | Path, schedule: Schedule) -> None:
     """Emit the documented CSV layout; numeric fields round-trip exactly."""
-    columns = population.column_index(schedule)
-    category_ids = schedule.category_ids()
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(list(FIXED_COLUMNS) + list(category_ids))
-        # repr of a float is the shortest string that round-trips exactly; no
-        # number needs csv quoting, so rows are joined directly
-        for start in range(0, len(population), _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            fh.writelines(
-                f"{hid},{w!r},{r},{inc!r},{nm!r},{','.join(map(repr, cells))}\n"
-                for hid, w, r, inc, nm, cells in zip(
-                    population.ids[rows].tolist(), population.weight[rows].tolist(),
-                    population.residents[rows].tolist(),
-                    population.income_per_capita[rows].tolist(),
-                    population.nonmonetary_total[rows].tolist(),
-                    population.spend[rows][:, columns].tolist(),
-                )
-            )
+    from . import csvbody  # imported here: runs on a synthetic population never load it
+
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow([*FIXED_COLUMNS, *schedule.category_ids()])
+    columns = [population.ids, population.weight, population.residents,
+               population.income_per_capita, population.nonmonetary_total]
+    columns += [population.spend[:, j] for j in population.column_index(schedule)]
+    with Path(path).open("wb") as fh:
+        fh.write(header.getvalue().encode("utf-8"))
+        # each float as repr writes it: the shortest decimal that reads back exactly
+        fh.writelines(csvbody.text_blocks(columns, _INT_COLUMNS))
 
 
 def _open_text(path: Path):
@@ -591,6 +585,7 @@ def generate_synthetic(seed: int, n: int, schedule: Schedule) -> Population:
     raw /= raw.sum(axis=1, keepdims=True)
     spending = np.empty((n, k), order="F")
     np.multiply(raw, monetary[:, None], out=spending)
+    del raw  # so the constructor's row checks do not run while it is still held
 
     return Population(
         Provenance("synthetic", f"{seed}:{n}"), schedule.category_ids(),

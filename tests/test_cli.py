@@ -125,6 +125,20 @@ def test_resolve_schedule_prefers_local_file(tmp_path):
     assert len(sched.categories) == 1  # the local file, not the bundled one
 
 
+def test_directory_does_not_shadow_a_bundled_schedule(tmp_path, monkeypatch, capsys):
+    # an earlier ``tables --out plp68`` leaves such a directory behind
+    (tmp_path / "plp68").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--synthetic", "1:100"]) == 0
+    assert "reference rate (inside)" in capsys.readouterr().out
+    assert main(["validate", "--synthetic", "1:100"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    # a directory with no bundled schedule of its name is named in the error
+    (tmp_path / "mine").mkdir()
+    assert main(["solve", "--schedule", "mine", "--synthetic", "1:100"]) == 1
+    assert capsys.readouterr().err == "error: schedule file not found: mine\n"
+
+
 # -- tables ------------------------------------------------------------------
 
 

@@ -22,6 +22,8 @@ from ivasim.microdata import (
 )
 from ivasim.schedule import bundled_schedule_path, load_schedule
 
+from helpers import repr_csv
+
 
 @pytest.fixture(scope="module")
 def plp68():
@@ -161,6 +163,48 @@ def test_write_load_round_trip(tmp_path, plp68):
         assert a.income_per_capita == b.income_per_capita
         assert a.nonmonetary_total == b.nonmonetary_total
         assert a.expenditures == dict(b.expenditures)
+
+
+def test_writer_matches_the_repr_writer(tmp_path, plp68):
+    p = generate_synthetic(7, 20000, plp68)
+    write_population(p, tmp_path / "kernel.csv", plp68)
+    repr_csv(p, tmp_path / "repr.csv", plp68)
+    assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "repr.csv").read_bytes()
+
+
+def test_written_bytes_pinned(tmp_path, plp68):
+    # the file generate --synthetic 42:2000 writes, as every earlier writer wrote it
+    path = tmp_path / "households.csv"
+    write_population(generate_synthetic(42, 2000, plp68), path, plp68)
+    data = path.read_bytes()
+    assert len(data) == 838364
+    assert hashlib.sha256(data).hexdigest() == (
+        "4699646aff14100aee107c14e01e82d9e516efb6a3a5f184ef44ff29930dd164"
+    )
+
+
+# each of the writer's paths: short decimals, a whole number, zero and its
+# sign, exponent forms below 1e-4 and from 1e16, powers of two, the largest
+# double below 1e16, an integer above 2**53 and the smallest subnormal
+EDGE_CELLS = [repr(x) for x in (0.1, 12.5, 150.0, 0.0, -0.0, 1e-05, 0.0001, 2.0**-3,
+                                9999999999999998.0, 1e16, float(2**53 + 2), 5e-324)]
+
+
+def test_writer_matches_the_repr_writer_on_edge_cells(tmp_path, uniform):
+    rows = []
+    for i, cell in enumerate(EDGE_CELLS):
+        other = EDGE_CELLS[(i + 5) % len(EDGE_CELLS)]
+        weight = cell if float(cell) > 0 else "2.0"
+        rows.append(f"{10 * i + 1},{weight},{i + 1},{other},{cell},{cell}")
+    source = write_csv(tmp_path, SMALL_CSV.splitlines()[0] + "\n" + "\n".join(rows) + "\n")
+    p = load_population(source, uniform)
+    write_population(p, tmp_path / "kernel.csv", uniform)
+    repr_csv(p, tmp_path / "repr.csv", uniform)
+    written = (tmp_path / "kernel.csv").read_bytes()
+    assert written == (tmp_path / "repr.csv").read_bytes()
+    assert written == source.read_bytes()
+    again = load_population(tmp_path / "kernel.csv", uniform)
+    assert again.spend.tobytes() == p.spend.tobytes()  # -0.0 included
 
 
 # -- synthetic generation ----------------------------------------------------
@@ -483,8 +527,8 @@ def test_only_float_columns_are_scaled(tmp_path, plp68, parsed, monkeypatch):
         scaled.append(len(significand))
         return decimal_values(significand, digits)
 
+    lines = csv_lines(tmp_path, plp68)  # the writer scales too; only the reading is counted
     monkeypatch.setattr(csvbody, "_decimal_values", spy)
-    lines = csv_lines(tmp_path, plp68)
     reads_like_row_reader(write_csv(tmp_path, "\n".join(lines) + "\n"), plp68)
     # id and residents are the int64 significands themselves
     assert sum(scaled) == 40 * (len(lines[0].split(",")) - 2)

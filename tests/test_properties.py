@@ -20,6 +20,8 @@ Random decimals (repr and fixed-point spellings of doubles, long
 significands, many fractional digits, exact rounding ties and their
 neighbours) check that the significand-scaling kernel gives ``float(text)``
 bit for bit, and leaves to ``float`` exactly the cells it says it does.
+Random doubles (every magnitude, short decimals, dyadic fractions) and int64
+values check that the writer spells each as ``repr`` and ``str`` do.
 Random populations with ties check the vectorised quintiles against the
 sort-and-accumulate loop, and that splitting a household's weight across two
 rows moves no household to another quintile.  Random populations, some with
@@ -35,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ivasim.analysis import (
@@ -46,7 +48,7 @@ from ivasim.analysis import (
     build_scenario_table,
     compute_scenarios,
 )
-from ivasim.csvbody import _decimal_values
+from ivasim.csvbody import _decimal_values, _shortest, text_blocks
 from ivasim.engine import IncidenceCalculator, aggregate, household_tax, with_cashback
 from ivasim.exactsum import _SHORT
 from ivasim.microdata import (
@@ -602,6 +604,51 @@ def test_kernel_leaves_near_ties_to_float(digits, side):
     texts = [_decimal_text(m, digits), "-" + _decimal_text(m, digits)]
     assert 0 < _slack(texts[0]) < Fraction(1, 2**40)
     assert check_kernel(texts) == texts
+
+
+# -- shortest decimals -----------------------------------------------------------
+
+
+def _written(values, dtype=float):
+    """The lines ``text_blocks`` writes for one column of ``values``."""
+    int_columns = (0,) if dtype is np.int64 else ()
+    text = b"".join(text_blocks([np.array(values, dtype=dtype)], int_columns)).decode("ascii")
+    return text.splitlines()
+
+
+_DOUBLES = (st.floats(0.0, allow_nan=False, allow_infinity=False)
+            | st.floats(1e-4, 1e16)
+            | st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(1, 10**17), st.integers(-22, 17))
+            | st.builds(lambda m, k: m / 2.0**k, st.integers(1, 2**53), st.integers(0, 60)))
+
+
+@KERNEL_SETTINGS
+@given(st.lists(_DOUBLES, min_size=1, max_size=40))
+def test_writer_spells_doubles_as_repr(xs):
+    assert _written(xs) == [repr(x) for x in xs]
+
+
+@KERNEL_SETTINGS
+@given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40))
+@example([-1, 0, 1, 9, 10, 9999, 10**4, 10**16, 2**63 - 1, -2**63])
+def test_writer_spells_int64_as_str(values):
+    assert _written(values, np.int64) == [str(v) for v in values]
+
+
+# two decimals of the shortest length lie equally near: 17 digits (the
+# first two) and 16 digits (the others), each pair reading back as x
+EXACT_TIES = [100 + 2**-15, 0.022653579711914062, 882629429115138.75, 1176599693446016.2]
+
+
+def test_shortest_leaves_exact_ties_to_repr():
+    assert not _shortest(np.array(EXACT_TIES))[2].any()
+    assert _written(EXACT_TIES) == [repr(x) for x in EXACT_TIES]
+
+
+def test_writer_spells_powers_of_two_as_repr():
+    xs = [2.0**k for k in range(-1080, 1024)]
+    xs += [math.nextafter(x, side) for x in xs[50:] for side in (0.0, math.inf)]
+    assert _written(xs) == [repr(x) for x in xs]
 
 
 # -- quintiles -------------------------------------------------------------------
