@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import platform
 import re
@@ -289,6 +288,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
         "removals": selectors,
         "scenarios": [r.name.value for r in results],
     }
+    import hashlib  # imported here, as in Schedule.fingerprint: solve makes no digest
+
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     manifest = {
         "config": config,
@@ -312,6 +313,8 @@ def _population_identity(population: Population) -> dict:
     """Provenance, plus the content hash and size of a households file."""
     identity = {"kind": population.provenance.kind, "source": population.provenance.source}
     if population.provenance.kind == "file":
+        import hashlib  # imported here, as in Schedule.fingerprint: solve makes no digest
+
         digest = hashlib.sha256()
         size = 0
         with open(population.provenance.source, "rb") as fh:

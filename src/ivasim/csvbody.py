@@ -7,12 +7,15 @@ the dot-free text of a block parses as int64 significands, and each float
 cell's significand is scaled by its count of fractional digits to the
 correctly rounded double, exactly what ``float`` gives (``_decimal_values``;
 the few cells it cannot settle, such as exact rounding ties, go to
-``float``).  A body that is not plain throughout (quotes, exponents, CR,
-spaces, blank lines) is not read here: ``microdata`` parses that file whole
-with one structured ``np.loadtxt``.  The header line and the counting pass
-catch most such files (CR line ends, exponents, text) before any block is
-parsed; the first block that is not plain ends the block reading of the
-rest.
+``float``).  Each block is parsed on its own and dropped, so a read holds
+the columns being filled plus about 3 MB of scratch, some eleven times
+``_BLOCK_BYTES`` (the block, its dot-free text for ``np.loadtxt``, the index
+arrays and the scaling of its float cells), whatever the file's size.  A body
+that is not plain throughout (quotes, exponents, CR, spaces, blank lines) is
+not read here: ``microdata`` parses that file whole with one structured
+``np.loadtxt``.  The header line and the counting pass catch most such files
+(CR line ends, exponents, text) before any block is parsed; the first block
+that is not plain ends the block reading of the rest.
 
 It is written in blocks of rows too (``text_blocks``), each float as
 ``repr`` spells it: the shortest decimal that reads back as the same double.
@@ -34,7 +37,7 @@ from functools import cache
 
 import numpy as np
 
-_BLOCK_BYTES = 1 << 19  # bytes read at a time; a block is the whole lines they hold
+_BLOCK_BYTES = 1 << 18  # bytes read at a time; a block is the whole lines they hold
 _HEADER_BYTES = 1 << 16  # a longer header line leaves the file to np.loadtxt
 _COMMA, _LF, _DOT, _MINUS, _ZERO, _NINE = b",\n.-09"
 
@@ -65,19 +68,23 @@ def count_rows(fh) -> int | None:
 
 
 def blocks(fh):
-    """The rest of ``fh`` in blocks of whole lines, each ending in LF.
+    """The rest of the seekable ``fh`` in blocks of whole lines, each ending in LF.
 
-    An unended last line gets an LF.
+    A block is the whole lines of the next ``_BLOCK_BYTES`` (more for a
+    longer line); the partial line after them is read again with the next
+    block, so while a block is parsed nothing else of the file is held.  An
+    unended last line gets an LF.
     """
-    pending = bytearray()
-    while chunk := fh.read(_BLOCK_BYTES):
-        pending += chunk
-        cut = pending.rfind(b"\n") + 1
-        if cut:
-            yield pending[:cut]
-            del pending[:cut]
-    if pending:
-        yield pending + b"\n"
+    while block := fh.read(_BLOCK_BYTES):
+        while b"\n" not in block and (more := fh.read(_BLOCK_BYTES)):
+            block += more
+        cut = block.rfind(b"\n") + 1
+        if not cut:
+            block += b"\n"
+        elif cut < len(block):
+            fh.seek(cut - len(block), io.SEEK_CUR)
+            block = block[:cut]
+        yield block
 
 
 def plain_columns(

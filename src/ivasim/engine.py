@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .exactsum import exact_sum, row_sums
+from .exactsum import chunk_parts, row_sums
 from .microdata import Household, MicrodataError, Population
 from .rates import Rate
 from .schedule import Schedule, TaxTreatment, TreatmentKind, effective_inside_rate
@@ -190,14 +190,32 @@ def cashback_eligible(population: Population, schedule: Schedule) -> np.ndarray:
 
 
 def weighted_total(weights: np.ndarray, values: np.ndarray) -> float:
-    """fsum_i(w_i * x_i): the rounded products, summed without further rounding error."""
-    return exact_sum(weights * values)
+    """fsum_i(w_i * x_i): the rounded products, summed without further rounding error.
+
+    The products are formed one ``chunk_parts`` chunk at a time.
+    """
+    return math.fsum(chunk_parts(len(weights), lambda s: weights[s] * values[s]))
 
 
-def _taxable_column(population: Population, column: int, reducer: float | None) -> np.ndarray:
-    """Taxable base of one ``spend`` column: the spending, less the rent reducer if any."""
-    spend = population.spend[:, column]
+def _taxable(spend: np.ndarray, reducer: float | None) -> np.ndarray:
+    """Taxable base of ``spend`` in one category: the spending, less the rent reducer if any."""
     return spend if reducer is None else np.maximum(0.0, spend - reducer)
+
+
+def _base_total(population: Population, column: int, reducer: float | None,
+                eligible: np.ndarray | None = None) -> float:
+    """fsum_i(w_i * b_i) of one ``spend`` column's taxable base b: over all
+    households, or over those an ``eligible`` mask selects.
+
+    Bases, selected weights and products are formed one chunk at a time.
+    """
+    spend, weight = population.spend[:, column], population.weight
+
+    def products(s: slice) -> np.ndarray:
+        w = weight[s] if eligible is None else np.where(eligible[s], weight[s], 0.0)
+        return w * _taxable(spend[s], reducer)
+
+    return math.fsum(chunk_parts(len(spend), products))
 
 
 def _base_totals(population: Population, schedule: Schedule) -> np.ndarray:
@@ -208,17 +226,16 @@ def _base_totals(population: Population, schedule: Schedule) -> np.ndarray:
     eligibility threshold.
     """
     memo = population.memo
-    eligible_weight = None
+    eligible = None
     pairs = []
     for column, c in zip(population.column_index(schedule).tolist(), schedule.categories):
-        key = ("base_totals", column, c.treatment.reducer, schedule.eligibility_threshold)
+        reducer = c.treatment.reducer
+        key = ("base_totals", column, reducer, schedule.eligibility_threshold)
         if key not in memo:
-            if eligible_weight is None:
-                eligible_weight = np.where(cashback_eligible(population, schedule),
-                                           population.weight, 0.0)
-            base = _taxable_column(population, column, c.treatment.reducer)
-            memo[key] = (weighted_total(population.weight, base),
-                         weighted_total(eligible_weight, base))
+            if eligible is None:
+                eligible = cashback_eligible(population, schedule)
+            memo[key] = (_base_total(population, column, reducer),
+                         _base_total(population, column, reducer, eligible))
         pairs.append(memo[key])
     return np.array(pairs).T
 
@@ -241,7 +258,7 @@ def _base_times(population: Population, schedule: Schedule, v: np.ndarray) -> np
     out = population.spend @ plain
     for j, reducer in enumerate(reducers):
         if reducer is not None:
-            out += _taxable_column(population, idx[j], reducer) * v[j]
+            out += _taxable(population.spend[:, idx[j]], reducer) * v[j]
     return out
 
 

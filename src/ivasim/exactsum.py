@@ -12,23 +12,31 @@ correctly rounded total is the correctly rounded exact sum, which is what
 
 ``exact_sum`` hands the few partial sums, ``exact_parts``, to ``math.fsum``;
 over the parts of several arrays ``math.fsum`` gives ``exact_sum`` of their
-concatenation.  ``row_sums`` extracts every row of a block at once (one sigma
-per row), turns each row's parts into a non-overlapping expansion with TwoSum,
-and rounds it the way ``math.fsum`` rounds its partials, half-way correction
-included, so no row needs Python floats unless it is non-finite, near overflow,
-or spans more binades than ``_ROW_PASSES`` extractions cover.  Those rows, and
-short 1-D arrays, go to ``math.fsum`` itself, so results and exceptions match
-it there by construction.
+concatenation.  So an array is extracted ``_CHUNK`` elements at a time and its
+parts are those of its chunks: the scratch is a few chunk-length arrays
+whatever its length.  ``chunk_parts`` takes the chunks from a function, so a
+caller can sum values it forms a chunk at a time, such as weighted products,
+without ever holding them whole.
+
+``row_sums`` extracts every row of a block of ``_ROW_BLOCK`` rows at once (one
+sigma per row), turns each row's parts into a non-overlapping expansion with
+TwoSum, and rounds it the way ``math.fsum`` rounds its partials, half-way
+correction included, so no row needs Python floats unless it is non-finite,
+near overflow, or spans more binades than ``_ROW_PASSES`` extractions cover.
+Those rows, and short 1-D arrays, go to ``math.fsum`` itself, so results and
+exceptions match it there by construction.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
 _SHORT = 384  # 1-D arrays up to this long are summed as a list: a numpy pass costs more
-_ROW_BLOCK = 8192  # rows extracted at once; bounds the scratch matrices
+_CHUNK = 1 << 14  # elements extracted at a time; bounds the scratch arrays
+_ROW_BLOCK = 2048  # rows extracted at once; bounds the scratch matrices
 _ROW_PASSES = 4  # extractions per row before the row goes to math.fsum
 _MAX_EXPONENT = 1020  # sigma = 2^(M + e) stays this far below overflow
 _NEG_ZERO_SUM = math.fsum([-0.0])  # the interpreter's sum of negative zeros
@@ -40,17 +48,42 @@ def exact_sum(x: np.ndarray) -> float:
 
 
 def exact_parts(x: np.ndarray) -> list[float]:
-    """Floats with the exact sum of ``x``: the extraction partials, the elements
-    of a short or extreme array, or one signed zero for an all-zero one."""
+    """Floats with the exact sum of a 1-D float array (see ``chunk_parts``)."""
     x = np.asarray(x, dtype=float)
-    if len(x) <= _SHORT:
-        return x.tolist()
-    m = np.abs(x).max()
-    M = (len(x) + 1).bit_length()
-    if not m < 2.0 ** (_MAX_EXPONENT - M):  # non-finite or near overflow
-        return x.tolist()
+    return chunk_parts(len(x), x.__getitem__)
+
+
+def chunk_parts(n: int, chunk: Callable[[slice], np.ndarray]) -> list[float]:
+    """Floats with the exact sum of n floats that ``chunk`` gives a slice at a time.
+
+    ``chunk(s)`` returns the float64 values at the positions in slice ``s``
+    of range(n); it is asked for ``_CHUNK`` positions at a time, in order.
+    The parts are each chunk's extraction partials, or one signed zero for an
+    all-zero chunk.  If n is short, or any value is non-finite or near
+    overflow, they are the values themselves, asked for all at once, so
+    ``math.fsum`` of them is ``math.fsum`` of the values, exceptions
+    included.  Otherwise every partial sum of the values, in any order, is
+    below 2^_MAX_EXPONENT (the bound is set by n, not by a chunk's length),
+    so neither sum overflows and both round the same exact total.
+    """
+    if n <= _SHORT:
+        return chunk(slice(0, n)).tolist()
+    limit = 2.0 ** (_MAX_EXPONENT - (n + 1).bit_length())
+    parts = []
+    for start in range(0, n, _CHUNK):
+        x = chunk(slice(start, start + _CHUNK))
+        m = np.abs(x).max()
+        if not m < limit:  # non-finite or near overflow
+            return chunk(slice(0, n)).tolist()
+        parts += _extract(x, m)
+    return parts
+
+
+def _extract(x: np.ndarray, m: float) -> list[float]:
+    """The extraction partials of ``x``, whose largest magnitude is m."""
     if m == 0:
         return [-0.0 if np.signbit(x).all() else 0.0]
+    M = (len(x) + 1).bit_length()
     parts = []
     r, q = x, np.empty_like(x)
     while m:

@@ -101,12 +101,13 @@ class Population:
     spending matrix (Fortran order), columns in ``category_ids`` order.  The
     arrays are read-only.  Every row satisfies the ``Household`` invariants
     and ids are unique; both are checked in input order, so an error names
-    the first bad row, before the rows are sorted by id.  ``from_households``
-    stacks ``Household`` records into these columns.  ``households`` and
-    ``row`` give the rows as ``Household`` views built from the arrays; the
-    pipeline reads the arrays.  ``memo`` keeps reductions derived from the
-    arrays (column indexes, taxable-base totals, denominators), keyed by what
-    they depend on.
+    the first bad row, before the rows are sorted by id.  The invariants are
+    folded into one n-element mask a column at a time, so the check needs no
+    n x k temporary.  ``from_households`` stacks ``Household`` records into
+    these columns.  ``households`` and ``row`` give the rows as ``Household``
+    views built from the arrays; the pipeline reads the arrays.  ``memo``
+    keeps reductions derived from the arrays (column indexes, taxable-base
+    totals, denominators), keyed by what they depend on.
     """
 
     def __init__(
@@ -171,13 +172,9 @@ class Population:
 
     def _check_rows(self) -> None:
         """Raise the ``Household`` message of the first row that breaks an invariant."""
-        ok = (
-            _positive(self.weight, strict=True)
-            & (self.residents >= 1)
-            & _positive(self.income_per_capita)
-            & _positive(self.nonmonetary_total)
-            & _positive(self.spend).all(axis=1)
-        )
+        ok = _positive(self.weight, strict=True) & (self.residents >= 1)
+        for column in (self.income_per_capita, self.nonmonetary_total, *self.spend.T):
+            ok &= _positive(column)
         if not ok.all():
             self.row(int(np.argmin(ok)))  # Household.__post_init__ names the invariant
             raise AssertionError("row check disagrees with Household")

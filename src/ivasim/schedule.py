@@ -51,7 +51,6 @@ or ``category 'aluguel_imovel'.fraction``.
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 import math
 import re
@@ -249,6 +248,8 @@ class Schedule:
 
     def fingerprint(self) -> str:
         """Stable hex digest of the policy content."""
+        import hashlib  # imported here: loading it maps OpenSSL, which most runs never use
+
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

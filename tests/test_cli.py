@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ivasim
 from ivasim.cli import main, parse_seed_size, resolve_schedule
 from ivasim.microdata import Household, MicrodataError
 from ivasim.schedule import bundled_schedule_path, load_schedule
@@ -52,6 +57,35 @@ def test_solve_writes_trace(tmp_path, capsys):
     assert indices == list(range(len(indices)))
     last = lines[-1].split(",")
     assert abs(float(last[3]) - 0.201) < 1e-7
+
+
+def test_solve_from_a_households_file_loads_no_hashlib(tmp_path):
+    # hashlib maps OpenSSL's libcrypto, megabytes of RSS; a solve makes no digest
+    csv_path = tmp_path / "hh.csv"
+    assert main(["generate", "--schedule", "plp68", "--synthetic", "7:300",
+                 "--out", str(csv_path)]) == 0
+    code = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "from ivasim.cli import main\n"
+        f"assert main(['solve', '--households', {str(csv_path)!r}, '--trace', "
+        f"{str(tmp_path / 'trace.csv')!r}]) == 0\n"
+        "print(sorted(m for m in set(sys.modules) - before if 'hashlib' in m))\n"
+    )
+    src = str(Path(ivasim.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_ids_need_only_be_unique_64_bit_integers(tmp_path, capsys):
+    csv_path = tmp_path / "hh.csv"
+    csv_path.write_text("id,weight,residents,income_pc,nonmonetary_total,consumo\n"
+                        "-5,1.0,2,500.0,0.0,100.0\n0,2.0,1,900.0,10.0,250.0\n")
+    assert main(["solve", "--schedule", "uniform", "--households", str(csv_path)]) == 0
+    assert main(["validate", "--schedule", "uniform", "--households", str(csv_path)]) == 0
+    assert "all checks passed" in capsys.readouterr().out
 
 
 def test_missing_schedule_file_names_path(capsys):

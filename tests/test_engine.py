@@ -347,8 +347,8 @@ def test_calculator_reuses_the_reductions_of_earlier_schedules(plp68, monkeypatc
     pop = generate_synthetic(42, 300, plp68)
     IncidenceCalculator(pop, plp68)
     calls = []
-    real = engine.weighted_total
-    monkeypatch.setattr(engine, "weighted_total", lambda w, x: calls.append(1) or real(w, x))
+    real = engine._base_total  # one reduction over households per call
+    monkeypatch.setattr(engine, "_base_total", lambda *args: calls.append(1) or real(*args))
     IncidenceCalculator(pop, with_removal(plp68, "cesta_basica"))
     assert len(calls) == 0
     # without its rent regime, the rent column's base is the raw spending: one new pair

@@ -15,6 +15,8 @@ from ivasim.exactsum import exact_parts, exact_sum, row_sums
 KERNEL_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 KINDS = ("spread", "uniform", "cancel", "subnormal", "zeros", "ties", "mixed")
 SHORT = exactsum._SHORT
+CHUNK = exactsum._CHUNK
+CHUNK_LENGTHS = [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]  # one to four chunks
 
 
 def _values(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
@@ -54,7 +56,8 @@ def _fsum_rows(matrix):
 
 @KERNEL_SETTINGS
 @given(
-    st.sampled_from([0, 1, 2, SHORT - 1, SHORT, SHORT + 1, SHORT + 2, 1000, 20_000]),
+    st.sampled_from([0, 1, 2, SHORT - 1, SHORT, SHORT + 1, SHORT + 2, 1000, 20_000,
+                     *CHUNK_LENGTHS]),
     st.integers(0, 2**32 - 1),
 )
 def test_exact_sum_equals_fsum(n, seed):
@@ -77,7 +80,7 @@ def _part_values(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
 
 
 PART_KINDS = KINDS + ("all_zero", "all_negative_zero", "non_finite")
-PART_LENGTHS = [0, 1, SHORT - 1, SHORT, SHORT + 1, 1000]
+PART_LENGTHS = [0, 1, SHORT - 1, SHORT, SHORT + 1, 1000, *CHUNK_LENGTHS]
 
 
 @KERNEL_SETTINGS
@@ -193,3 +196,37 @@ def test_non_finite_and_huge_values_behave_as_in_fsum(special):
     rows = np.tile(_values(rng, 4, "spread"), (6, 1))
     rows[[1, 4], : len(special)] = special
     assert _outcome(row_sums, rows) == _outcome(_fsum_rows, rows)
+
+
+@pytest.mark.filterwarnings("error")  # as quiet as math.fsum
+@pytest.mark.parametrize(
+    "special",
+    [
+        [math.inf, -math.inf, math.nan],  # ValueError
+        [math.nan, math.inf, -math.inf],
+        [-math.inf, math.inf],  # ValueError
+        [math.inf, math.nan],
+        [-math.inf, -math.inf, -math.inf],
+        [1.7e308, 1.7e308],  # OverflowError
+        [1.7e308, -1.7e308],  # near overflow in two chunks, but the sum is small
+        [2.0**1010, 1.0, -(2.0**1010)],  # below overflow, but not below the whole array's bound
+    ],
+)
+@pytest.mark.parametrize("n", CHUNK_LENGTHS)
+def test_non_finite_and_huge_values_in_different_chunks_behave_as_in_fsum(special, n):
+    """Each special value in its own chunk: the first, a middle one and the last."""
+    x = _values(np.random.default_rng(17), n, "spread")
+    x[[3, n // 2, n - 2][:len(special)]] = special
+    assert _outcome(exact_sum, x) == _outcome(lambda a: math.fsum(a.tolist()), x)
+    assert _outcome(lambda a: math.fsum(exact_parts(a)), x) == _outcome(exact_sum, x)
+
+
+def test_partial_sums_that_overflow_inside_one_chunk_raise_as_in_fsum():
+    """Values below the bound one chunk alone would need, but not below the
+    whole array's: 2^19 of them bring the sum next to overflow, and the last
+    chunk climbs past it and back.  ``math.fsum`` raises on the climb."""
+    v = 1.9999 * 2.0**1004
+    half = CHUNK // 2
+    x = np.concatenate([np.full(2**19, v), np.full(half, v), np.full(half, -v)])
+    assert _outcome(exact_sum, x) == _outcome(lambda a: math.fsum(a.tolist()), x)
+    assert _outcome(exact_sum, x)[0] is OverflowError

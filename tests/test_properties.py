@@ -362,7 +362,7 @@ PLP68 = load_schedule(bundled_schedule_path("plp68"))
 READER_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 CORRUPTIONS = (
     "non_numeric", "empty", "non_finite", "negative_spend", "zero_weight", "zero_residents",
-    "float_id", "ragged", "duplicate_id", "whitespace_line",
+    "float_id", "ragged", "duplicate_id", "whitespace_line", "earlier_row_later_column",
 )
 
 
@@ -450,6 +450,12 @@ def _corrupt(kind, header, rows, draw):
             del row[draw(st.integers(0, len(row) - 1))]
     elif kind == "duplicate_id":
         row[0] = draw(st.sampled_from([r[0] for r in rows if r is not row]))
+    elif kind == "earlier_row_later_column":
+        # the earlier bad row breaks only a spend column, the later one the weight
+        first, second = sorted(draw(st.lists(st.integers(0, len(rows) - 1), min_size=2,
+                                             max_size=2, unique=True)))
+        rows[first][category] = "-1.5"
+        rows[second][1] = "0"
     elif kind == "whitespace_line":
         rows.insert(draw(st.integers(0, len(rows))), [draw(st.sampled_from([" ", "\t", "  \t "]))])
 
