@@ -288,12 +288,10 @@ def cmd_tables(args: argparse.Namespace) -> int:
         "removals": selectors,
         "scenarios": [r.name.value for r in results],
     }
-    import hashlib  # imported here, as in Schedule.fingerprint: solve makes no digest
-
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     manifest = {
         "config": config,
-        "config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
+        "config_sha256": _sha256(blob.encode()).hexdigest(),
         "schedule_fingerprint": schedule.fingerprint(),
         "versions": {
             "ivasim": __version__,
@@ -309,13 +307,22 @@ def cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sha256(data: bytes = b""):
+    """A sha256 digest of ``data``.
+
+    hashlib is imported here, as in ``Schedule.fingerprint``: loading it maps
+    OpenSSL, and ``solve`` makes no digest.
+    """
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
 def _population_identity(population: Population) -> dict:
     """Provenance, plus the content hash and size of a households file."""
     identity = {"kind": population.provenance.kind, "source": population.provenance.source}
     if population.provenance.kind == "file":
-        import hashlib  # imported here, as in Schedule.fingerprint: solve makes no digest
-
-        digest = hashlib.sha256()
+        digest = _sha256()
         size = 0
         with open(population.provenance.source, "rb") as fh:
             for block in iter(lambda: fh.read(1 << 20), b""):

@@ -347,8 +347,11 @@ def test_calculator_reuses_the_reductions_of_earlier_schedules(plp68, monkeypatc
     pop = generate_synthetic(42, 300, plp68)
     IncidenceCalculator(pop, plp68)
     calls = []
-    real = engine._base_total  # one reduction over households per call
-    monkeypatch.setattr(engine, "_base_total", lambda *args: calls.append(1) or real(*args))
+    # each is one reduction over households: a taxable base's total, or the denominator's
+    for name in ("_base_total", "weighted_total"):
+        real = getattr(engine, name)
+        monkeypatch.setattr(engine, name,
+                            lambda *args, real=real: calls.append(1) or real(*args))
     IncidenceCalculator(pop, with_removal(plp68, "cesta_basica"))
     assert len(calls) == 0
     # without its rent regime, the rent column's base is the raw spending: one new pair
