@@ -363,8 +363,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         for c in schedule.categories:
             try:
                 effective_inside_rate(c, t_ref)
-            except ValueError as exc:  # Rate refuses an out-of-range rate
-                fail("effective rates well-formed", f"category {c.id!r}: {exc}")
+            except ValueError as exc:  # names the category whose rate is out of range
+                fail("effective rates well-formed", exc)
                 break
         else:
             ok("effective rates well-formed")

@@ -18,10 +18,10 @@ schedule order; ``Population.column_index`` maps them onto ``spend``.
 Each taxable-base column is reduced once per population: ``_base_totals``
 and ``denominator_expenditure`` memoise their sums in ``Population.memo``.
 
-``IncidenceCalculator`` evaluates the rate vector on plain floats, bit for bit
-equal to ``rate_vector``, which builds it from ``Rate`` objects through
-``effective_inside_rate`` and stays the reference: ``household_taxes`` uses
-it, and every solve checks the calculator's rates against it.
+Every rate comes from ``schedule.inside_rate_function``, the one per-kind
+rate rule: ``rate_vector`` evaluates it through ``effective_inside_rate``,
+which range-checks each rate, and ``IncidenceCalculator`` evaluates the same
+functions on plain floats, built once per calculator.
 
 Every weighted total is the correctly rounded exact sum of per-household or
 per-category products, so it is exact for its addends and therefore
@@ -36,14 +36,14 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .exactsum import chunk_parts, row_sums
 from .microdata import Household, MicrodataError, Population
 from .rates import Rate
-from .schedule import Schedule, TaxTreatment, TreatmentKind, effective_inside_rate
+from .schedule import Schedule, TreatmentKind, effective_inside_rate, inside_rate_function
 
 
 @dataclass(frozen=True)
@@ -284,41 +284,6 @@ def baseline_taxes(population: Population, schedule: Schedule) -> np.ndarray:
     return population.spend @ rates
 
 
-def _inside_rate_function(treatment: TaxTreatment) -> Callable[[float], float]:
-    """``effective_inside_rate`` of a category with this treatment, as a function of a float t.
-
-    ``t`` is a validated outside reference rate.  Each closed form reads its
-    constants once and does the float operations of ``ivasim.rates`` in the
-    same order (``to_inside``, ``apply_fraction``, ``compose_selective``), so
-    it returns the reference's bits.
-    """
-    k = treatment.kind
-    if k in (TreatmentKind.ZERO_RATE, TreatmentKind.UNTAXED):
-        return lambda t: 0.0
-    if k is TreatmentKind.SPECIFIC_REGIME:
-        effective = treatment.effective.value
-        return lambda t: effective
-    if k is TreatmentKind.REFERENCE_RATE:
-        return lambda t: t / (1.0 + t)
-    if k is TreatmentKind.REDUCED_FRACTION or k is TreatmentKind.RENT_REGIME:
-        fraction = treatment.fraction
-
-        def reduced(t: float) -> float:
-            outside = fraction * t
-            return outside / (1.0 + outside)
-
-        return reduced
-    if k is TreatmentKind.SELECTIVE:
-        is_factor, vat_fraction = 1.0 + treatment.is_rate.value, treatment.vat_fraction
-
-        def selective(t: float) -> float:
-            combined = is_factor * (1.0 + vat_fraction * t) - 1.0
-            return combined / (1.0 + combined)
-
-        return selective
-    raise AssertionError(f"unhandled treatment kind {k}")
-
-
 class IncidenceCalculator:
     """Population burden at a candidate rate in O(k), for repeated solves.
 
@@ -328,23 +293,23 @@ class IncidenceCalculator:
     cashback-eligible ones (b is the taxable base), memoised per population, so
     a build sums over households only for a new rent reducer or threshold.
 
-    ``inside_rates`` gives r(t) on plain floats, from per-kind closed forms
-    built once per calculator; it equals ``rate_vector(schedule,
-    Rate.outside(t))`` bit for bit, and the solver checks that at every solved
-    rate.  An evaluation is then one ``Rate.outside`` validation, k float
-    rates and one ``math.fsum`` of k products.  The per-household functions
-    above remain the reference semantics; the test suite pins both together.
+    ``inside_rates`` gives r(t) on plain floats, from each category's
+    ``inside_rate_function``, built once per calculator; these are the
+    functions ``rate_vector`` evaluates, without its range check, which the
+    solver makes at every solved rate.  An evaluation is then one
+    ``Rate.outside`` validation, k float rates and one ``math.fsum`` of k
+    products.  The per-household functions above remain the reference
+    semantics; the test suite pins both together.
     """
 
     def __init__(self, population: Population, schedule: Schedule) -> None:
-        self.schedule = schedule
         self.denominator = denominator_expenditure(population, schedule)
         if not self.denominator > 0.0:
             raise MicrodataError("no in-denominator expenditure: the net burden is undefined")
         base_totals, eligible_totals = _base_totals(population, schedule)
         self.base_totals = base_totals.tolist()
         self.refund_totals = (eligible_totals * _refund_shares(schedule)).tolist()
-        self._rate_functions = [_inside_rate_function(c.treatment) for c in schedule.categories]
+        self._rate_functions = [inside_rate_function(c.treatment) for c in schedule.categories]
 
     def inside_rates(self, t_ref_outside: float) -> list[float]:
         """Effective inside rate of every category at outside reference rate ``t_ref_outside``."""

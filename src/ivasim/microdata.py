@@ -136,8 +136,12 @@ class Population:
         if order is not None:
             for name in _VECTORS:
                 setattr(self, name, getattr(self, name)[order])
-            # row indexing returns C order; keep spend in one layout whatever the input order
-            self.spend = np.asfortranarray(self.spend[order])
+            # gathered a column at a time: row indexing of the whole matrix would
+            # build a C-order copy before the F-order one
+            spend = np.empty_like(self.spend, order="F")
+            for j in range(spend.shape[1]):
+                spend[:, j] = self.spend[:, j][order]
+            self.spend = spend
         for name in _VECTORS + ("spend",):
             _read_only(getattr(self, name))
         self.memo: dict = {}

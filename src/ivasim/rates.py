@@ -6,9 +6,9 @@ Brazilian indirect taxes are quoted on two bases:
 * "por fora" (outside): tax as a fraction of the tax-exclusive price.
 
 The conventions are linked by ``t_in = t_out / (1 + t_out)`` and
-``t_out = t_in / (1 - t_in)``.  The Selective Tax (IS) is levied before the
-VAT and enters the VAT base, so the combined burden of an IS good compounds
-multiplicatively instead of adding up.
+``t_out = t_in / (1 - t_in)``.  How a treatment kind builds its rate from
+the reference rate (reduced fractions, the compounding Selective Tax) is
+``schedule.inside_rate_function``.
 
 All functions are pure and operate on immutable :class:`Rate` values.
 """
@@ -87,36 +87,3 @@ def to_inside(r: Rate) -> Rate:
     if r.basis is RateBasis.INSIDE:
         return r
     return Rate(r.value / (1.0 + r.value), RateBasis.INSIDE)
-
-
-def compose_selective(t_is: Rate, t_vat: Rate) -> Rate:
-    """Combined outside rate of a good bearing the Selective Tax plus the VAT.
-
-    The IS is part of the VAT base, so on a unit pre-tax price the consumer
-    pays ``(1 + t_is) * (1 + t_vat)``; the combined rate is the product chain
-    minus one, strictly greater than ``t_is + t_vat`` whenever both are
-    positive.  Both arguments and the result are outside rates.
-
-    >>> round(compose_selective(Rate.outside(0.19), Rate.outside(0.379)).value, 5)
-    0.64101
-    """
-    if t_is.basis is not RateBasis.OUTSIDE or t_vat.basis is not RateBasis.OUTSIDE:
-        raise ValueError("compose_selective expects outside rates; convert first")
-    return Rate((1.0 + t_is.value) * (1.0 + t_vat.value) - 1.0, RateBasis.OUTSIDE)
-
-
-def apply_fraction(fraction: float, t_ref: Rate) -> Rate:
-    """Reduced legal rate: ``fraction`` of the outside reference rate.
-
-    Statutory reductions (40%, 70% of the reference rate) apply to the legal,
-    tax-exclusive rate; conversion to the inside basis happens afterwards,
-    when the rate is applied to expenditure.
-
-    >>> apply_fraction(0.4, Rate.outside(0.379)).value
-    0.1516
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"rate fraction must be in (0, 1], got {fraction}")
-    if t_ref.basis is not RateBasis.OUTSIDE:
-        raise ValueError("apply_fraction expects an outside reference rate")
-    return Rate(fraction * t_ref.value, RateBasis.OUTSIDE)

@@ -43,9 +43,12 @@ Treatment objects by kind::
 
 The module-level ``_KIND_PARAMS`` table lists each kind's parameters and the
 basis each rate parameter is stored on; validation, parsing and ``to_dict``
-all read it.  Every numeric field rejects NaN and +/-Infinity (both read by ``json``),
-and a value out of range names its field, e.g. ``category 'gasolina'.is_rate``
-or ``category 'aluguel_imovel'.fraction``.
+all read it.  ``inside_rate_function`` beside it holds each kind's rate rule,
+the one place it is written: ``effective_inside_rate`` and the engine's
+calculator both evaluate it.  Every numeric field rejects NaN and
++/-Infinity (both read by ``json``), and a value out of range names its
+field, e.g. ``category 'gasolina'.is_rate`` or
+``category 'aluguel_imovel'.fraction``.
 """
 
 from __future__ import annotations
@@ -57,9 +60,9 @@ import re
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
-from .rates import Rate, RateBasis, apply_fraction, compose_selective, to_inside, to_outside
+from .rates import Rate, RateBasis, to_inside, to_outside
 
 
 class ScheduleError(ValueError):
@@ -95,6 +98,46 @@ _KIND_PARAMS: dict[TreatmentKind, dict[str, RateBasis | None]] = {
     TreatmentKind.RENT_REGIME: {"fraction": None, "reducer": None},
     TreatmentKind.UNTAXED: {},
 }
+
+
+def inside_rate_function(treatment: TaxTreatment) -> Callable[[float], float]:
+    """Inside rate of a category with this treatment, as a function of the outside
+    reference rate ``t`` (a float).
+
+    Each kind's rule, with its constants read once: a reduced fraction (and
+    the rent regime's rate part) is ``f * t`` on the outside basis, as
+    statutory reductions apply to the legal rate; the Selective Tax is part of
+    the VAT base, so its combined outside rate compounds,
+    ``(1 + is_rate) * (1 + vat_fraction * t) - 1``; an outside rate ``o`` is
+    ``o / (1 + o)`` inside.  The result is not range-checked;
+    ``effective_inside_rate`` checks it.
+    """
+    k = treatment.kind
+    if k in (TreatmentKind.ZERO_RATE, TreatmentKind.UNTAXED):
+        return lambda t: 0.0
+    if k is TreatmentKind.SPECIFIC_REGIME:
+        effective = treatment.effective.value
+        return lambda t: effective
+    if k is TreatmentKind.REFERENCE_RATE:
+        return lambda t: t / (1.0 + t)
+    if k is TreatmentKind.REDUCED_FRACTION or k is TreatmentKind.RENT_REGIME:
+        fraction = treatment.fraction
+
+        def reduced(t: float) -> float:
+            outside = fraction * t
+            return outside / (1.0 + outside)
+
+        return reduced
+    if k is TreatmentKind.SELECTIVE:
+        is_factor, vat_fraction = 1.0 + treatment.is_rate.value, treatment.vat_fraction
+
+        def selective(t: float) -> float:
+            combined = is_factor * (1.0 + vat_fraction * t) - 1.0
+            return combined / (1.0 + combined)
+
+        return selective
+    raise AssertionError(f"unhandled treatment kind {k}")
+
 
 # Default presentation/removal group per treatment kind, used when a category
 # does not set "group" explicitly.
@@ -261,24 +304,16 @@ def effective_inside_rate(category: Category, t_ref: Rate) -> Rate:
     """Inside rate applied to the category's taxable base at reference rate ``t_ref``.
 
     ``t_ref`` must be an outside rate.  For the rent regime this is the rate
-    part only; the R$ base reducer is applied by the engine.
+    part only; the R$ base reducer is applied by the engine.  A rate outside
+    [0, 1) (an IS rate so large that the inside rate rounds to 1) is a
+    ``ValueError`` whose message starts with the category.
     """
     if t_ref.basis is not RateBasis.OUTSIDE:
         raise ValueError("t_ref must be an outside rate")
-    t = category.treatment
-    k = t.kind
-    if k in (TreatmentKind.ZERO_RATE, TreatmentKind.UNTAXED):
-        return Rate.inside(0.0)
-    if k is TreatmentKind.REFERENCE_RATE:
-        return to_inside(t_ref)
-    if k is TreatmentKind.REDUCED_FRACTION or k is TreatmentKind.RENT_REGIME:
-        return to_inside(apply_fraction(t.fraction, t_ref))
-    if k is TreatmentKind.SPECIFIC_REGIME:
-        return t.effective
-    if k is TreatmentKind.SELECTIVE:
-        vat = Rate.outside(t.vat_fraction * t_ref.value)
-        return to_inside(compose_selective(t.is_rate, vat))
-    raise AssertionError(f"unhandled treatment kind {k}")
+    try:
+        return Rate.inside(inside_rate_function(category.treatment)(t_ref.value))
+    except ValueError as e:
+        raise ValueError(f"category {category.id!r}: {e}") from None
 
 
 # -- counterfactual construction -------------------------------------------

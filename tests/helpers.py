@@ -1,4 +1,4 @@
-"""Views of library results that only the tests need, and reference writers."""
+"""Views of library results that only the tests need, and reference writers and rates."""
 
 import csv
 from itertools import repeat
@@ -7,7 +7,8 @@ from pathlib import Path
 from ivasim.analysis import QuintileAssignment, ScenarioResult
 from ivasim.engine import HouseholdIncidence
 from ivasim.microdata import FIXED_COLUMNS, Population
-from ivasim.schedule import Schedule
+from ivasim.rates import Rate, RateBasis, to_inside
+from ivasim.schedule import Category, Schedule, TreatmentKind
 
 _ROW_BLOCK = 8192  # rows turned into Python objects at a time
 
@@ -51,3 +52,46 @@ def repr_csv(population: Population, path, schedule: Schedule) -> None:
                     population.spend[rows][:, columns].tolist(),
                 )
             )
+
+
+def compose_selective(t_is: Rate, t_vat: Rate) -> Rate:
+    """Combined outside rate of a good bearing the Selective Tax plus the VAT.
+
+    The IS is part of the VAT base, so on a unit pre-tax price the consumer
+    pays ``(1 + t_is) * (1 + t_vat)``; the combined rate is that product minus
+    one.  Both arguments and the result are outside rates.
+    """
+    if t_is.basis is not RateBasis.OUTSIDE or t_vat.basis is not RateBasis.OUTSIDE:
+        raise ValueError("compose_selective expects outside rates; convert first")
+    return Rate((1.0 + t_is.value) * (1.0 + t_vat.value) - 1.0, RateBasis.OUTSIDE)
+
+
+def apply_fraction(fraction: float, t_ref: Rate) -> Rate:
+    """Reduced legal rate: ``fraction`` of the outside reference rate."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"rate fraction must be in (0, 1], got {fraction}")
+    if t_ref.basis is not RateBasis.OUTSIDE:
+        raise ValueError("apply_fraction expects an outside reference rate")
+    return Rate(fraction * t_ref.value, RateBasis.OUTSIDE)
+
+
+def reference_inside_rate(category: Category, t_ref: Rate) -> Rate:
+    """A category's inside rate composed from ``Rate`` objects, every step range-checked.
+
+    The test oracle: ``schedule.inside_rate_function`` must give its value bit
+    for bit.
+    """
+    t = category.treatment
+    k = t.kind
+    if k in (TreatmentKind.ZERO_RATE, TreatmentKind.UNTAXED):
+        return Rate.inside(0.0)
+    if k is TreatmentKind.REFERENCE_RATE:
+        return to_inside(t_ref)
+    if k is TreatmentKind.REDUCED_FRACTION or k is TreatmentKind.RENT_REGIME:
+        return to_inside(apply_fraction(t.fraction, t_ref))
+    if k is TreatmentKind.SPECIFIC_REGIME:
+        return t.effective
+    if k is TreatmentKind.SELECTIVE:
+        vat = Rate.outside(t.vat_fraction * t_ref.value)
+        return to_inside(compose_selective(t.is_rate, vat))
+    raise AssertionError(f"unhandled treatment kind {k}")

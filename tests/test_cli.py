@@ -387,25 +387,41 @@ def _category(raw, cid):
     return next(c for c in raw["categories"] if c["id"] == cid)
 
 
+def _overflowing_is(raw):
+    # an IS rate this large composes to an inside rate of 1.0, which Rate refuses
+    _category(raw, "bebidas_alcoolicas")["treatment"]["is_rate"] = {
+        "value": 1e300, "basis": "outside"
+    }
+
+
 def test_validate_reports_invalid_effective_rate_and_runs_population_checks(
     tmp_path, capsys
 ):
-    # an IS rate this large composes to an inside rate of 1.0, which Rate refuses
-    def edit(raw):
-        _category(raw, "bebidas_alcoolicas")["treatment"]["is_rate"] = {
-            "value": 1e300, "basis": "outside"
-        }
-
-    rc = main(["validate", "--schedule", str(_plp68_variant(tmp_path, edit)),
+    rc = main(["validate", "--schedule", str(_plp68_variant(tmp_path, _overflowing_is)),
                "--synthetic", "1:50"])
     assert rc == 1
     out = capsys.readouterr().out
     assert "ok   schedule loads" in out
     assert "FAIL effective rates well-formed: category 'bebidas_alcoolicas': inside rate" in out
+    assert "'bebidas_alcoolicas': category" not in out
     assert "ok   population loads" in out
     assert "ok   population matches schedule" in out
     assert "ok   taxable base positive" in out
     assert "1 check(s) failed" in out
+
+
+@pytest.mark.parametrize("command", ["solve", "tables"])
+def test_inside_rate_out_of_range_names_the_category(tmp_path, capsys, command):
+    schedule = _plp68_variant(tmp_path, _overflowing_is)
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if command == "tables" else []
+    rc = main([command, "--schedule", str(schedule), "--synthetic", "1:50", *extra])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: category 'bebidas_alcoolicas': inside rate must be < 1 "
+        "(the tax cannot consume the whole price), got 1.0\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

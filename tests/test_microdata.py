@@ -336,6 +336,26 @@ def test_from_households_sorts_by_id_and_rows_are_views_of_the_columns(plp68):
     assert stacked.spend.flags.f_contiguous
 
 
+def test_sorting_shuffled_columns_copies_spend_once(plp68):
+    """Constructing a population from 100k shuffled rows holds one sorted copy of
+    the columns plus a few MiB (measured 1.5 MiB above them with numpy 2.4); a
+    sort through a C-order copy of ``spend`` peaks 15.3 MiB above them."""
+    source = generate_synthetic(3, 100_000, plp68)
+    shuffled = np.random.default_rng(5).permutation(len(source))
+    columns = [getattr(source, name)[shuffled] for name in COLUMNS[:-1]]
+    columns.append(np.asfortranarray(source.spend[shuffled]))
+    tracemalloc.start()
+    try:
+        population = Population(source.provenance, source.category_ids, *columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(c.nbytes for c in columns) < 4 * 2**20
+    for name in COLUMNS:
+        assert getattr(population, name).tobytes() == getattr(source, name).tobytes(), name
+    assert population.spend.flags.f_contiguous
+
+
 @pytest.mark.parametrize("name", FIXED_COLUMNS)
 def test_category_named_like_a_fixed_column_round_trips(tmp_path, uniform, name):
     schedule = replace(uniform, categories=(replace(uniform.categories[0], id=name),))

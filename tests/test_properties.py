@@ -10,8 +10,9 @@ household and renters on both sides of the rent reducer, check that
 * calculators built one after another on one population, which reuse its
   memoised reductions, give the totals of a fresh population bit for bit,
 * the burden at a fixed cashback never falls as the reference rate rises,
-* the calculator's float rate vector equals ``effective_inside_rate`` bit for
-  bit for every treatment kind, over the whole bisection bracket,
+* the calculator's float rate vector and ``effective_inside_rate`` equal the
+  ``Rate``-object oracle of ``tests/helpers.py`` bit for bit for every
+  treatment kind, over the whole bisection bracket,
 * under the ``uniform`` schedule the solved rate is t = b / (1 - b).
 
 Random households files check the array reader against the row reader: the
@@ -76,7 +77,7 @@ from ivasim.schedule import (
 )
 from ivasim.solver import BRACKET_HI_MAX, RATE_TOLERANCE, solve_with_cashback
 
-from helpers import incidences, quintile_of
+from helpers import incidences, quintile_of, reference_inside_rate
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 REL = 1e-9
@@ -340,8 +341,11 @@ def all_kinds_schedules(draw):
 def test_float_rate_vector_matches_effective_inside_rate(schedule, rates):
     calc = IncidenceCalculator(generate_synthetic(0, 5, schedule), schedule)
     for t in rates:
-        reference = [effective_inside_rate(c, Rate.outside(t)).value for c in schedule.categories]
-        assert [r.hex() for r in calc.inside_rates(t)] == [r.hex() for r in reference]
+        oracle = [reference_inside_rate(c, Rate.outside(t)).value.hex()
+                  for c in schedule.categories]
+        assert [r.hex() for r in calc.inside_rates(t)] == oracle
+        assert [effective_inside_rate(c, Rate.outside(t)).value.hex()
+                for c in schedule.categories] == oracle
 
 
 UNIFORM = load_schedule(bundled_schedule_path("uniform"))

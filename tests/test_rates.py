@@ -1,8 +1,10 @@
-"""Rate conversion arithmetic.
+"""Rate conversion arithmetic, and the per-kind rate rules against the ``Rate`` oracle.
 
 The expected values below are frozen from hand computation:
 t_out = t_in/(1 - t_in) and t_in = t_out/(1 + t_out), e.g.
 0.33/0.67 = 0.49253731..., 0.275/0.725 = 0.37931034...
+``apply_fraction`` and ``compose_selective`` are the test oracle's ``Rate``
+compositions (``tests/helpers.py``).
 """
 
 import doctest
@@ -12,14 +14,10 @@ import random
 import pytest
 
 import ivasim.rates as rates_module
-from ivasim.rates import (
-    Rate,
-    RateBasis,
-    apply_fraction,
-    compose_selective,
-    to_inside,
-    to_outside,
-)
+from ivasim.rates import Rate, RateBasis, to_inside, to_outside
+from ivasim.schedule import TaxTreatment, TreatmentKind, inside_rate_function
+
+from helpers import apply_fraction, compose_selective
 
 
 # Published equivalences between the two quoting conventions, in %.
@@ -106,6 +104,14 @@ def test_compose_selective_value():
     assert got.value == pytest.approx(0.64101, abs=1e-12)
 
 
+def test_selective_rule_compounds_like_the_oracle():
+    # IS 19% and VAT 37.9%, both outside: 1.19 * 1.379 - 1 = 0.64101 outside
+    selective = TaxTreatment(TreatmentKind.SELECTIVE, is_rate=Rate.outside(0.19), vat_fraction=1.0)
+    oracle = to_inside(compose_selective(Rate.outside(0.19), Rate.outside(0.379))).value
+    assert inside_rate_function(selective)(0.379).hex() == oracle.hex()
+    assert oracle == pytest.approx(0.64101 / 1.64101, abs=1e-12)
+
+
 def test_compose_selective_symmetry_and_superadditivity():
     rng = random.Random(13)
     for _ in range(200):
@@ -133,6 +139,14 @@ def test_apply_fraction():
     assert got.value == pytest.approx(0.1516, abs=1e-12)
     # fraction 1 is the identity
     assert apply_fraction(1.0, Rate.outside(0.379)).value == 0.379
+
+
+def test_reduced_rule_is_a_fraction_of_the_outside_rate_like_the_oracle():
+    # 40% of the 37.9% outside reference rate: 0.1516 outside
+    reduced = TaxTreatment(TreatmentKind.REDUCED_FRACTION, fraction=0.4)
+    oracle = to_inside(apply_fraction(0.4, Rate.outside(0.379))).value
+    assert inside_rate_function(reduced)(0.379).hex() == oracle.hex()
+    assert oracle == pytest.approx(0.1516 / 1.1516, abs=1e-12)
 
 
 def test_apply_fraction_rejects_bad_inputs():

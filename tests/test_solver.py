@@ -6,18 +6,14 @@ simultaneous system (cashback evaluated at the candidate rate itself).
 """
 
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from ivasim import engine
-from ivasim.cli import main
 from ivasim.engine import IncidenceCalculator, aggregate, household_tax, with_cashback
 from ivasim.microdata import Household, Population, Provenance, generate_synthetic, load_population
 from ivasim.rates import Rate
 from ivasim.schedule import (
-    TreatmentKind,
     bundled_schedule_path,
     load_schedule,
     parse_schedule,
@@ -211,30 +207,6 @@ def test_trace_rows_evaluate_cashback_once(synthetic, plp68, monkeypatch):
     for row in res.trace:
         calc = IncidenceCalculator(synthetic, plp68)
         assert row.net_burden == calc.burden_simultaneous(row.t_ref_outside)
-
-
-def test_solves_refuse_float_rates_that_leave_the_reference(synthetic, plp68, monkeypatch,
-                                                            capsys):
-    # nudge each reduced fraction in the calculator's constants only
-    real = engine._inside_rate_function
-
-    def corrupted(treatment):
-        if treatment.kind is TreatmentKind.REDUCED_FRACTION:
-            treatment = replace(treatment, fraction=treatment.fraction * (1.0 - 1e-12))
-        return real(treatment)
-
-    monkeypatch.setattr(engine, "_inside_rate_function", corrupted)
-    first = next(c.id for c in plp68.categories
-                 if c.treatment.kind is TreatmentKind.REDUCED_FRACTION)
-    message = (rf"category '{first}': inside rate at t = .* "
-               r"on the float path but .* on the reference path")
-    with pytest.raises(SolverError, match=message):
-        solve_with_cashback(synthetic, plp68, 0.201)
-    with pytest.raises(SolverError, match=message):
-        solve_given_cashback(synthetic, plp68, 0.0, 0.201)
-    # a SolverError is a numerical failure: exit code 2
-    assert main(["solve", "--schedule", "plp68", "--synthetic", "42:300"]) == 2
-    assert f"error: category '{first}': inside rate at t = " in capsys.readouterr().err
 
 
 # -- examples and degenerate cases -------------------------------------------
