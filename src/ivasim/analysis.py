@@ -194,7 +194,12 @@ SWAP_GROUP = "cesta_basica"  # the group the transfer swap retaxes
 
 @dataclass(frozen=True, eq=False)
 class ScenarioResult:
-    """One scenario's totals and per-household arrays, in the population's row order."""
+    """One scenario's totals and per-household arrays, in the population's row order.
+
+    The arrays are read-only and may share memory: an absent cashback or
+    transfer is an all-zero array shared by the scenarios of one
+    ``compute_scenarios`` call, and ``net`` is ``gross`` when both are absent.
+    """
 
     name: ScenarioName
     t_ref: Rate | None  # None for the pre-reform baseline
@@ -241,16 +246,26 @@ def _result(
     schedule: Schedule,
     name: ScenarioName,
     t_ref: Rate | None,
+    zeros: np.ndarray,
     gross: np.ndarray,
     cashback: np.ndarray | None = None,
     transfer_per_person: float = 0.0,
 ) -> ScenarioResult:
-    """Assemble a scenario from its arrays and spot-check it against the reference."""
+    """Assemble a scenario from its arrays and spot-check it against the reference.
+
+    A scenario without cashback or with a zero transfer holds the read-only
+    all-zero array ``zeros`` for it, and its net tax skips subtracting it:
+    x - 0.0 is x, bit for bit, so with neither, ``net`` is ``gross``.
+    """
     weight = population.weight
-    if cashback is None:
-        cashback = np.zeros_like(gross)
-    transfer = transfer_per_person * population.residents
-    net = gross - cashback - transfer
+    cashback = zeros if cashback is None else cashback
+    transfer = zeros if transfer_per_person == 0.0 else transfer_per_person * population.residents
+    net = gross
+    for part in (cashback, transfer):
+        if part is not zeros:
+            net = net - part
+    for array in (gross, cashback, transfer, net):
+        array.flags.writeable = False
     result = ScenarioResult(
         name=name,
         t_ref=t_ref,
@@ -323,7 +338,8 @@ def compute_scenarios(
     """
     if not names:
         raise ValueError("empty scenario list")
-    baseline = _result(population, schedule, ScenarioName.BASELINE, None,
+    zeros = np.zeros(len(population))  # every absent cashback and transfer
+    baseline = _result(population, schedule, ScenarioName.BASELINE, None, zeros,
                        baseline_taxes(population, schedule))
     target = baseline.totals.net_burden
     results = [baseline]
@@ -335,12 +351,12 @@ def compute_scenarios(
             uni = _uniform_vat_schedule(schedule)
             rate = solve_given_cashback(population, uni, 0.0, target)
             gross, _ = household_taxes(population, uni, rate)
-            results.append(_result(population, uni, name, rate, gross))
+            results.append(_result(population, uni, name, rate, zeros, gross))
             continue
         if reform_rate is None:
             reform_rate = solve_with_cashback(population, schedule, target).t_ref
         if name is ScenarioName.PLP68:
-            results.append(_result(population, schedule, name, reform_rate,
+            results.append(_result(population, schedule, name, reform_rate, zeros,
                                    *household_taxes(population, schedule, reform_rate)))
             continue
         swapped = with_removal(schedule, SWAP_GROUP)
@@ -354,7 +370,8 @@ def compute_scenarios(
                 )
             extra = 0.0
         amount = universal_transfer_amount(extra, population)
-        results.append(_result(population, swapped, name, reform_rate, gross, cashback, amount))
+        results.append(_result(population, swapped, name, reform_rate, zeros,
+                               gross, cashback, amount))
     return tuple(results)
 
 

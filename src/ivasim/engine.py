@@ -144,7 +144,7 @@ def denominator_expenditure(population: Population, schedule: Schedule) -> float
             per_household = population.monetary
         else:
             columns = [population.category_ids.index(cid) for cid in in_denom]
-            per_household = row_sums(population.spend[:, columns])
+            per_household = row_sums(population.spend, columns)
         population.memo[key] = weighted_total(population.weight, per_household)
     return population.memo[key]
 

@@ -30,7 +30,7 @@ exceptions match it there by construction.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -96,13 +96,20 @@ def _extract(x: np.ndarray, m: float) -> list[float]:
     return parts
 
 
-def row_sums(matrix: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of every row of a 2-D float array, bit for bit."""
+def row_sums(matrix: np.ndarray, columns: Sequence[int] | None = None) -> np.ndarray:
+    """``math.fsum`` of every row of a 2-D float array, bit for bit.
+
+    With ``columns``, of the row's cells in those columns, gathered one block
+    of rows at a time, so no copy of the selected columns is held whole.
+    """
     matrix = np.asarray(matrix, dtype=float)
     out = np.zeros(len(matrix))
-    if matrix.shape[1]:
+    k = matrix.shape[1] if columns is None else len(columns)
+    if k:
         for start in range(0, len(matrix), _ROW_BLOCK):
             block = matrix[start:start + _ROW_BLOCK]
+            if columns is not None:
+                block = block[:, columns]
             out[start:start + len(block)] = _block_sums(block)
     return out
 

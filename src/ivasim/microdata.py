@@ -573,22 +573,38 @@ def generate_synthetic(seed: int, n: int, schedule: Schedule) -> Population:
 
     categories = schedule.categories
     k = len(categories)
-    raw = np.empty((n, k))
+    spending = np.empty((n, k), order="F")
     for j, c in enumerate(categories):
         base, gradient = _SHARE_PARAMS.get(
             c.id, (1.0 / k, _KIND_GRADIENT[c.treatment.kind])
         )
         noise = rng.normal(0.0, 0.25, size=n)
-        raw[:, j] = base * np.exp(gradient * z + noise)
+        spending[:, j] = base * np.exp(gradient * z + noise)
         if c.treatment.kind is TreatmentKind.RENT_REGIME:
-            raw[:, j] *= rng.random(n) < _RENTER_SHARE
-    # normalised in place; raw stays C-order, as the bits of its row sums depend on it
-    raw /= raw.sum(axis=1, keepdims=True)
-    spending = np.empty((n, k), order="F")
-    np.multiply(raw, monetary[:, None], out=spending)
-    del raw  # so the constructor's row checks do not run while it is still held
+            spending[:, j] *= rng.random(n) < _RENTER_SHARE
+    # shares, then spending, in place: the draws' matrix is the returned one
+    spending /= _row_totals(spending)[:, None]
+    spending *= monetary[:, None]
 
     return Population(
         Provenance("synthetic", f"{seed}:{n}"), schedule.category_ids(),
         np.arange(1, n + 1), weights, residents, income_pc, total - monetary, spending,
     )
+
+
+_TOTAL_ROWS = 2048  # rows summed at a time by _row_totals; bounds its C-order copy
+
+
+def _row_totals(matrix: np.ndarray) -> np.ndarray:
+    """``np.ascontiguousarray(matrix).sum(axis=1)``, bit for bit, in any layout.
+
+    Each block of ``_TOTAL_ROWS`` rows is copied to C order and summed along
+    its contiguous rows, as numpy sums the rows of a C-order matrix: the
+    rounding of a row sum depends on that order, and the synthetic shares
+    keep the bits they had when the draws were a C-order matrix.
+    """
+    out = np.empty(len(matrix))
+    for start in range(0, len(matrix), _TOTAL_ROWS):
+        block = np.ascontiguousarray(matrix[start:start + _TOTAL_ROWS])
+        out[start:start + len(block)] = block.sum(axis=1)
+    return out

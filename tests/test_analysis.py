@@ -244,6 +244,22 @@ def test_transfer_swap_holds_plp68_rate(scenario_results):
     assert by_name[ScenarioName.PLP68_TRANSFER_SWAP].transfer_per_person > 0
 
 
+def test_scenario_arrays_are_read_only_and_share_their_zeros(scenario_results):
+    by_name = {r.name: r for r in scenario_results}
+    for r in scenario_results:
+        for array in (r.gross, r.cashback, r.transfer, r.net):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+    baseline, uniform_vat = by_name[ScenarioName.BASELINE], by_name[ScenarioName.UNIFORM_VAT]
+    zeros = baseline.cashback
+    assert not zeros.any()
+    for r in (baseline, uniform_vat):
+        assert r.cashback is zeros and r.transfer is zeros
+        assert r.net is r.gross
+    assert by_name[ScenarioName.PLP68].transfer is zeros
+    assert by_name[ScenarioName.PLP68_TRANSFER_SWAP].transfer is not zeros
+
+
 def test_transfer_swap_alone_solves_the_reform_rate_once(monkeypatch, synthetic, plp68,
                                                          scenario_results):
     calls = []

@@ -5,9 +5,11 @@ recomputes the 5-household fixture with fractions.Fraction and no imports
 from this package; the engine must match it to 1e-9.
 """
 
+import dataclasses
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -373,8 +375,6 @@ def test_calculator_fixed_cashback_burden(oracle6, fixture_population):
 
 
 def test_denominator_leaves_out_non_denominator_categories(plp68):
-    import dataclasses
-
     schedule = dataclasses.replace(plp68, categories=tuple(
         dataclasses.replace(c, in_denominator=c.id not in ("aluguel_imovel", "apostas_loterias"))
         for c in plp68.categories
@@ -386,3 +386,22 @@ def test_denominator_leaves_out_non_denominator_categories(plp68):
     )
     assert denominator_expenditure(pop, schedule) == reference
     assert denominator_expenditure(pop, schedule) < denominator_expenditure(pop, plp68)
+
+
+def test_denominator_sums_a_column_subset_in_row_blocks(plp68):
+    """With a category out of the denominator, the in-denominator columns are
+    summed a block of rows at a time (traced peak 1.9 MiB at 100k with numpy
+    2.4, the n-length row sums included) instead of gathered whole (16.1 MiB);
+    the value is the one the gathered sum gave."""
+    schedule = dataclasses.replace(plp68, categories=tuple(
+        dataclasses.replace(c, in_denominator=c.id != "aluguel_imovel") for c in plp68.categories
+    ))
+    pop = generate_synthetic(42, 100_000, plp68)
+    tracemalloc.start()
+    try:
+        value = denominator_expenditure(pop, schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert value.hex() == "0x1.0917ffedf2eb7p+34"

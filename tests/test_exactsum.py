@@ -128,7 +128,9 @@ def test_row_sums_across_blocks_and_without_columns():
     matrix = _values(np.random.default_rng(3), 3 * (exactsum._ROW_BLOCK + 5), "mixed")
     matrix = matrix.reshape(-1, 3)
     assert row_sums(matrix).tolist() == _fsum_rows(matrix).tolist()
+    assert row_sums(matrix, [2, 0]).tolist() == _fsum_rows(matrix[:, [2, 0]]).tolist()
     assert repr(row_sums(np.empty((4, 0))).tolist()) == repr([math.fsum([])] * 4)
+    assert repr(row_sums(np.ones((4, 2)), []).tolist()) == repr([math.fsum([])] * 4)
 
 
 def test_negative_zeros_sum_as_fsum_sums_them():
