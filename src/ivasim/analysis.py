@@ -255,7 +255,9 @@ def _result(
 
     A scenario without cashback or with a zero transfer holds the read-only
     all-zero array ``zeros`` for it, and its net tax skips subtracting it:
-    x - 0.0 is x, bit for bit, so with neither, ``net`` is ``gross``.
+    x - 0.0 is x, bit for bit, so with neither, ``net`` is ``gross``.  Neither
+    shortcut costs a weighted total: that of ``zeros`` is +0.0, and that of
+    ``net`` is then ``gross``'s.
     """
     weight = population.weight
     cashback = zeros if cashback is None else cashback
@@ -266,15 +268,20 @@ def _result(
             net = net - part
     for array in (gross, cashback, transfer, net):
         array.flags.writeable = False
+
+    def total(array: np.ndarray) -> float:
+        return 0.0 if array is zeros else weighted_total(weight, array)  # weights are > 0
+
+    total_gross = weighted_total(weight, gross)
     result = ScenarioResult(
         name=name,
         t_ref=t_ref,
         transfer_per_person=transfer_per_person,
         totals=AggregateIncidence(
-            total_gross=weighted_total(weight, gross),
-            total_cashback=weighted_total(weight, cashback),
-            total_transfer=weighted_total(weight, transfer),
-            total_net=weighted_total(weight, net),
+            total_gross=total_gross,
+            total_cashback=total(cashback),
+            total_transfer=total(transfer),
+            total_net=total_gross if net is gross else total(net),
             denominator_expenditure=denominator_expenditure(population, schedule),
         ),
         schedule=schedule,

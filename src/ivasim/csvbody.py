@@ -3,19 +3,20 @@
 That layout, "plain", holds only digits, ",", "-", "." and LF after a header
 line ended by LF: k cells a row, at most one "." a cell and none in an
 integer column.  It is read in blocks of whole lines without a float parser:
-the dot-free text of a block parses as int64 significands, and each float
-cell's significand is scaled by its count of fractional digits to the
-correctly rounded double, exactly what ``float`` gives (``_decimal_values``;
-the few cells it cannot settle, such as exact rounding ties, go to
-``float``).  Each block is parsed on its own and dropped, so a read holds
-the columns being filled plus about 3 MB of scratch, some eleven times
-``_BLOCK_BYTES`` (the block, its dot-free text for ``np.loadtxt``, the index
-arrays and the scaling of its float cells), whatever the file's size.  A body
-that is not plain throughout (quotes, exponents, CR, spaces, blank lines) is
-not read here: ``microdata`` parses that file whole with one structured
-``np.loadtxt``.  The header line and the counting pass catch most such files
-(CR line ends, exponents, text) before any block is parsed; the first block
-that is not plain ends the block reading of the rest.
+the dot-free text of a block parses as int64 significands (one
+``np.fromstring``), and each float cell's significand is scaled by its count
+of fractional digits to the correctly rounded double, exactly what ``float``
+gives (``_decimal_values``; the few cells it cannot settle, such as exact
+rounding ties, go to ``float``).  Each block is parsed on its own and
+dropped, so a read holds the columns being filled plus about 3 MB of
+scratch, some eleven times ``_BLOCK_BYTES``, whatever the file's size.  The
+most is held while the float cells are scaled; the int64 parse, with its
+dot-free copy of the block, holds under four.  A body that is not plain
+throughout (quotes, exponents, CR, spaces, blank lines) is not read here:
+``microdata`` parses that file whole with one structured ``np.loadtxt``.
+The header line and the counting pass catch most such files (CR line ends,
+exponents, text) before any block is parsed; the first block that is not
+plain ends the block reading of the rest.
 
 It is written in blocks of rows too (``text_blocks``), each float as
 ``repr`` spells it: the shortest decimal that reads back as the same double.
@@ -38,8 +39,11 @@ from functools import cache
 import numpy as np
 
 _BLOCK_BYTES = 1 << 18  # bytes read at a time; a block is the whole lines they hold
+_COUNT_BLOCKS = 4  # the counting pass reads this many _BLOCK_BYTES at a time
 _HEADER_BYTES = 1 << 16  # a longer header line leaves the file to np.loadtxt
 _COMMA, _LF, _DOT, _MINUS, _ZERO, _NINE = b",\n.-09"
+_LF_TO_COMMA = bytes.maketrans(b"\n", b",")
+_SAFE_DIGITS = 18  # any significand of up to 18 digits is an int64
 
 
 def body_start(fh) -> int | None:
@@ -54,9 +58,16 @@ def count_rows(fh) -> int | None:
     A byte above "9" (an exponent, "nan", a letter, non-ASCII text) or a blank
     last line is never plain, so such a file goes to ``np.loadtxt`` before
     any block is parsed.
+
+    It reads 1 MB at a time, before the columns exist.  Freeing a buffer that
+    large also lifts glibc malloc's mmap and trim thresholds, which follow
+    the largest block freed, above a block parse's scratch: that scratch
+    then stays in the heap from block to block instead of going back to the
+    system and being faulted in again (a ``solve`` of a 100k households file
+    takes about 8K minor page faults rather than 37K).
     """
     ends, tail = 0, b""
-    while chunk := fh.read(_BLOCK_BYTES):
+    while chunk := fh.read(_COUNT_BLOCKS * _BLOCK_BYTES):
         buf = np.frombuffer(chunk, np.uint8)
         if buf.max() > _NINE:
             return None
@@ -88,16 +99,22 @@ def blocks(fh):
 
 
 def plain_columns(
-    block: bytearray, k: int, int_columns: tuple[int, ...]
+    block: bytes, k: int, int_columns: tuple[int, ...]
 ) -> list[np.ndarray] | None:
     """The k columns of a plain block, or None if the block is not plain.
 
     Columns in ``int_columns`` are the int64 significands themselves.  The
     bytes after each dot give a float cell's number of fractional digits, and
     a "-" starting a cell its sign, so "-0.0" keeps it.  Cells
-    ``_decimal_values`` leaves unsettled are parsed by ``float``.  A block
-    whose int64 parse fails (an empty cell, a lone sign, a significand beyond
-    64 bits) is not plain either.
+    ``_decimal_values`` leaves unsettled are parsed by ``float``.
+
+    ``np.fromstring`` is more lenient than a plain cell, so three checks
+    keep a block it would misread from being plain: a cell without a digit
+    ("", "-", "." or "-.", which it may read as 0) is refused before the
+    parse, a parse that stops early returns fewer than rows * k values, and
+    a cell of more than ``_SAFE_DIGITS`` digits (which it clamps at the
+    int64 limits) is read again by ``int``, so a significand beyond 64 bits
+    is not plain.
     """
     buf = np.frombuffer(block, np.uint8)
     # of the plain bytes, all but the digits sort below "0"
@@ -106,6 +123,9 @@ def plain_columns(
     other = (kinds != _LF) & ((kinds < _COMMA) | (kinds > _DOT))
     if (buf > _NINE).any() or other.any():
         return None  # not a plain byte
+    long = _long_cells(marks, kinds)
+    if long is None:
+        return None  # a cell without a digit: empty, "-", "." or "-."
     is_minus = kinds == _MINUS
     minus = marks[is_minus]
     if minus.size:  # from here on, marks are the separators and dots in byte order
@@ -128,11 +148,18 @@ def plain_columns(
     before = buf[minus - 1]  # the block ends in LF, so a "-" at 0 sees one
     if not ((before == _COMMA) | (before == _LF)).all():
         return None  # a "-" inside a cell, as in ".-5"
-    try:
-        significands = np.loadtxt(io.StringIO(block.replace(b".", b"").decode("ascii")),
-                                  dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+    try:  # a partial parse raises ValueError (numpy >= 2) or a warning made an error
+        significands = np.fromstring(block.translate(_LF_TO_COMMA, b"."), np.int64, sep=",")
     except (ValueError, Warning):
         return None
+    if significands.size != rows * k:
+        return None  # a parse that stopped early
+    for cell, start, end in long:  # the parse clamps what int64 cannot hold; int does not
+        value = int(block[start:end].replace(b".", b""))
+        if not -(2**63) <= value < 2**63:
+            return None  # a significand beyond 64 bits
+        significands[cell] = value
+    significands = significands.reshape(rows, k)
     floats = [i for i in range(k) if i not in int_columns]
     place = np.full(k, -1)  # a column's place among the float columns
     place[floats] = range(len(floats))
@@ -152,6 +179,24 @@ def plain_columns(
             values[i] = float(block[seps[cell - 1] + 1 if cell else 0:seps[cell]])
     values = values.reshape(rows, len(floats))
     return [significands[:, i] if i in int_columns else values[:, place[i]] for i in range(k)]
+
+
+def _long_cells(marks: np.ndarray, kinds: np.ndarray) -> list[tuple[int, int, int]] | None:
+    """(cell, start, end) of each cell of more than ``_SAFE_DIGITS`` digits,
+    or None if a cell has no digit.
+
+    ``marks`` are the offsets of a block's bytes below "0", ``kinds`` those
+    bytes; cell i is ``block[start:end]``, counted over all k columns.
+    """
+    at = np.flatnonzero((kinds == _COMMA) | (kinds == _LF))
+    digits = marks[at]
+    digits -= at  # the digits before each separator: the bytes before it less the marks
+    digits[1:] -= digits[:-1]  # numpy buffers the overlap: the digits of each cell
+    if digits.min() < 1:
+        return None
+    cells = np.flatnonzero(digits > _SAFE_DIGITS)
+    starts = np.where(cells > 0, marks[at[cells - 1]] + 1, 0)
+    return list(zip(cells.tolist(), starts.tolist(), marks[at[cells]].tolist()))
 
 
 # -- decimal significands to doubles ------------------------------------------

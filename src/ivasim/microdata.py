@@ -311,8 +311,9 @@ def _read_columns(path: Path, header: list[str], category_ids: tuple[str, ...]) 
         header.index(cid, len(FIXED_COLUMNS)) for cid in category_ids
     ]
     with warnings.catch_warnings():
-        # numpy < 2 parses an integer via float with only a DeprecationWarning;
-        # an empty body is a warning too
+        # numpy < 2 parses an integer via float, and stops np.fromstring at
+        # unmatched text, with only a DeprecationWarning; an empty body is a
+        # warning too
         warnings.simplefilter("error")
         columns = _read_plain(path, len(header), sources)
         if columns is None:

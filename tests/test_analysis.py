@@ -278,6 +278,30 @@ def test_transfer_swap_alone_solves_the_reform_rate_once(monkeypatch, synthetic,
     assert swap.t_ref.value == plp.t_ref.value
 
 
+def test_scenario_totals_skip_the_zero_arrays_and_a_net_that_is_gross(monkeypatch, synthetic,
+                                                                      plp68):
+    full = []
+    exact = analysis.weighted_total
+
+    def counted(weights, values):
+        if len(values) == len(synthetic):  # the spot check's totals are over six rows
+            full.append(values)
+        return exact(weights, values)
+
+    monkeypatch.setattr(analysis, "weighted_total", counted)
+    results = compute_scenarios(synthetic, plp68, [ScenarioName.UNIFORM_VAT, ScenarioName.PLP68,
+                                                   ScenarioName.PLP68_TRANSFER_SWAP])
+    # gross alone for the baseline and uniform VAT, gross, cashback and net for
+    # plp68, all four for the swap, and the revenue its transfer returns: seven
+    # fewer than a total of each array
+    assert len(full) == 1 + 1 + 3 + 4 + 1
+    for result in results:
+        for field, array in (("total_gross", result.gross), ("total_cashback", result.cashback),
+                             ("total_transfer", result.transfer), ("total_net", result.net)):
+            # repr tells -0.0 from 0.0
+            assert repr(getattr(result.totals, field)) == repr(exact(synthetic.weight, array))
+
+
 @pytest.mark.parametrize("order", [
     [ScenarioName.PLP68, ScenarioName.PLP68_TRANSFER_SWAP],
     [ScenarioName.PLP68_TRANSFER_SWAP, ScenarioName.PLP68],

@@ -642,6 +642,68 @@ def test_malformed_plain_cell_gives_the_row_reader_message(tmp_path, plp68, pars
     assert str(fast.value) == f"{path}: row 21: column {column!r}: not a number: {cell!r}"
 
 
+def _load_both(path, schedule):
+    """The messages of load_population and of the row reader, asserted equal."""
+    with pytest.raises(MicrodataError) as fast:
+        load_population(path, schedule)
+    with pytest.raises(MicrodataError) as reference:
+        _read_rows(path, schedule)
+    assert str(fast.value) == str(reference.value)
+    return str(fast.value)
+
+
+@pytest.mark.parametrize("cell", ["-", "-.", "."])
+def test_cell_without_a_digit_is_not_plain(tmp_path, plp68, parsed, cell):
+    # the int64 parse may read such a cell as 0; the block goes to np.loadtxt
+    lines = csv_lines(tmp_path, plp68)
+    lines[20] = _cell(lines[20], 8, cell)
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    column = lines[0].split(",")[8]
+    assert _load_both(path, plp68) == f"{path}: row 21: column {column!r}: not a number: {cell!r}"
+    assert parsed[0] == "plain" and parsed[-2:] == ["other", "loadtxt"]
+
+
+def test_sign_and_dot_before_the_digits_is_plain(tmp_path, plp68, parsed):
+    lines = csv_lines(tmp_path, plp68)
+    lines[20] = _cell(lines[20], 8, "-.5")
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    column = lines[0].split(",")[8]
+    # the cell is read as -0.5 by the block parse; the row check refuses it
+    assert _load_both(path, plp68).endswith(f"expenditure {column!r} must be >= 0, got -0.5")
+    assert set(parsed) == {"plain"}
+
+
+def test_long_zero_led_significand_is_plain(tmp_path, plp68, parsed):
+    # 21 digits, "000012345678901234567" without its dot: more than int64's
+    # 18 safe digits, a value well inside it
+    cell = "0.00012345678901234567"
+    lines = csv_lines(tmp_path, plp68)
+    lines[20] = _cell(lines[20], 8, cell)
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    population = reads_like_row_reader(path, plp68)
+    assert set(parsed) == {"plain"}
+    assert float(cell) in set(population.spend.ravel())
+
+
+def test_float_significand_beyond_64_bits_is_not_plain(tmp_path, plp68, parsed):
+    cell = "12345678901234567890.5"
+    lines = csv_lines(tmp_path, plp68)
+    lines[20] = _cell(lines[20], 8, cell)
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    population = reads_like_row_reader(path, plp68)
+    assert parsed[0] == "plain" and parsed[-2:] == ["other", "loadtxt"]
+    assert float(cell) in set(population.spend.ravel())
+
+
+def test_id_of_twenty_digits_is_not_plain(tmp_path, plp68, parsed):
+    lines = csv_lines(tmp_path, plp68)
+    lines[20] = _cell(lines[20], 0, "9" * 20)
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    assert _load_both(path, plp68) == (f"{path}: row 21: column 'id': outside the 64-bit "
+                                       f"integer range: '{'9' * 20}'")
+    assert parsed[0] == "plain" and parsed[-2:] == ["other", "loadtxt"]
+
+
 def test_households_file_path_holds_a_few_mb_beyond_the_columns(tmp_path, plp68):
     """Traced peaks above the population's own arrays on a 20k households file.
 
