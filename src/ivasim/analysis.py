@@ -98,7 +98,7 @@ def assign_quintiles(population: Population) -> QuintileAssignment:
     grouped.flags.writeable = False
     bounds = tuple(np.searchsorted(ranked, np.arange(1, 7)).tolist())
     return QuintileAssignment(population.ids, grouped, bounds,
-                              tuple(per_capita[order][opens].tolist()))
+                              tuple(per_capita[order[opens]].tolist()))
 
 
 class _QuintileMeans:

@@ -1,49 +1,277 @@
-"""The body of a households CSV in the layout ``microdata.write_population`` writes.
+"""The households CSV: its header check, its body readers and its writer.
 
-That layout, "plain", holds only digits, ",", "-", "." and LF after a header
-line ended by LF: k cells a row, at most one "." a cell and none in an
-integer column.  It is read in blocks of whole lines without a float parser:
-the dot-free text of a block parses as int64 significands (one
-``np.fromstring``), and each float cell's significand is scaled by its count
-of fractional digits to the correctly rounded double, exactly what ``float``
-gives (``_decimal_values``; the few cells it cannot settle, such as exact
-rounding ties, go to ``float``).  Each block is parsed on its own and
-dropped, so a read holds the columns being filled plus about 3 MB of
-scratch, some eleven times ``_BLOCK_BYTES``, whatever the file's size.  The
-most is held while the float cells are scaled; the int64 parse, with its
-dot-free copy of the block, holds under four.  A body that is not plain
-throughout (quotes, exponents, CR, spaces, blank lines) is not read here:
-``microdata`` parses that file whole with one structured ``np.loadtxt``.
-The header line and the counting pass catch most such files (CR line ends,
-exponents, text) before any block is parsed; the first block that is not
-plain ends the block reading of the rest.
+The layout is fixed: ``id, weight, residents, income_pc, nonmonetary_total``
+followed by one monetary-expenditure column per schedule category id.
+UTF-8, "." decimal separator; numbers are plain ASCII decimal or scientific
+notation, ids fit in 64 bits, "#" starts no comment and blank lines are
+skipped.  ``read`` is strict: unknown or missing columns, non-numeric cells,
+duplicate ids, invariant violations and bytes that are not UTF-8 are load
+errors that cite the offending row.
 
-It is written in blocks of rows too (``text_blocks``), each float as
-``repr`` spells it: the shortest decimal that reads back as the same double.
-Those digits are found with the reader's tools run backwards: x scaled
-exactly to its nearest 17-digit integer, then rounded to fewer digits while
-``_decimal_values`` still reads the result back as x.  The few cells that
-``repr`` writes with an exponent, or whose digits need a tie broken, are
-left to ``repr`` itself, as the reader leaves its unsettled cells to
-``float``.
+A body in the layout ``write`` writes, "plain" (only digits, ",", "-", "."
+and LF after a header line ended by LF; k cells a row, at most one "." a
+cell and none in an integer column), is read in blocks of whole lines into
+columns counted and allocated once, without a float parser: each block's
+dot-free text parses as int64 significands (``plain_columns``), scaled
+exactly to the doubles ``float`` gives (``_decimal_values``).  A read holds
+the columns plus about 3 MB of scratch, some eleven times ``_BLOCK_BYTES``,
+whatever the file's size.  Any other body (quotes, exponents, CR, spaces,
+blank lines) is parsed whole by one structured ``np.loadtxt``.  Only when
+the file is rejected does the row reader, one csv record and one
+``Household`` at a time, re-read it to name the first bad row.
 
-``microdata`` imports this module only when it reads or writes a file: a run
-on a synthetic population does not load it.
+``write`` writes the header line, then the body in blocks of rows
+(``text_blocks``), each float as ``repr`` spells it: the shortest decimal
+that reads back as the same double, found with the reader's tools run
+backwards.
+
+``microdata.load_population`` and ``write_population`` import this module
+when they run: a run on a synthetic population does not load it.
 """
 
 from __future__ import annotations
 
+import csv
 import io
+import warnings
 from functools import cache
+from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
+from .microdata import FIXED_COLUMNS, Household, MicrodataError, Population, Provenance
+from .schedule import Schedule
+
+_INT_COLUMNS = (0, 2)  # id and residents, in FIXED_COLUMNS
 _BLOCK_BYTES = 1 << 18  # bytes read at a time; a block is the whole lines they hold
 _COUNT_BLOCKS = 4  # the counting pass reads this many _BLOCK_BYTES at a time
 _HEADER_BYTES = 1 << 16  # a longer header line leaves the file to np.loadtxt
 _COMMA, _LF, _DOT, _MINUS, _ZERO, _NINE = b",\n.-09"
 _LF_TO_COMMA = bytes.maketrans(b"\n", b",")
 _SAFE_DIGITS = 18  # any significand of up to 18 digits is an int64
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def read(path: str | Path, schedule: Schedule) -> Population:
+    """The population in a households CSV, validated against the schedule's category set.
+
+    On any rejection the row reader re-reads the file to name the first bad
+    row and cell.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise MicrodataError(f"household file not found: {path}")
+    category_ids = schedule.category_ids()
+    with _open_text(path) as fh:
+        header = _header(_records(fh, path), category_ids, path)
+    try:
+        return _read_columns(path, header, category_ids)
+    except (ValueError, Warning) as exc:
+        _read_rows(path, schedule)  # raises the first error in file order
+        raise MicrodataError(f"{path}: {exc}") from None
+
+
+def write(population: Population, path: str | Path, schedule: Schedule) -> None:
+    """Emit the documented CSV layout; numeric fields round-trip exactly."""
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow([*FIXED_COLUMNS, *schedule.category_ids()])
+    columns = [population.ids, population.weight, population.residents,
+               population.income_per_capita, population.nonmonetary_total]
+    columns += [population.spend[:, j] for j in population.column_index(schedule)]
+    with Path(path).open("wb") as fh:
+        fh.write(header.getvalue().encode("utf-8"))
+        # each float as repr writes it: the shortest decimal that reads back exactly
+        fh.writelines(text_blocks(columns, _INT_COLUMNS))
+
+
+def _read_columns(path: Path, header: list[str], category_ids: tuple[str, ...]) -> Population:
+    """Parse the body into columns: block by block if it is plain, else in one piece.
+
+    Raises ValueError, or a warning as an error, on anything the row reader
+    may reject.
+    """
+    # a category may share a fixed column's name; its column comes after them
+    sources = list(range(len(FIXED_COLUMNS))) + [
+        header.index(cid, len(FIXED_COLUMNS)) for cid in category_ids
+    ]
+    with warnings.catch_warnings():
+        # numpy < 2 parses an integer via float, and stops np.fromstring at
+        # unmatched text, with only a DeprecationWarning; an empty body is a
+        # warning too
+        warnings.simplefilter("error")
+        columns = _read_plain(path, len(header), sources)
+        if columns is None:
+            columns = _read_structured(path, len(header), sources)
+    return Population(Provenance("file", str(path)), category_ids, *columns)
+
+
+def _read_plain(path: Path, k: int, sources: list[int]) -> list[np.ndarray] | None:
+    """The five fixed columns and the spend matrix, or None if any block is not plain."""
+    with path.open("rb") as fh:
+        body = body_start(fh)
+        rows = None if body is None else count_rows(fh)
+        if rows is None:
+            return None
+        fixed = [np.empty(rows, np.int64 if i in _INT_COLUMNS else float)
+                 for i in range(len(FIXED_COLUMNS))]
+        spend = np.empty((rows, len(sources) - len(FIXED_COLUMNS)), order="F")
+        targets = fixed + [spend[:, j] for j in range(spend.shape[1])]
+        fh.seek(body)
+        n = 0
+        for block in blocks(fh):
+            columns = plain_columns(block, k, _INT_COLUMNS)
+            if columns is None:
+                return None
+            end = n + len(columns[0])
+            if end > rows:  # the file grew since it was counted
+                return None
+            for target, source in zip(targets, sources):
+                target[n:end] = columns[source]
+            n = end
+    # an empty body is left to np.loadtxt, whose warning names it
+    return [*fixed, spend] if 0 < n == rows else None
+
+
+def _read_structured(path: Path, k: int, sources: list[int]) -> list[np.ndarray]:
+    """The five fixed columns and the spend matrix, from one structured ``np.loadtxt``."""
+    # ids and residents parse as int64, so "1.0" is not an integer
+    dtype = np.dtype([(f"f{i}", np.int64 if i in _INT_COLUMNS else float) for i in range(k)])
+    table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                       skiprows=1, ndmin=1, encoding="utf-8")
+    spend = np.empty((len(table), len(sources) - len(FIXED_COLUMNS)), order="F")
+    for j, source in enumerate(sources[len(FIXED_COLUMNS):]):
+        spend[:, j] = table[f"f{source}"]
+    return [*(table[f"f{i}"] for i in sources[:len(FIXED_COLUMNS)]), spend]
+
+
+# -- the header line and the row reader ---------------------------------------
+
+
+def _open_text(path: Path):
+    # a byte that is not UTF-8 decodes to a lone surrogate, which _records reports
+    return path.open(newline="", encoding="utf-8", errors="surrogateescape")
+
+
+def _records(fh, path: Path) -> Iterator[list[str]]:
+    """The csv records of ``fh``; one holding a byte that is not UTF-8 raises,
+    naming its row as every row error does (the header is row 1)."""
+    for row_number, row in enumerate(csv.reader(fh), start=1):
+        text = ",".join(row)
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as e:
+            byte = ord(text[e.start]) - 0xDC00
+            raise MicrodataError(f"{path}: row {row_number}: byte 0x{byte:02x} is not UTF-8 text") from None
+        yield row
+
+
+def _header(reader, category_ids: tuple[str, ...], path: Path) -> list[str]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MicrodataError(f"{path}: empty file") from None
+    _check_header(header, category_ids, path)
+    return header
+
+
+def _check_header(header: list[str], category_ids: tuple[str, ...], path: Path) -> None:
+    if tuple(header[: len(FIXED_COLUMNS)]) != FIXED_COLUMNS:
+        raise MicrodataError(
+            f"{path}: header must start with {', '.join(FIXED_COLUMNS)}; got {header[:5]}"
+        )
+    got = header[len(FIXED_COLUMNS) :]
+    dupes = {c for c in got if got.count(c) > 1}
+    if dupes:
+        raise MicrodataError(f"{path}: duplicate column(s): {sorted(dupes)}")
+    missing = [c for c in category_ids if c not in got]
+    extra = [c for c in got if c not in category_ids]
+    if missing or extra:
+        parts = []
+        if missing:
+            parts.append(f"missing category column(s) {missing}")
+        if extra:
+            parts.append(f"unknown column(s) {extra}")
+        raise MicrodataError(f"{path}: " + "; ".join(parts))
+
+
+def _read_rows(path: Path, schedule: Schedule) -> Population:
+    """Reference reader: one csv record and one ``Household`` at a time.
+
+    ``read`` runs it only to explain a rejection: it raises the first error
+    in file order, citing the row and column.
+    """
+    category_ids = schedule.category_ids()
+    with _open_text(path) as fh:
+        reader = _records(fh, path)
+        header = _header(reader, category_ids, path)
+        cat_index = {cid: header.index(cid, len(FIXED_COLUMNS)) for cid in category_ids}
+        households: list[Household] = []
+        seen: set[int] = set()
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise MicrodataError(
+                    f"{path}: row {lineno}: expected {len(header)} cells, got {len(row)}"
+                )
+            hid = _int_cell(row[0], "id", lineno, path)
+            if hid in seen:
+                raise MicrodataError(f"{path}: row {lineno}: duplicate household id {hid}")
+            seen.add(hid)
+            try:
+                households.append(
+                    Household(
+                        id=hid,
+                        weight=_float_cell(row[1], "weight", lineno, path),
+                        residents=_int_cell(row[2], "residents", lineno, path),
+                        income_per_capita=_float_cell(row[3], "income_pc", lineno, path),
+                        expenditures={
+                            cid: _float_cell(row[cat_index[cid]], cid, lineno, path)
+                            for cid in category_ids
+                        },
+                        nonmonetary_total=_float_cell(row[4], "nonmonetary_total", lineno, path),
+                    )
+                )
+            except MicrodataError as e:
+                if f"row {lineno}" in str(e):
+                    raise
+                raise MicrodataError(f"{path}: row {lineno}: {e}") from None
+    if not households:
+        raise MicrodataError(f"{path}: no data rows")
+    return Population.from_households(households, Provenance("file", str(path)))
+
+
+def _float_cell(cell: str, column: str, lineno: int, path: Path) -> float:
+    try:
+        if _ascii(cell):
+            return float(cell)
+    except ValueError:
+        pass
+    raise MicrodataError(f"{path}: row {lineno}: column {column!r}: not a number: {cell!r}")
+
+
+def _int_cell(cell: str, column: str, lineno: int, path: Path) -> int:
+    try:
+        value = int(cell) if _ascii(cell) else None
+    except ValueError:
+        value = None
+    if value is None:
+        raise MicrodataError(f"{path}: row {lineno}: column {column!r}: not an integer: {cell!r}")
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise MicrodataError(
+            f"{path}: row {lineno}: column {column!r}: outside the 64-bit integer range: {cell!r}"
+        )
+    return value
+
+
+def _ascii(cell: str) -> bool:
+    """A numeric cell is ASCII after its surrounding whitespace, without "_"
+    separators: Python's float() and int() accept more, numpy's parser does not."""
+    return cell.strip().isascii() and "_" not in cell
+
+
+# -- the plain body in blocks -------------------------------------------------
 
 
 def body_start(fh) -> int | None:
@@ -156,7 +384,7 @@ def plain_columns(
         return None  # a parse that stopped early
     for cell, start, end in long:  # the parse clamps what int64 cannot hold; int does not
         value = int(block[start:end].replace(b".", b""))
-        if not -(2**63) <= value < 2**63:
+        if not _INT64_MIN <= value <= _INT64_MAX:
             return None  # a significand beyond 64 bits
         significands[cell] = value
     significands = significands.reshape(rows, k)
@@ -284,7 +512,7 @@ def _decimal_values(significand: np.ndarray, digits: np.ndarray) -> np.ndarray:
     return values
 
 
-# -- rows to text ---------------------------------------------------------------
+# -- rows to text -------------------------------------------------------------
 #
 # A block of rows is rendered as uint32 words of 4 text bytes each: an
 # integer cell takes _INT_WORDS words, a float cell _FLOAT_WORDS (the places

@@ -1,21 +1,7 @@
-"""Household records, strict CSV ingestion, and a synthetic survey generator.
+"""Household records, the population's columns, and a synthetic survey generator.
 
-The CSV layout is fixed: ``id, weight, residents, income_pc,
-nonmonetary_total`` followed by one monetary-expenditure column per schedule
-category id.  UTF-8, "." decimal separator; numbers are plain ASCII decimal
-or scientific notation, ids fit in 64 bits, "#" starts no comment and blank
-lines are skipped.  Ingestion is strict: unknown or missing columns,
-non-numeric cells, duplicate ids, invariant violations and bytes that are
-not UTF-8 are load errors that cite the offending row.
-
-A body in the layout ``write_population`` writes is read in blocks of whole
-lines (``ivasim.csvbody``: integer significands scaled exactly) straight into
-the columns ``Population`` takes, counted and allocated once; any other body
-is parsed whole by one structured ``np.loadtxt``.  Only when the file is
-rejected does a row-at-a-time reader re-read it as ``Household`` records
-(stacked by ``Population.from_households``) to name the first bad row.
-``write_population`` writes that layout in blocks of rows through the same
-module, each float spelled as ``repr`` spells it.
+``load_population`` and ``write_population`` read and write a households
+CSV; the module that does it is imported only when one of them runs.
 
 The synthetic generator stands in for expenditure-survey microdata, which
 cannot be redistributed.  It draws per-capita expenditure log-normally and
@@ -27,14 +13,11 @@ estimates.  Generation is a pure function of (seed, n, schedule fingerprint).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -236,7 +219,6 @@ class Population:
         return self.memo[key]
 
 
-_INT_COLUMNS = (0, 2)  # id and residents, in FIXED_COLUMNS
 _VECTORS = ("ids", "weight", "residents", "income_per_capita", "nonmonetary_total")
 
 
@@ -277,235 +259,21 @@ def _category_mismatch(expected: set[str], got: set[str]) -> str:
     return "; ".join(parts)
 
 
-# -- CSV ingestion -----------------------------------------------------------
+# -- the households CSV ------------------------------------------------------
 
 
 def load_population(path: str | Path, schedule: Schedule) -> Population:
-    """Read a household CSV validated against the schedule's category set.
-
-    The body is parsed into columns (``_read_columns``) and checked on the
-    arrays.  On any rejection the row reader re-reads the file to name the
-    first bad row and cell.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise MicrodataError(f"household file not found: {path}")
-    category_ids = schedule.category_ids()
-    with _open_text(path) as fh:
-        header = _header(_records(fh, path), category_ids, path)
-    try:
-        return _read_columns(path, header, category_ids)
-    except (ValueError, Warning) as exc:
-        _read_rows(path, schedule)  # raises the first error in file order
-        raise MicrodataError(f"{path}: {exc}") from None
-
-
-def _read_columns(path: Path, header: list[str], category_ids: tuple[str, ...]) -> Population:
-    """Parse the body into columns: block by block if it is plain, else in one piece.
-
-    Raises ValueError, or a warning as an error, on anything the row reader
-    may reject.
-    """
-    # a category may share a fixed column's name; its column comes after them
-    sources = list(range(len(FIXED_COLUMNS))) + [
-        header.index(cid, len(FIXED_COLUMNS)) for cid in category_ids
-    ]
-    with warnings.catch_warnings():
-        # numpy < 2 parses an integer via float, and stops np.fromstring at
-        # unmatched text, with only a DeprecationWarning; an empty body is a
-        # warning too
-        warnings.simplefilter("error")
-        columns = _read_plain(path, len(header), sources)
-        if columns is None:
-            columns = _read_structured(path, len(header), sources)
-    return Population(Provenance("file", str(path)), category_ids, *columns)
-
-
-def _read_plain(path: Path, k: int, sources: list[int]) -> list[np.ndarray] | None:
-    """The five fixed columns and the spend matrix, or None if the body is not plain.
-
-    A first pass counts the lines; each block then fills its rows of columns
-    allocated once, so the file is never held whole.  At the first block
-    that is not plain the partial columns are dropped.
-    """
+    """Read a household CSV validated against the schedule's category set."""
     from . import csvbody  # imported here: runs on a synthetic population never load it
 
-    with path.open("rb") as fh:
-        body = csvbody.body_start(fh)
-        rows = None if body is None else csvbody.count_rows(fh)
-        if rows is None:
-            return None
-        fixed = [np.empty(rows, np.int64 if i in _INT_COLUMNS else float)
-                 for i in range(len(FIXED_COLUMNS))]
-        spend = np.empty((rows, len(sources) - len(FIXED_COLUMNS)), order="F")
-        targets = fixed + [spend[:, j] for j in range(spend.shape[1])]
-        fh.seek(body)
-        n = 0
-        for block in csvbody.blocks(fh):
-            columns = csvbody.plain_columns(block, k, _INT_COLUMNS)
-            if columns is None:
-                return None
-            end = n + len(columns[0])
-            if end > rows:  # the file grew since it was counted
-                return None
-            for target, source in zip(targets, sources):
-                target[n:end] = columns[source]
-            n = end
-    # an empty body is left to np.loadtxt, whose warning names it
-    return [*fixed, spend] if 0 < n == rows else None
-
-
-def _read_structured(path: Path, k: int, sources: list[int]) -> list[np.ndarray]:
-    """The five fixed columns and the spend matrix, from one structured ``np.loadtxt``."""
-    # ids and residents parse as int64, so "1.0" is not an integer
-    dtype = np.dtype([(f"f{i}", np.int64 if i in _INT_COLUMNS else float) for i in range(k)])
-    table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, quotechar='"',
-                       skiprows=1, ndmin=1, encoding="utf-8")
-    spend = np.empty((len(table), len(sources) - len(FIXED_COLUMNS)), order="F")
-    for j, source in enumerate(sources[len(FIXED_COLUMNS):]):
-        spend[:, j] = table[f"f{source}"]
-    return [*(table[f"f{i}"] for i in sources[:len(FIXED_COLUMNS)]), spend]
-
-
-def _read_rows(path: Path, schedule: Schedule) -> Population:
-    """Reference reader: one csv record and one ``Household`` at a time.
-
-    ``load_population`` runs it only to explain a rejection: it raises the
-    first error in file order, citing the row and column.
-    """
-    category_ids = schedule.category_ids()
-    with _open_text(path) as fh:
-        reader = _records(fh, path)
-        header = _header(reader, category_ids, path)
-        cat_index = {cid: header.index(cid, len(FIXED_COLUMNS)) for cid in category_ids}
-        households: list[Household] = []
-        seen: set[int] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise MicrodataError(
-                    f"{path}: row {lineno}: expected {len(header)} cells, got {len(row)}"
-                )
-            hid = _int_cell(row[0], "id", lineno, path)
-            if hid in seen:
-                raise MicrodataError(f"{path}: row {lineno}: duplicate household id {hid}")
-            seen.add(hid)
-            try:
-                households.append(
-                    Household(
-                        id=hid,
-                        weight=_float_cell(row[1], "weight", lineno, path),
-                        residents=_int_cell(row[2], "residents", lineno, path),
-                        income_per_capita=_float_cell(row[3], "income_pc", lineno, path),
-                        expenditures={
-                            cid: _float_cell(row[cat_index[cid]], cid, lineno, path)
-                            for cid in category_ids
-                        },
-                        nonmonetary_total=_float_cell(row[4], "nonmonetary_total", lineno, path),
-                    )
-                )
-            except MicrodataError as e:
-                if f"row {lineno}" in str(e):
-                    raise
-                raise MicrodataError(f"{path}: row {lineno}: {e}") from None
-    if not households:
-        raise MicrodataError(f"{path}: no data rows")
-    return Population.from_households(households, Provenance("file", str(path)))
+    return csvbody.read(path, schedule)
 
 
 def write_population(population: Population, path: str | Path, schedule: Schedule) -> None:
     """Emit the documented CSV layout; numeric fields round-trip exactly."""
     from . import csvbody  # imported here: runs on a synthetic population never load it
 
-    header = io.StringIO()
-    csv.writer(header, lineterminator="\n").writerow([*FIXED_COLUMNS, *schedule.category_ids()])
-    columns = [population.ids, population.weight, population.residents,
-               population.income_per_capita, population.nonmonetary_total]
-    columns += [population.spend[:, j] for j in population.column_index(schedule)]
-    with Path(path).open("wb") as fh:
-        fh.write(header.getvalue().encode("utf-8"))
-        # each float as repr writes it: the shortest decimal that reads back exactly
-        fh.writelines(csvbody.text_blocks(columns, _INT_COLUMNS))
-
-
-def _open_text(path: Path):
-    # a byte that is not UTF-8 decodes to a lone surrogate, which _records reports
-    return path.open(newline="", encoding="utf-8", errors="surrogateescape")
-
-
-def _records(fh, path: Path) -> Iterator[list[str]]:
-    """The csv records of ``fh``; one holding a byte that is not UTF-8 raises,
-    naming its row as every row error does (the header is row 1)."""
-    for row_number, row in enumerate(csv.reader(fh), start=1):
-        text = ",".join(row)
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError as e:
-            byte = ord(text[e.start]) - 0xDC00
-            raise MicrodataError(f"{path}: row {row_number}: byte 0x{byte:02x} is not UTF-8 text") from None
-        yield row
-
-
-def _header(reader, category_ids: tuple[str, ...], path: Path) -> list[str]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MicrodataError(f"{path}: empty file") from None
-    _check_header(header, category_ids, path)
-    return header
-
-
-def _check_header(header: list[str], category_ids: tuple[str, ...], path: Path) -> None:
-    if tuple(header[: len(FIXED_COLUMNS)]) != FIXED_COLUMNS:
-        raise MicrodataError(
-            f"{path}: header must start with {', '.join(FIXED_COLUMNS)}; got {header[:5]}"
-        )
-    got = header[len(FIXED_COLUMNS) :]
-    dupes = {c for c in got if got.count(c) > 1}
-    if dupes:
-        raise MicrodataError(f"{path}: duplicate column(s): {sorted(dupes)}")
-    missing = [c for c in category_ids if c not in got]
-    extra = [c for c in got if c not in category_ids]
-    if missing or extra:
-        parts = []
-        if missing:
-            parts.append(f"missing category column(s) {missing}")
-        if extra:
-            parts.append(f"unknown column(s) {extra}")
-        raise MicrodataError(f"{path}: " + "; ".join(parts))
-
-
-# A numeric cell is plain ASCII after its surrounding whitespace, without "_"
-# separators: Python's float() and int() accept more, numpy's parser does not.
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-
-
-def _float_cell(cell: str, column: str, lineno: int, path: Path) -> float:
-    try:
-        if _plain(cell):
-            return float(cell)
-    except ValueError:
-        pass
-    raise MicrodataError(f"{path}: row {lineno}: column {column!r}: not a number: {cell!r}")
-
-
-def _int_cell(cell: str, column: str, lineno: int, path: Path) -> int:
-    try:
-        value = int(cell) if _plain(cell) else None
-    except ValueError:
-        value = None
-    if value is None:
-        raise MicrodataError(f"{path}: row {lineno}: column {column!r}: not an integer: {cell!r}")
-    if not _INT64_MIN <= value <= _INT64_MAX:
-        raise MicrodataError(
-            f"{path}: row {lineno}: column {column!r}: outside the 64-bit integer range: {cell!r}"
-        )
-    return value
-
-
-def _plain(cell: str) -> bool:
-    return cell.strip().isascii() and "_" not in cell
+    csvbody.write(population, path, schedule)
 
 
 # -- synthetic generation ----------------------------------------------------

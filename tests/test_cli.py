@@ -79,6 +79,31 @@ def test_solve_from_a_households_file_loads_no_hashlib(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+
+@pytest.mark.parametrize("command, loads_csvbody", [
+    (["tables", "--synthetic", "42:300", "--out", "{tmp}/tables"], False),
+    (["solve", "--synthetic", "42:300"], False),
+    (["solve", "--households", "{tmp}/hh.csv"], True),
+    (["generate", "--synthetic", "7:300", "--out", "{tmp}/written.csv"], True),
+], ids=["tables-synthetic", "solve-synthetic", "solve-households", "generate"])
+def test_households_file_module_loads_only_when_a_file_is_read_or_written(
+    tmp_path, command, loads_csvbody
+):
+    assert main(["generate", "--schedule", "plp68", "--synthetic", "7:300",
+                 "--out", str(tmp_path / "hh.csv")]) == 0
+    argv = [arg.format(tmp=tmp_path) for arg in command]
+    code = (
+        "import sys\n"
+        "from ivasim.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('ivasim.csvbody' in sys.modules)\n"
+    )
+    src = str(Path(ivasim.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str(loads_csvbody)
+
 def test_ids_need_only_be_unique_64_bit_integers(tmp_path, capsys):
     csv_path = tmp_path / "hh.csv"
     csv_path.write_text("id,weight,residents,income_pc,nonmonetary_total,consumo\n"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ivasim import csvbody, microdata
+from ivasim.csvbody import _read_rows
 from ivasim.microdata import (
     FIXED_COLUMNS,
     Household,
@@ -17,7 +18,6 @@ from ivasim.microdata import (
     Population,
     Provenance,
     generate_synthetic,
-    _read_rows,
     load_population,
     write_population,
 )
@@ -455,7 +455,7 @@ def parsed(monkeypatch):
     """
     monkeypatch.setattr(csvbody, "_BLOCK_BYTES", 1000)
     log = []
-    plain_columns, read_structured = csvbody.plain_columns, microdata._read_structured
+    plain_columns, read_structured = csvbody.plain_columns, csvbody._read_structured
 
     def plain_spy(block, k, int_columns):
         columns = plain_columns(block, k, int_columns)
@@ -467,7 +467,7 @@ def parsed(monkeypatch):
         return read_structured(*args)
 
     monkeypatch.setattr(csvbody, "plain_columns", plain_spy)
-    monkeypatch.setattr(microdata, "_read_structured", structured_spy)
+    monkeypatch.setattr(csvbody, "_read_structured", structured_spy)
     return log
 
 

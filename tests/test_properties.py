@@ -49,7 +49,7 @@ from ivasim.analysis import (
     build_scenario_table,
     compute_scenarios,
 )
-from ivasim.csvbody import _decimal_values, _shortest, text_blocks
+from ivasim.csvbody import _decimal_values, _read_rows, _shortest, text_blocks
 from ivasim.engine import IncidenceCalculator, aggregate, household_tax, with_cashback
 from ivasim.exactsum import _SHORT
 from ivasim.microdata import (
@@ -58,7 +58,6 @@ from ivasim.microdata import (
     MicrodataError,
     Population,
     Provenance,
-    _read_rows,
     generate_synthetic,
     load_population,
 )
