@@ -13,12 +13,16 @@ and LF after a header line ended by LF; k cells a row, at most one "." a
 cell and none in an integer column), is read in blocks of whole lines into
 columns counted and allocated once, without a float parser: each block's
 dot-free text parses as int64 significands (``plain_columns``), scaled
-exactly to the doubles ``float`` gives (``_decimal_values``).  A read holds
-the columns plus about 3 MB of scratch, some eleven times ``_BLOCK_BYTES``,
-whatever the file's size.  Any other body (quotes, exponents, CR, spaces,
-blank lines) is parsed whole by one structured ``np.loadtxt``.  Only when
-the file is rejected does the row reader, one csv record and one
-``Household`` at a time, re-read it to name the first bad row.
+exactly to the doubles ``float`` gives (``_decimal_values``).  A body of
+1 MB or more (``_SPLIT_BYTES``) is read as two halves at once, the second
+on one worker thread: ``np.fromstring`` and the numpy steps around it
+release the GIL.  A block parse holds about three times ``_BLOCK_BYTES``
+of scratch, so a read holds the columns plus about 2.3 MB, some nine
+``_BLOCK_BYTES`` with two blocks in flight, whatever the file's size.  Any
+other body (quotes, exponents, CR, spaces, blank lines) is parsed whole by
+one structured ``np.loadtxt``.  Only when the file is rejected does the row
+reader, one csv record and one ``Household`` at a time, re-read it to name
+the first bad row.
 
 ``write`` writes the header line, then the body in blocks of rows
 (``text_blocks``), each float as ``repr`` spells it: the shortest decimal
@@ -33,6 +37,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import threading
 import warnings
 from functools import cache
 from pathlib import Path
@@ -46,6 +52,11 @@ from .schedule import Schedule
 _INT_COLUMNS = (0, 2)  # id and residents, in FIXED_COLUMNS
 _BLOCK_BYTES = 1 << 18  # bytes read at a time; a block is the whole lines they hold
 _COUNT_BLOCKS = 4  # the counting pass reads this many _BLOCK_BYTES at a time
+# a body this long is read as two halves at once.  The split costs some 60 us
+# (a thread's start and join, a second open) and pays once each half holds a
+# whole block; on a 2-CPU host a plp68 body of 512 KB reads 0.5 ms faster,
+# 1 MB 1.5 ms (of 8.8) and 4 MB 7.7 ms (of 33)
+_SPLIT_BYTES = 1 << 20
 _HEADER_BYTES = 1 << 16  # a longer header line leaves the file to np.loadtxt
 _COMMA, _LF, _DOT, _MINUS, _ZERO, _NINE = b",\n.-09"
 _LF_TO_COMMA = bytes.maketrans(b"\n", b",")
@@ -107,30 +118,66 @@ def _read_columns(path: Path, header: list[str], category_ids: tuple[str, ...]) 
 
 
 def _read_plain(path: Path, k: int, sources: list[int]) -> list[np.ndarray] | None:
-    """The five fixed columns and the spend matrix, or None if any block is not plain."""
+    """The five fixed columns and the spend matrix, or None if any block is not plain.
+
+    A body of ``_SPLIT_BYTES`` or more is read as two halves at once, split
+    at the first line start at or after its middle: the calling thread reads
+    the first and one worker thread the second, each from its own handle
+    into its own rows of the columns.  A half that meets a block that is not
+    plain, or rows other than those counted for it, sets ``stop``, and the
+    other half stops at its next block.  An exception in either half is
+    raised here once the worker has ended.
+    """
     with path.open("rb") as fh:
         body = body_start(fh)
-        rows = None if body is None else count_rows(fh)
-        if rows is None:
+        if body is None:
             return None
-        fixed = [np.empty(rows, np.int64 if i in _INT_COLUMNS else float)
-                 for i in range(len(FIXED_COLUMNS))]
-        spend = np.empty((rows, len(sources) - len(FIXED_COLUMNS)), order="F")
-        targets = fixed + [spend[:, j] for j in range(spend.shape[1])]
-        fh.seek(body)
-        n = 0
-        for block in blocks(fh):
-            columns = plain_columns(block, k, _INT_COLUMNS)
-            if columns is None:
-                return None
-            end = n + len(columns[0])
-            if end > rows:  # the file grew since it was counted
-                return None
-            for target, source in zip(targets, sources):
-                target[n:end] = columns[source]
-            n = end
-    # an empty body is left to np.loadtxt, whose warning names it
-    return [*fixed, spend] if 0 < n == rows else None
+        size = os.fstat(fh.fileno()).st_size
+        counted = count_rows(fh, (body + size) // 2 if size - body >= _SPLIT_BYTES else size)
+    if counted is None or not counted[0]:
+        return None  # not plain; an empty body is left to np.loadtxt, whose warning names it
+    rows, split, first = counted
+    fixed = [np.empty(rows, np.int64 if i in _INT_COLUMNS else float)
+             for i in range(len(FIXED_COLUMNS))]
+    spend = np.empty((rows, len(sources) - len(FIXED_COLUMNS)), order="F")
+    targets = fixed + [spend[:, j] for j in range(spend.shape[1])]
+    stop = threading.Event()
+    errors: list[BaseException] = []
+
+    def fill(start: int, end: int | None, n: int, last: int) -> None:
+        """Rows n to last of the columns, from the file's bytes from ``start``
+        to ``end`` (to its end if None); records an exception rather than raising it."""
+        try:
+            with path.open("rb") as fh:
+                fh.seek(start)
+                for block in blocks(fh, end):
+                    if stop.is_set():
+                        return
+                    columns = plain_columns(block, k, _INT_COLUMNS)
+                    if columns is None or n + len(columns[0]) > last:
+                        stop.set()  # not plain, or the file changed since it was counted
+                        return
+                    for target, source in zip(targets, sources):
+                        target[n:n + len(columns[0])] = columns[source]
+                    n += len(columns[0])
+            if n != last:
+                stop.set()  # the file changed since it was counted
+        except BaseException as exc:  # raised again by the calling thread
+            errors.append(exc)
+            stop.set()
+
+    if first == rows:
+        fill(body, None, 0, rows)
+    else:
+        worker = threading.Thread(target=fill, args=(split, None, first, rows))
+        worker.start()
+        try:
+            fill(body, split, 0, first)
+        finally:
+            worker.join()
+    if errors:
+        raise errors[0]
+    return None if stop.is_set() else [*fixed, spend]
 
 
 def _read_structured(path: Path, k: int, sources: list[int]) -> list[np.ndarray]:
@@ -280,8 +327,10 @@ def body_start(fh) -> int | None:
     return len(line) if line.endswith(b"\n") and b"\r" not in line else None
 
 
-def count_rows(fh) -> int | None:
-    """The lines left, or None for a body seen not to be plain while counting.
+def count_rows(fh, middle: int) -> tuple[int, int, int] | None:
+    """The lines left, the offset of the first line start at or after offset
+    ``middle`` (the end of the file if there is none) and the lines before
+    it; or None for a body seen not to be plain while counting.
 
     A byte above "9" (an exponent, "nan", a letter, non-ASCII text) or a blank
     last line is never plain, so such a file goes to ``np.loadtxt`` before
@@ -292,30 +341,39 @@ def count_rows(fh) -> int | None:
     the largest block freed, above a block parse's scratch: that scratch
     then stays in the heap from block to block instead of going back to the
     system and being faulted in again (a ``solve`` of a 100k households file
-    takes about 8K minor page faults rather than 37K).
+    takes about 8K minor page faults rather than 37K).  So no 1 MB array may
+    outlive its chunk: a mask kept to the next one costs the lift.
     """
-    ends, tail = 0, b""
+    ends, tail, offset, split = 0, b"", fh.tell(), None
     while chunk := fh.read(_COUNT_BLOCKS * _BLOCK_BYTES):
         buf = np.frombuffer(chunk, np.uint8)
         if buf.max() > _NINE:
             return None
+        if split is None and (cut := chunk.find(b"\n", max(middle - 1 - offset, 0)) + 1):
+            split = offset + cut, ends + chunk.count(b"\n", 0, cut)
         ends += np.count_nonzero(buf == _LF)
+        offset += len(chunk)
         tail = (tail + chunk[-2:])[-2:]
     if tail == b"\n\n":
         return None
-    return ends + (tail[-1:] not in (b"", b"\n"))  # an unended last line
+    rows = ends + (tail[-1:] not in (b"", b"\n"))  # an unended last line
+    return (rows, *(split or (offset, rows)))
 
 
-def blocks(fh):
-    """The rest of the seekable ``fh`` in blocks of whole lines, each ending in LF.
+def blocks(fh, end: int | None = None):
+    """The seekable ``fh`` from where it stands to offset ``end`` (to its end
+    if None) in blocks of whole lines, each ending in LF.
 
     A block is the whole lines of the next ``_BLOCK_BYTES`` (more for a
     longer line); the partial line after them is read again with the next
     block, so while a block is parsed nothing else of the file is held.  An
     unended last line gets an LF.
     """
-    while block := fh.read(_BLOCK_BYTES):
-        while b"\n" not in block and (more := fh.read(_BLOCK_BYTES)):
+    def read() -> bytes:
+        return fh.read(_BLOCK_BYTES if end is None else min(_BLOCK_BYTES, end - fh.tell()))
+
+    while block := read():
+        while b"\n" not in block and (more := read()):
             block += more
         cut = block.rfind(b"\n") + 1
         if not cut:
@@ -343,13 +401,70 @@ def plain_columns(
     a cell of more than ``_SAFE_DIGITS`` digits (which it clamps at the
     int64 limits) is read again by ``int``, so a significand beyond 64 bits
     is not plain.
+
+    Two blocks may be parsed at once, so a parse holds little: the offsets
+    of every separator, dot and sign ``_layout`` checks are gone before it,
+    the digit counts are int8, and the int64 significands are dropped once
+    the columns the scaling needs are taken.  Its peak, the columns it
+    returns included, is about three times the block's size.
+    """
+    layout = _layout(block, k, int_columns)
+    if layout is None:
+        return None
+    lines, digits, signs, long = layout
+    try:  # a partial parse raises ValueError (numpy >= 2) or a warning made an error
+        significands = np.fromstring(block.translate(_LF_TO_COMMA, b"."), np.int64, sep=",")
+    except (ValueError, Warning):
+        return None
+    if significands.size != digits.size:
+        return None  # a parse that stopped early
+    for cell, start, end in long:  # the parse clamps what int64 cannot hold; int does not
+        value = int(block[start:end].replace(b".", b""))
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            return None  # a significand beyond 64 bits
+        significands[cell] = value
+    floats = [i for i in range(k) if i not in int_columns]
+    place = np.full(k, -1)  # a column's place among the float columns
+    place[floats] = range(len(floats))
+    significands = significands.reshape(digits.shape)
+    integers = np.take(significands, int_columns, axis=1)
+    magnitudes = np.take(significands, floats, axis=1)
+    del significands
+    np.abs(magnitudes, out=magnitudes)  # |int64 min| wraps to itself, 2**63 as uint64
+    values = _decimal_values(magnitudes.view(np.uint64).ravel(),
+                             np.maximum(np.take(digits, floats, axis=1), 0).ravel())
+    unsettled = np.flatnonzero(np.isnan(values))
+    if signs.size or unsettled.size:
+        column = place[signs % k]  # -1 for an integer column, whose sign is parsed
+        negative = (signs // k * len(floats) + column)[column >= 0]
+        values[negative] = np.copysign(values[negative], -1.0)
+        for i in unsettled.tolist():
+            row, j = divmod(i, len(floats))
+            line = block[lines[row - 1] + 1 if row else 0:lines[row]]
+            values[i] = float(line.split(b",")[floats[j]])
+    values = values.reshape(len(integers), len(floats))
+    return [integers[:, int_columns.index(i)] if i in int_columns else values[:, place[i]]
+            for i in range(k)]
+
+
+def _layout(
+    block: bytes, k: int, int_columns: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int, int]]] | None:
+    """A plain block's structure, or None if the block is not plain.
+
+    Returns the offset of each row's LF, each cell's count of fractional
+    digits as (rows, k) int8 (-1 for a cell without a dot), the cells a "-"
+    starts (cell i counted over all k columns) and ``_long_cells``.  A count
+    past ``_SCALED_DIGITS`` is stored as ``_SCALED_DIGITS + 1``:
+    ``_decimal_values`` leaves every such cell unsettled.
     """
     buf = np.frombuffer(block, np.uint8)
+    if (buf > _NINE).any():
+        return None  # not a plain byte
     # of the plain bytes, all but the digits sort below "0"
     marks = np.flatnonzero(buf < _ZERO)
     kinds = buf[marks]
-    other = (kinds != _LF) & ((kinds < _COMMA) | (kinds > _DOT))
-    if (buf > _NINE).any() or other.any():
+    if ((kinds != _LF) & ((kinds < _COMMA) | (kinds > _DOT))).any():
         return None  # not a plain byte
     long = _long_cells(marks, kinds)
     if long is None:
@@ -368,45 +483,18 @@ def plain_columns(
         return None  # a blank line, or a row without k cells
     if is_dot[dots + 1].any():
         return None  # two dots in a cell
-    digits = np.full(rows * k, -1)
-    digits[dots - np.arange(len(dots))] = marks[dots + 1] - marks[dots] - 1
+    digits = np.full(rows * k, -1, np.int8)
+    digits[dots - np.arange(len(dots))] = np.minimum(marks[dots + 1] - marks[dots] - 1,
+                                                     _SCALED_DIGITS + 1)
     digits = digits.reshape(rows, k)
     if (digits[:, int_columns] >= 0).any():
         return None  # a dot in an integer column
     before = buf[minus - 1]  # the block ends in LF, so a "-" at 0 sees one
     if not ((before == _COMMA) | (before == _LF)).all():
         return None  # a "-" inside a cell, as in ".-5"
-    try:  # a partial parse raises ValueError (numpy >= 2) or a warning made an error
-        significands = np.fromstring(block.translate(_LF_TO_COMMA, b"."), np.int64, sep=",")
-    except (ValueError, Warning):
-        return None
-    if significands.size != rows * k:
-        return None  # a parse that stopped early
-    for cell, start, end in long:  # the parse clamps what int64 cannot hold; int does not
-        value = int(block[start:end].replace(b".", b""))
-        if not _INT64_MIN <= value <= _INT64_MAX:
-            return None  # a significand beyond 64 bits
-        significands[cell] = value
-    significands = significands.reshape(rows, k)
-    floats = [i for i in range(k) if i not in int_columns]
-    place = np.full(k, -1)  # a column's place among the float columns
-    place[floats] = range(len(floats))
-    magnitudes = significands[:, floats]
-    np.abs(magnitudes, out=magnitudes)  # |int64 min| wraps to itself, 2**63 as uint64
-    values = _decimal_values(magnitudes.view(np.uint64).ravel(),
-                             np.maximum(digits[:, floats], 0).ravel())
-    unsettled = np.flatnonzero(np.isnan(values))
-    if minus.size or unsettled.size:
-        seps = marks[~is_dot]  # seps[i] ends cell i, counted over all k columns
-        cells = np.searchsorted(seps, minus)  # the cell each "-" starts
-        column = place[cells % k]  # -1 for an integer column, whose sign is parsed
-        negative = (cells // k * len(floats) + column)[column >= 0]
-        values[negative] = np.copysign(values[negative], -1.0)
-        for i in unsettled.tolist():
-            cell = i // len(floats) * k + floats[i % len(floats)]
-            values[i] = float(block[seps[cell - 1] + 1 if cell else 0:seps[cell]])
-    values = values.reshape(rows, len(floats))
-    return [significands[:, i] if i in int_columns else values[:, place[i]] for i in range(k)]
+    # marks[~is_dot][i] is the separator ending cell i
+    signs = np.searchsorted(marks[~is_dot], minus) if minus.size else minus
+    return marks[lf], digits, signs, long
 
 
 def _long_cells(marks: np.ndarray, kinds: np.ndarray) -> list[tuple[int, int, int]] | None:
@@ -482,10 +570,15 @@ def _decimal_values(significand: np.ndarray, digits: np.ndarray) -> np.ndarray:
        is x rounded to nearest.  Otherwise the cell is left unsettled.
 
     x lies in [1e-46, 2**64], so no step overflows or leaves the normal range.
+
+    The reader runs this on two blocks at once, so each array of the scaled
+    cells is written over in place or dropped once its step is done: about
+    nine of them are held at a time.
     """
     hi, hi_hi, hi_lo, lo = _powers_of_ten()
     # right on the fast path; a zero is zero whatever the digits; the rest is redone
-    values = significand.astype(float) / np.take(hi, digits, mode="clip")
+    values = significand.astype(float)
+    values /= np.take(hi, digits, mode="clip")
     scaled = np.flatnonzero(
         ((significand >= 2**53) | (digits > _EXACT_DIGITS)) & (significand != 0)
     )
@@ -494,19 +587,42 @@ def _decimal_values(significand: np.ndarray, digits: np.ndarray) -> np.ndarray:
     m, d = significand[scaled], digits[scaled]
     high = (m >> 32).astype(float) * 2.0**32
     low = (m & 0xFFFFFFFF).astype(float)
+    del m
     mh = high + low
-    ml = (high - mh) + low
-    p, p_hi, p_lo, lam = (np.take(a, d, mode="clip") for a in (hi, hi_hi, hi_lo, lo))
+    ml = high  # (high - mh) + low, in high's place
+    ml -= mh
+    ml += low
+    del high, low
+    p = np.take(hi, d, mode="clip")
     q = mh / p
     ph = q * p
+    c = mh  # (((mh - ph) + ml) - (pl + q lam)) / p, in mh's place
+    c -= ph
+    c += ml
+    del ml
     q_hi, q_lo = _split(q)
-    pl = ((q_hi * p_hi - ph) + q_hi * p_lo + q_lo * p_hi) + q_lo * p_lo
-    c = (((mh - ph) + ml) - (pl + q * lam)) / p
+    # ((q_hi p_hi - ph) + q_hi p_lo + q_lo p_hi) + q_lo p_lo, a term at a time
+    p_hi, p_lo = np.take(hi_hi, d, mode="clip"), np.take(hi_lo, d, mode="clip")
+    pl = q_hi * p_hi
+    pl -= ph
+    del ph
+    pl += q_hi * p_lo
+    pl += q_lo * p_hi
+    pl += q_lo * p_lo
+    del q_hi, q_lo, p_hi, p_lo
+    pl += q * np.take(lo, d, mode="clip")
+    c -= pl
+    c /= p
+    del pl, p
     r = q + c
-    t = (q - r) + c
+    t = q  # (q - r) + c, in q's place
+    t -= r
+    t += c
+    del c
     up = np.spacing(r)
     # half the gap on t's side of r; below a power of two the gap is up / 2
     half = np.where(t < 0, np.spacing(r - up / 2), up) / 2
+    del up
     settled = (np.abs(t) < half * (1 - 2.0**-39)) & (d <= _SCALED_DIGITS)
     values[scaled] = np.where(settled, r, np.nan)
     return values

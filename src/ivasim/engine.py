@@ -324,9 +324,3 @@ class IncidenceCalculator:
 
     def burden_with_fixed_cashback(self, t_ref_outside: float, fixed_cashback: float) -> float:
         return (self.gross_total(t_ref_outside) - fixed_cashback) / self.denominator
-
-    def burden_simultaneous(self, t_ref_outside: float) -> float:
-        """Net burden with cashback evaluated at the same rate."""
-        return (
-            self.gross_total(t_ref_outside) - self.cashback_total(t_ref_outside)
-        ) / self.denominator

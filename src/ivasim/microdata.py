@@ -66,9 +66,6 @@ class Household:
         """Monetary plus non-monetary consumption, the quintile ranking base."""
         return self.monetary_total() + self.nonmonetary_total
 
-    def per_capita_total(self) -> float:
-        return self.total_expenditure() / self.residents
-
 
 @dataclass(frozen=True)
 class Provenance:

@@ -5,8 +5,8 @@ from itertools import repeat
 from pathlib import Path
 
 from ivasim.analysis import QuintileAssignment, ScenarioResult
-from ivasim.engine import HouseholdIncidence
-from ivasim.microdata import FIXED_COLUMNS, Population
+from ivasim.engine import HouseholdIncidence, IncidenceCalculator
+from ivasim.microdata import FIXED_COLUMNS, Household, Population
 from ivasim.rates import Rate, RateBasis, to_inside
 from ivasim.schedule import Category, Schedule, TreatmentKind
 
@@ -26,6 +26,18 @@ def quintile_of(quintiles: QuintileAssignment) -> dict[int, int]:
 def incidences(result: ScenarioResult) -> tuple[HouseholdIncidence, ...]:
     """Every household's reference-path incidence, in ascending id order."""
     return tuple(map(result.scalar_incidence, result.population.households))
+
+
+def per_capita_total(household: Household) -> float:
+    """Monetary plus non-monetary consumption per resident."""
+    return household.total_expenditure() / household.residents
+
+
+def burden_simultaneous(calc: IncidenceCalculator, t_ref_outside: float) -> float:
+    """Net burden with cashback evaluated at the same rate."""
+    return (
+        calc.gross_total(t_ref_outside) - calc.cashback_total(t_ref_outside)
+    ) / calc.denominator
 
 
 def repr_csv(population: Population, path, schedule: Schedule) -> None:

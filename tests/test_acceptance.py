@@ -40,7 +40,7 @@ from ivasim.schedule import (
 )
 from ivasim.solver import solve_given_cashback, solve_with_cashback
 
-from helpers import incidences, quintile_of
+from helpers import burden_simultaneous, incidences, quintile_of
 
 DATA = Path(__file__).parent / "data"
 
@@ -83,11 +83,11 @@ def simultaneous_bisection(population, schedule, target, tol=1e-12):
     """Direct bisection on the self-consistent burden, no fixed point."""
     calc = IncidenceCalculator(population, schedule)
     lo, hi = 0.0, 5.0
-    while calc.burden_simultaneous(hi) < target:
+    while burden_simultaneous(calc, hi) < target:
         hi *= 2.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if calc.burden_simultaneous(mid) < target:
+        if burden_simultaneous(calc, mid) < target:
             lo = mid
         else:
             hi = mid

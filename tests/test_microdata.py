@@ -3,8 +3,13 @@
 import hashlib
 import math
 import random
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +29,7 @@ from ivasim.microdata import (
 from ivasim.schedule import bundled_schedule_path, load_schedule
 from ivasim.solver import solve_with_cashback
 
-from helpers import repr_csv
+from helpers import per_capita_total, repr_csv
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +63,7 @@ def test_load_three_row_fixture(tmp_path, uniform):
     assert h.id == 2
     assert h.weight == 20.0
     assert h.expenditures["consumo"] == 450.5
-    assert h.per_capita_total() == pytest.approx(450.5)
+    assert per_capita_total(h) == pytest.approx(450.5)
 
 
 def test_missing_category_column(tmp_path, plp68):
@@ -328,7 +333,7 @@ def test_household_total_helpers():
     h = Household(9, 2.0, 4, 100.0, {"a": 300.0, "b": 100.0}, 80.0)
     assert h.monetary_total() == 400.0
     assert h.total_expenditure() == 480.0
-    assert h.per_capita_total() == 120.0
+    assert per_capita_total(h) == 120.0
 
 
 def test_population_rejects_mixed_category_sets():
@@ -731,3 +736,220 @@ def test_households_file_path_holds_a_few_mb_beyond_the_columns(tmp_path, plp68)
     columns = sum(getattr(population, name).nbytes for name in COLUMNS)
     assert load_peak - columns < 20 * csvbody._BLOCK_BYTES
     assert solve_peak - columns < 2 * 2**20
+
+
+# -- the body in two halves ----------------------------------------------------
+
+
+BLOCKS = csvbody.blocks  # the reader's, whatever a test spies on
+
+
+@pytest.fixture
+def halves(parsed, monkeypatch):
+    """Every body splits, and a log of the (start, end) each half's ``blocks`` got.
+
+    The ``parsed`` log also gets "stop" when a half stops the read.
+    """
+
+    class LoggedEvent(threading.Event):
+        def set(self):
+            parsed.append("stop")
+            super().set()
+
+    monkeypatch.setattr(csvbody, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(csvbody, "threading",
+                        SimpleNamespace(Event=LoggedEvent, Thread=threading.Thread))
+    log = []
+    blocks = csvbody.blocks
+
+    def blocks_spy(fh, end=None):
+        log.append((fh.tell(), end))
+        return blocks(fh, end)
+
+    monkeypatch.setattr(csvbody, "blocks", blocks_spy)
+    return log
+
+
+def split_at(path):
+    """The body's start, and where it splits: the first line start at or after its middle."""
+    data = path.read_bytes()
+    body = data.index(b"\n") + 1
+    return body, data.index(b"\n", (body + len(data)) // 2 - 1) + 1
+
+
+def block_edges(path):
+    """The offsets at which a one-thread read ends its blocks."""
+    with path.open("rb") as fh:
+        edge, edges = csvbody.body_start(fh), []
+        for block in BLOCKS(fh):
+            edge += len(block)
+            edges.append(edge)
+    return edges
+
+
+@pytest.mark.parametrize("case", ["inside_a_block", "at_a_block_edge", "one_row_second_half",
+                                  "unended_last_line"])
+def test_split_read_matches_the_one_thread_read(tmp_path, plp68, parsed, halves, monkeypatch,
+                                                case):
+    lines = csv_lines(tmp_path, plp68)
+    if case == "one_row_second_half":  # the longer row first, so the middle falls in it
+        lines = [lines[0], *sorted(lines[1:3], key=len, reverse=True)]
+    path = write_csv(tmp_path, "\n".join(lines) + ("" if case == "unended_last_line" else "\n"))
+    body, split = split_at(path)
+    if case == "at_a_block_edge":
+        monkeypatch.setattr(csvbody, "_BLOCK_BYTES", split - body)
+        assert split in block_edges(path)
+    elif case == "inside_a_block":
+        monkeypatch.setattr(csvbody, "_BLOCK_BYTES", 1500)
+        assert split not in block_edges(path)
+    population = reads_like_row_reader(path, plp68)
+    assert set(halves) == {(body, split), (split, None)}
+    assert set(parsed) == {"plain"}
+    monkeypatch.setattr(csvbody, "_SPLIT_BYTES", 1 << 62)
+    reference = load_population(path, plp68)  # on one thread
+    for name in COLUMNS:
+        assert getattr(population, name).tobytes() == getattr(reference, name).tobytes(), name
+    if case == "one_row_second_half":
+        assert path.read_bytes()[split:].count(b"\n") == 1
+
+
+def test_split_read_under_frequent_thread_switches(tmp_path, plp68, parsed, halves, monkeypatch):
+    # blocks of a row or two, and the interpreter switching threads as often as it can
+    monkeypatch.setattr(csvbody, "_BLOCK_BYTES", 400)
+    path = write_csv(tmp_path, "\n".join(csv_lines(tmp_path, plp68, n=200)) + "\n")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert len(reads_like_row_reader(path, plp68)) == 200
+    finally:
+        sys.setswitchinterval(interval)
+    assert set(parsed) == {"plain"} and len(halves) == 10
+
+
+@pytest.mark.parametrize("row", [3, 36])  # in the first half, in the second
+@pytest.mark.parametrize("change", ["plus", "cr"])
+def test_other_block_in_either_half_sends_the_file_to_loadtxt(tmp_path, plp68, parsed, halves,
+                                                             change, row):
+    lines = csv_lines(tmp_path, plp68)
+    lines[row] = _cell(lines[row], 7, "+12.5") if change == "plus" else lines[row] + "\r"
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    assert len(reads_like_row_reader(path, plp68)) == 40
+    assert len(halves) == 2
+    assert "other" in parsed and parsed[-1] == "loadtxt"
+
+
+@pytest.mark.parametrize("row", [3, 36])
+def test_rejected_file_in_either_half_gives_the_row_reader_message(tmp_path, plp68, parsed,
+                                                                   halves, row):
+    lines = csv_lines(tmp_path, plp68)
+    lines[row] = _cell(lines[row], 8, "1.2.3")
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    column = lines[0].split(",")[8]
+    assert _load_both(path, plp68) == (f"{path}: row {row + 1}: column {column!r}: "
+                                       f"not a number: '1.2.3'")
+    assert len(halves) == 2 and parsed[-1] == "loadtxt"
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_rows_other_than_counted_send_the_file_to_loadtxt(tmp_path, plp68, parsed, halves,
+                                                         monkeypatch, change):
+    # as if the file grew or shrank after the counting pass
+    count_rows = csvbody.count_rows
+
+    def miscounted(fh, middle):
+        rows, split, first = count_rows(fh, middle)
+        return rows + change, split, first
+
+    monkeypatch.setattr(csvbody, "count_rows", miscounted)
+    path = write_csv(tmp_path, "\n".join(csv_lines(tmp_path, plp68)) + "\n")
+    assert len(reads_like_row_reader(path, plp68)) == 40
+    assert "other" not in parsed and "stop" in parsed and parsed[-1] == "loadtxt"
+
+
+@pytest.mark.parametrize("row", [1, 21])  # the first block of the first half, of the second
+def test_other_half_parses_at_most_one_more_block_after_a_stop(tmp_path, plp68, parsed, halves,
+                                                               monkeypatch, row):
+    plain_spy = csvbody.plain_columns
+
+    def slow_spy(block, k, int_columns):
+        time.sleep(0.002)  # lets the other half run between blocks
+        return plain_spy(block, k, int_columns)
+
+    monkeypatch.setattr(csvbody, "plain_columns", slow_spy)
+    lines = csv_lines(tmp_path, plp68)
+    lines[row] = _cell(lines[row], 7, "+12.5")
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    assert len(reads_like_row_reader(path, plp68)) == 40
+    stop = parsed.index("stop")
+    assert "other" in parsed[:stop] and parsed[-1] == "loadtxt"
+    assert len(parsed[stop + 1:-1]) <= 1  # the block in flight when the stop came
+
+
+@pytest.mark.parametrize("half", ["first", "second"])
+def test_error_in_either_half_reaches_the_caller_and_ends_the_worker(tmp_path, plp68, parsed,
+                                                                     halves, monkeypatch, half):
+    plain_spy = csvbody.plain_columns
+
+    def failing(block, k, int_columns):
+        if (threading.current_thread() is threading.main_thread()) == (half == "first"):
+            raise RuntimeError(f"{half} half")
+        return plain_spy(block, k, int_columns)
+
+    monkeypatch.setattr(csvbody, "plain_columns", failing)
+    path = write_csv(tmp_path, "\n".join(csv_lines(tmp_path, plp68)) + "\n")
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"^{half} half$"):
+        load_population(path, plp68)
+    assert threading.active_count() == threads
+    assert len(halves) == 2 and "loadtxt" not in parsed
+
+
+@pytest.mark.parametrize("warns", [True, False])
+def test_second_half_parse_that_stops_early_sends_the_file_to_loadtxt(tmp_path, plp68, parsed,
+                                                                     halves, monkeypatch, warns):
+    # numpy 1.x stops np.fromstring at unmatched text with a DeprecationWarning
+    # and returns what it parsed; a worker that does not see the reader's
+    # warnings-as-errors filter gets the short parse, and the size check refuses it
+    fromstring = np.fromstring
+
+    def short_parse(text, dtype, sep):
+        values = fromstring(text, dtype, sep=sep)
+        if threading.current_thread() is threading.main_thread():
+            return values
+        if warns:
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return values[:-1]
+
+    monkeypatch.setattr(np, "fromstring", short_parse)
+    path = write_csv(tmp_path, "\n".join(csv_lines(tmp_path, plp68)) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        population = load_population(path, plp68)
+    assert caught == []
+    assert "other" in parsed and parsed[-1] == "loadtxt"
+    monkeypatch.setattr(np, "fromstring", fromstring)
+    reference = _read_rows(path, plp68)
+    for name in COLUMNS:
+        assert getattr(population, name).tobytes() == getattr(reference, name).tobytes(), name
+
+
+def test_block_parse_holds_under_six_blocks_of_scratch(tmp_path, plp68):
+    """Two blocks are parsed at once, so one may hold about half the scratch
+    it held on one thread: 9.3 ``_BLOCK_BYTES`` then, 3.1 now (numpy 2.4)."""
+    path = tmp_path / "households.csv"
+    write_population(generate_synthetic(3, 20_000, plp68), path, plp68)
+    with path.open("rb") as fh:
+        csvbody.body_start(fh)
+        block = next(csvbody.blocks(fh))
+    assert len(block) > csvbody._BLOCK_BYTES - 1000
+    k = len(FIXED_COLUMNS) + len(plp68.categories)
+    csvbody.plain_columns(block, k, csvbody._INT_COLUMNS)  # caches filled on the first call are not scratch
+    tracemalloc.start()
+    try:
+        columns = csvbody.plain_columns(block, k, csvbody._INT_COLUMNS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert columns is not None
+    assert peak < 6 * csvbody._BLOCK_BYTES

@@ -76,7 +76,7 @@ from ivasim.schedule import (
 )
 from ivasim.solver import BRACKET_HI_MAX, RATE_TOLERANCE, solve_with_cashback
 
-from helpers import incidences, quintile_of, reference_inside_rate
+from helpers import incidences, per_capita_total, quintile_of, reference_inside_rate
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 REL = 1e-9
@@ -665,7 +665,7 @@ def test_writer_spells_powers_of_two_as_repr():
 
 def reference_quintiles(population):
     """The sort-and-accumulate quintile assignment over ``Household`` rows."""
-    ordered = sorted(population.households, key=lambda h: (h.per_capita_total(), h.id))
+    ordered = sorted(population.households, key=lambda h: (per_capita_total(h), h.id))
     total_weight = population.total_weight()
     mapping = {}
     boundaries = []
@@ -676,7 +676,7 @@ def reference_quintiles(population):
         mapping[h.id] = q
         if q != previous:
             if q > 1:
-                boundaries.append(h.per_capita_total())
+                boundaries.append(per_capita_total(h))
             previous = q
         cum += h.weight
     return mapping, tuple(boundaries)

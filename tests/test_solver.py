@@ -31,6 +31,8 @@ from ivasim.solver import (
     solve_with_cashback,
 )
 
+from helpers import burden_simultaneous
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -163,11 +165,11 @@ def simultaneous_bisection(population, schedule, target, tol=1e-12):
     """Direct bisection on g(t) = self-consistent burden(t) - target."""
     calc = IncidenceCalculator(population, schedule)
     lo, hi = 0.0, 5.0
-    while calc.burden_simultaneous(hi) < target:
+    while burden_simultaneous(calc, hi) < target:
         hi *= 2.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if calc.burden_simultaneous(mid) < target:
+        if burden_simultaneous(calc, mid) < target:
             lo = mid
         else:
             hi = mid
@@ -206,7 +208,7 @@ def test_trace_rows_evaluate_cashback_once(synthetic, plp68, monkeypatch):
     assert calls == [row.t_ref_outside for row in res.trace]
     for row in res.trace:
         calc = IncidenceCalculator(synthetic, plp68)
-        assert row.net_burden == calc.burden_simultaneous(row.t_ref_outside)
+        assert row.net_burden == burden_simultaneous(calc, row.t_ref_outside)
 
 
 # -- examples and degenerate cases -------------------------------------------
