@@ -27,7 +27,12 @@ the first bad row.
 ``write`` writes the header line, then the body in blocks of rows
 (``text_blocks``), each float as ``repr`` spells it: the shortest decimal
 that reads back as the same double, found with the reader's tools run
-backwards.
+backwards.  A block is rendered as fixed-width words whose unused places
+are NUL, and one numpy compaction drops them.  With two CPUs and two or
+more blocks the body is rendered on two threads, as most of a block's
+steps release the GIL: the calling thread renders and writes the even
+blocks, one worker thread renders each odd block while it does, so at most
+two rendered blocks are held and the bytes are those one thread writes.
 
 ``microdata.load_population`` and ``write_population`` import this module
 when they run: a run on a synthetic population does not load it.
@@ -84,16 +89,64 @@ def read(path: str | Path, schedule: Schedule) -> Population:
 
 
 def write(population: Population, path: str | Path, schedule: Schedule) -> None:
-    """Emit the documented CSV layout; numeric fields round-trip exactly."""
+    """Emit the documented CSV layout; numeric fields round-trip exactly.
+
+    With two or more blocks and two CPUs, the calling thread renders and
+    writes blocks 0, 2, 4, ... while one worker thread renders the next odd
+    block, which the caller then writes: at most two rendered blocks are
+    held.  An exception in the worker is raised here once it has ended.
+    """
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow([*FIXED_COLUMNS, *schedule.category_ids()])
     columns = [population.ids, population.weight, population.residents,
                population.income_per_capita, population.nonmonetary_total]
     columns += [population.spend[:, j] for j in population.column_index(schedule)]
+    row_blocks = _row_blocks(columns)
+    # freeing an array larger than a block's scratch, untouched, lifts glibc
+    # malloc's mmap and trim thresholds above it (see count_rows): each
+    # thread's scratch then stays in its heap from block to block (a 100k
+    # generate takes about 17K minor page faults rather than 36K)
+    np.empty(_SCRATCH_BYTES, np.uint8)
     with Path(path).open("wb") as fh:
         fh.write(header.getvalue().encode("utf-8"))
-        # each float as repr writes it: the shortest decimal that reads back exactly
-        fh.writelines(text_blocks(columns, _INT_COLUMNS))
+        # the CPUs this process may run on: on one, a second thread only costs
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if len(row_blocks) < 2 or (cpus or 1) < 2:
+            fh.writelines(text_blocks(columns, _INT_COLUMNS))
+            return
+        odd: list[bytes | BaseException] = []
+        go, ready = threading.Semaphore(0), threading.Semaphore(0)
+        done = False
+
+        def render_odd() -> None:
+            for block in row_blocks[1::2]:
+                go.acquire()
+                if done:
+                    return
+                try:
+                    odd.append(_text_block(columns, _INT_COLUMNS, block))
+                except BaseException as exc:  # raised again by the calling thread
+                    odd.append(exc)
+                ready.release()
+
+        worker = threading.Thread(target=render_odd)
+        worker.start()
+        try:
+            for i in range(0, len(row_blocks), 2):
+                paired = i + 1 < len(row_blocks)
+                if paired:
+                    go.release()  # the worker renders block i + 1 meanwhile
+                fh.write(_text_block(columns, _INT_COLUMNS, row_blocks[i]))
+                if paired:
+                    ready.acquire()
+                    text = odd.pop()
+                    if isinstance(text, BaseException):
+                        raise text
+                    fh.write(text)
+        finally:
+            done = True
+            go.release()
+            worker.join()
 
 
 def _read_columns(path: Path, header: list[str], category_ids: tuple[str, ...]) -> Population:
@@ -400,7 +453,7 @@ def plain_columns(
     parse, a parse that stops early returns fewer than rows * k values, and
     a cell of more than ``_SAFE_DIGITS`` digits (which it clamps at the
     int64 limits) is read again by ``int``, so a significand beyond 64 bits
-    is not plain.
+    is not plain, nor one of more digits than ``int`` reads from text.
 
     Two blocks may be parsed at once, so a parse holds little: the offsets
     of every separator, dot and sign ``_layout`` checks are gone before it,
@@ -419,7 +472,10 @@ def plain_columns(
     if significands.size != digits.size:
         return None  # a parse that stopped early
     for cell, start, end in long:  # the parse clamps what int64 cannot hold; int does not
-        value = int(block[start:end].replace(b".", b""))
+        try:
+            value = int(block[start:end].replace(b".", b""))
+        except ValueError:
+            return None  # more digits than int takes from text (sys.get_int_max_str_digits)
         if not _INT64_MIN <= value <= _INT64_MAX:
             return None  # a significand beyond 64 bits
         significands[cell] = value
@@ -633,41 +689,56 @@ def _decimal_values(significand: np.ndarray, digits: np.ndarray) -> np.ndarray:
 # A block of rows is rendered as uint32 words of 4 text bytes each: an
 # integer cell takes _INT_WORDS words, a float cell _FLOAT_WORDS (the places
 # before the dot, a "." word, the places after it), and each cell a
-# separator word.  Places a cell leaves unused hold NUL, which one
-# ``bytes.translate`` a block deletes.
+# separator word.  Places a cell leaves unused hold NUL, which one numpy
+# compaction a block deletes.
 
 _WRITE_CELLS = 1 << 15  # cells formatted at a time; bounds the block's buffers
 _INT_WORDS = 5  # 20 places: any int64, its sign included
 _WHOLE_WORDS, _FRACTION_WORDS = 4, 5  # 16 places before the dot, 20 after it
 _FLOAT_WORDS = _WHOLE_WORDS + 1 + _FRACTION_WORDS  # 40 bytes: room for any float's repr
+# above the peak of a block's render, about 5 MB at 1 << 15 cells (most of it
+# in _shortest's loop): freeing an untouched array this large sets glibc
+# malloc's mmap threshold to its size and its trim threshold to twice that
+_SCRATCH_BYTES = 256 * _WRITE_CELLS
 _CHUNK = 10**4  # the digits of one word
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 _MANTISSA = np.uint64(2**52 - 1)
 
 
 def text_blocks(columns: list[np.ndarray], int_columns: tuple[int, ...]):
-    """The plain body of ``columns`` as bytes, in blocks of whole lines.
+    """The plain body of ``columns`` as bytes, in blocks of whole lines,
+    rendered one at a time on the calling thread.
 
     Row i holds cell i of each column.  A column in ``int_columns`` (int64)
     is written as ``str`` writes it, any other (float64) as ``repr`` does:
     the shortest decimal that reads back as the same double, and of those
-    the nearest.
+    the nearest.  Each block's words become text by one numpy compaction
+    that drops their NUL bytes; it and most of a block's other steps
+    release the GIL, so ``write`` renders two blocks at once.
     """
+    return (_text_block(columns, int_columns, rows) for rows in _row_blocks(columns))
+
+
+def _row_blocks(columns: list[np.ndarray]) -> list[slice]:
+    """The rows of each block: ``_WRITE_CELLS`` cells, at least one row."""
+    step = max(_WRITE_CELLS // len(columns), 1)
+    return [slice(start, start + step) for start in range(0, len(columns[0]), step)]
+
+
+def _text_block(columns: list[np.ndarray], int_columns: tuple[int, ...], block: slice) -> bytes:
+    """The lines of the rows ``block`` of ``columns``, as ``text_blocks`` renders them."""
     k = len(columns)
-    groups = [(_int_words, [i for i in range(k) if i in int_columns]),
-              (_float_words, [i for i in range(k) if i not in int_columns])]
-    step = max(_WRITE_CELLS // k, 1)
-    for start in range(0, len(columns[0]), step):
-        block = slice(start, start + step)
-        rows = len(columns[0][block])
-        cells = {}
-        for render, group in groups:
-            if group:
-                words = render(np.column_stack([columns[i][block] for i in group]).ravel())
-                cells.update(zip(group, words.reshape(rows, len(group), -1).transpose(1, 0, 2)))
-        comma, lf = (np.broadcast_to(_word(text), (rows, 1)) for text in (b",", b"\n"))
-        line = [part for i in range(k) for part in (cells[i], comma if i < k - 1 else lf)]
-        yield np.concatenate(line, axis=1).tobytes().translate(None, b"\0")
+    rows = len(columns[0][block])
+    cells = {}
+    for render, group in ((_int_words, [i for i in range(k) if i in int_columns]),
+                          (_float_words, [i for i in range(k) if i not in int_columns])):
+        if group:
+            words = render(np.column_stack([columns[i][block] for i in group]).ravel())
+            cells.update(zip(group, words.reshape(rows, len(group), -1).transpose(1, 0, 2)))
+    comma, lf = (np.broadcast_to(_word(text), (rows, 1)) for text in (b",", b"\n"))
+    line = [part for i in range(k) for part in (cells[i], comma if i < k - 1 else lf)]
+    text = np.concatenate(line, axis=1).view(np.uint8)
+    return text[text != 0].tobytes()
 
 
 def _int_words(v: np.ndarray) -> np.ndarray:

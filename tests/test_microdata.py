@@ -1,7 +1,10 @@
 """CSV ingestion, writer round-trip, and the synthetic generator."""
 
+import errno
 import hashlib
+import io
 import math
+import os
 import random
 import sys
 import threading
@@ -212,6 +215,143 @@ def test_writer_matches_the_repr_writer_on_edge_cells(tmp_path, uniform):
     assert written == source.read_bytes()
     again = load_population(tmp_path / "kernel.csv", uniform)
     assert again.spend.tobytes() == p.spend.tobytes()  # -0.0 included
+
+
+# -- the body written on two threads ------------------------------------------
+
+ROWS_PER_BLOCK = 10  # plp68's 25 cells a row, in blocks of 250 cells
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Blocks of ``ROWS_PER_BLOCK`` plp68 rows, two CPUs whatever the host has,
+    and a log of (first row, thread ident) for each block rendered."""
+    monkeypatch.setattr(csvbody, "_WRITE_CELLS", 250)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    log = []
+    text_block = csvbody._text_block
+
+    def block_spy(columns, int_columns, rows):
+        log.append((rows.start, threading.get_ident()))
+        return text_block(columns, int_columns, rows)
+
+    monkeypatch.setattr(csvbody, "_text_block", block_spy)
+    return log
+
+
+def within_a_minute(function):
+    """What ``function()`` raised, or None; run on a thread that must end
+    within 60 s, so that a deadlock fails the test rather than hanging it."""
+    raised = []
+
+    def run():
+        try:
+            function()
+        except BaseException as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive()
+    return raised[0] if raised else None
+
+
+def on_alternate_threads(log):
+    """Each block rendered by the thread that rendered block 0 if it is even,
+    and by another if it is odd."""
+    caller = dict(log)[0]
+    return all((ident == caller) == (start // ROWS_PER_BLOCK % 2 == 0) for start, ident in log)
+
+
+# 1 block, 1 at its edge, 2 (one row in the second), 3, and 4 ending at a block edge
+@pytest.mark.parametrize("n", [7, 10, 11, 25, 40])
+def test_two_thread_write_matches_the_repr_writer_and_the_one_thread_write(
+        tmp_path, plp68, two_cpus, monkeypatch, n):
+    population = generate_synthetic(7, n, plp68)
+    write_population(population, tmp_path / "two.csv", plp68)
+    assert sorted(start for start, _ in two_cpus) == list(range(0, n, ROWS_PER_BLOCK))
+    assert on_alternate_threads(two_cpus)
+    two_cpus.clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    write_population(population, tmp_path / "one.csv", plp68)
+    assert len({ident for _, ident in two_cpus}) == 1
+    repr_csv(population, tmp_path / "repr.csv", plp68)
+    written = (tmp_path / "two.csv").read_bytes()
+    assert written == (tmp_path / "one.csv").read_bytes()
+    assert written == (tmp_path / "repr.csv").read_bytes()
+
+
+def test_two_thread_write_under_frequent_thread_switches(tmp_path, plp68, two_cpus):
+    population = generate_synthetic(7, 400, plp68)  # 40 blocks
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for i in range(3):
+            write_population(population, tmp_path / f"{i}.csv", plp68)
+    finally:
+        sys.setswitchinterval(interval)
+    assert on_alternate_threads(two_cpus)
+    repr_csv(population, tmp_path / "repr.csv", plp68)
+    reference = (tmp_path / "repr.csv").read_bytes()
+    assert all((tmp_path / f"{i}.csv").read_bytes() == reference for i in range(3))
+
+
+@pytest.mark.parametrize("n, cpus", [(10, {0, 1}), (40, {0})])
+def test_one_block_or_one_cpu_starts_no_thread(tmp_path, plp68, two_cpus, monkeypatch, n, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(csvbody, "threading", SimpleNamespace())  # any use raises
+    population = generate_synthetic(7, n, plp68)
+    write_population(population, tmp_path / "out.csv", plp68)
+    repr_csv(population, tmp_path / "repr.csv", plp68)
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "repr.csv").read_bytes()
+
+
+def test_render_error_in_the_worker_is_raised_once_it_has_ended(tmp_path, plp68, two_cpus,
+                                                                monkeypatch):
+    block_spy = csvbody._text_block
+
+    def failing(columns, int_columns, rows):
+        text = block_spy(columns, int_columns, rows)
+        if rows.start == 3 * ROWS_PER_BLOCK:
+            raise RuntimeError("block 3")
+        return text
+
+    monkeypatch.setattr(csvbody, "_text_block", failing)
+    population = generate_synthetic(7, 60, plp68)
+    threads = threading.active_count()
+    raised = within_a_minute(lambda: write_population(population, tmp_path / "out.csv", plp68))
+    assert isinstance(raised, RuntimeError) and str(raised) == "block 3"
+    assert threading.active_count() == threads
+    assert on_alternate_threads(two_cpus) and max(two_cpus)[0] == 3 * ROWS_PER_BLOCK
+
+
+class FullDisk(io.BytesIO):
+    """A file whose writes fail from the ``writes``-th on, as on a full disk."""
+
+    def __init__(self, writes):
+        super().__init__()
+        self.writes = writes
+
+    def write(self, data):
+        self.writes -= 1
+        if self.writes <= 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(data)
+
+
+@pytest.mark.parametrize("block", [0, 1, 2])  # the caller's, the worker's, the caller's
+def test_write_that_fails_ends_the_worker(tmp_path, plp68, two_cpus, monkeypatch, block):
+    disk = FullDisk(writes=block + 2)  # the header is the first write
+    monkeypatch.setattr(csvbody, "Path", lambda path: SimpleNamespace(open=lambda mode: disk))
+    population = generate_synthetic(7, 60, plp68)
+    threads = threading.active_count()
+    raised = within_a_minute(lambda: write_population(population, "households.csv", plp68))
+    assert isinstance(raised, OSError) and raised.errno == errno.ENOSPC
+    assert threading.active_count() == threads
+    # nothing rendered after the failing block's pair
+    starts = sorted(start for start, _ in two_cpus)
+    assert block * ROWS_PER_BLOCK in starts and starts[-1] <= (block | 1) * ROWS_PER_BLOCK
 
 
 # -- synthetic generation ----------------------------------------------------
@@ -698,6 +838,24 @@ def test_float_significand_beyond_64_bits_is_not_plain(tmp_path, plp68, parsed):
     population = reads_like_row_reader(path, plp68)
     assert parsed[0] == "plain" and parsed[-2:] == ["other", "loadtxt"]
     assert float(cell) in set(population.spend.ravel())
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_cell_of_more_digits_than_int_reads_is_not_plain(tmp_path, plp68, parsed, request, split):
+    # a valid cell that int() refuses to read from text (4300 digits at most by
+    # default); the block goes to np.loadtxt, in either half of a split read
+    if split:
+        halves = request.getfixturevalue("halves")
+    cell = "0" * 5000 + "12.5"
+    lines = csv_lines(tmp_path, plp68)
+    lines[30] = _cell(lines[30], 8, cell)
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    population = reads_like_row_reader(path, plp68)
+    assert population.spend[29, population.column_index(plp68)[3]] == 12.5
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(cell):
+        assert "other" in parsed and parsed[-1] == "loadtxt"
+    if split:
+        assert len(halves) == 2
 
 
 def test_id_of_twenty_digits_is_not_plain(tmp_path, plp68, parsed):
