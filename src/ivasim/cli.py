@@ -42,7 +42,7 @@ from .analysis import (
     render_scenarios_csv,
     render_scenarios_text,
 )
-from .engine import denominator_expenditure
+from .engine import denominator_expenditure, rate_vector
 from .microdata import (
     MicrodataError,
     Population,
@@ -56,7 +56,6 @@ from .schedule import (
     ScheduleError,
     bundled_schedule_path,
     default_removal_selectors,
-    effective_inside_rate,
     load_schedule,
 )
 from .solver import SolverError, check_target, marginal_rate_impact, solve_with_cashback
@@ -360,12 +359,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
         t_ref = Rate.outside(
             schedule.target_net_burden / (1.0 - schedule.target_net_burden)
         )
-        for c in schedule.categories:
-            try:
-                effective_inside_rate(c, t_ref)
-            except ValueError as exc:  # names the category whose rate is out of range
-                fail("effective rates well-formed", exc)
-                break
+        try:
+            rate_vector(schedule, t_ref)
+        except ValueError as exc:  # names the first category whose rate is out of range
+            fail("effective rates well-formed", exc)
         else:
             ok("effective rates well-formed")
 

@@ -13,26 +13,28 @@ and LF after a header line ended by LF; k cells a row, at most one "." a
 cell and none in an integer column), is read in blocks of whole lines into
 columns counted and allocated once, without a float parser: each block's
 dot-free text parses as int64 significands (``plain_columns``), scaled
-exactly to the doubles ``float`` gives (``_decimal_values``).  A body of
-1 MB or more (``_SPLIT_BYTES``) is read as two halves at once, the second
-on one worker thread: ``np.fromstring`` and the numpy steps around it
-release the GIL.  A block parse holds about three times ``_BLOCK_BYTES``
-of scratch, so a read holds the columns plus about 2.3 MB, some nine
-``_BLOCK_BYTES`` with two blocks in flight, whatever the file's size.  Any
-other body (quotes, exponents, CR, spaces, blank lines) is parsed whole by
-one structured ``np.loadtxt``.  Only when the file is rejected does the row
-reader, one csv record and one ``Household`` at a time, re-read it to name
-the first bad row.
+exactly to the doubles ``float`` gives (``_decimal_values``).  A body of two
+blocks or more is read as two halves, two at a time (``_in_pairs``):
+``np.fromstring`` and the numpy steps around it release the GIL.  A block
+parse holds about three times ``_BLOCK_BYTES`` of scratch, so a read holds
+the columns plus about 2.3 MB, some nine ``_BLOCK_BYTES`` with two blocks in
+flight, whatever the file's size.  Any other body (quotes, exponents, CR,
+spaces, blank lines) is parsed whole by one structured ``np.loadtxt``.  Only
+when the file is rejected does the row reader, one csv record and one
+``Household`` at a time, re-read it to name the first bad row.
 
-``write`` writes the header line, then the body in blocks of rows
-(``text_blocks``), each float as ``repr`` spells it: the shortest decimal
-that reads back as the same double, found with the reader's tools run
-backwards.  A block is rendered as fixed-width words whose unused places
-are NUL, and one numpy compaction drops them.  With two CPUs and two or
-more blocks the body is rendered on two threads, as most of a block's
-steps release the GIL: the calling thread renders and writes the even
-blocks, one worker thread renders each odd block while it does, so at most
-two rendered blocks are held and the bytes are those one thread writes.
+``write`` writes the header line, then the body in blocks of rows, each
+float as ``repr`` spells it: the shortest decimal that reads back as the
+same double, found with the reader's tools run backwards.  A block is
+rendered as fixed-width words whose unused places are NUL, and one numpy
+compaction drops them.  Most of a block's steps release the GIL, so the
+blocks are rendered two at a time (``_in_pairs``) and written in order: the
+bytes are those one thread writes.
+
+``_in_pairs`` is the one place that starts a thread: the calling thread
+works the even items and one worker thread each odd one meanwhile, where
+the process may run on two CPUs.  ``_lift_heap``, called by ``read`` and
+``write``, keeps each thread's block scratch in its malloc heap.
 
 ``microdata.load_population`` and ``write_population`` import this module
 when they run: a run on a synthetic population does not load it.
@@ -45,9 +47,9 @@ import io
 import os
 import threading
 import warnings
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,12 +58,6 @@ from .schedule import Schedule
 
 _INT_COLUMNS = (0, 2)  # id and residents, in FIXED_COLUMNS
 _BLOCK_BYTES = 1 << 18  # bytes read at a time; a block is the whole lines they hold
-_COUNT_BLOCKS = 4  # the counting pass reads this many _BLOCK_BYTES at a time
-# a body this long is read as two halves at once.  The split costs some 60 us
-# (a thread's start and join, a second open) and pays once each half holds a
-# whole block; on a 2-CPU host a plp68 body of 512 KB reads 0.5 ms faster,
-# 1 MB 1.5 ms (of 8.8) and 4 MB 7.7 ms (of 33)
-_SPLIT_BYTES = 1 << 20
 _HEADER_BYTES = 1 << 16  # a longer header line leaves the file to np.loadtxt
 _COMMA, _LF, _DOT, _MINUS, _ZERO, _NINE = b",\n.-09"
 _LF_TO_COMMA = bytes.maketrans(b"\n", b",")
@@ -75,6 +71,7 @@ def read(path: str | Path, schedule: Schedule) -> Population:
     On any rejection the row reader re-reads the file to name the first bad
     row and cell.
     """
+    _lift_heap()
     path = Path(path)
     if not path.exists():
         raise MicrodataError(f"household file not found: {path}")
@@ -91,62 +88,18 @@ def read(path: str | Path, schedule: Schedule) -> Population:
 def write(population: Population, path: str | Path, schedule: Schedule) -> None:
     """Emit the documented CSV layout; numeric fields round-trip exactly.
 
-    With two or more blocks and two CPUs, the calling thread renders and
-    writes blocks 0, 2, 4, ... while one worker thread renders the next odd
-    block, which the caller then writes: at most two rendered blocks are
-    held.  An exception in the worker is raised here once it has ended.
+    The body's blocks are rendered two at a time (``_in_pairs``), so at most
+    two rendered blocks are held, and written in order.
     """
+    _lift_heap()
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow([*FIXED_COLUMNS, *schedule.category_ids()])
     columns = [population.ids, population.weight, population.residents,
                population.income_per_capita, population.nonmonetary_total]
     columns += [population.spend[:, j] for j in population.column_index(schedule)]
-    row_blocks = _row_blocks(columns)
-    # freeing an array larger than a block's scratch, untouched, lifts glibc
-    # malloc's mmap and trim thresholds above it (see count_rows): each
-    # thread's scratch then stays in its heap from block to block (a 100k
-    # generate takes about 17K minor page faults rather than 36K)
-    np.empty(_SCRATCH_BYTES, np.uint8)
     with Path(path).open("wb") as fh:
         fh.write(header.getvalue().encode("utf-8"))
-        # the CPUs this process may run on: on one, a second thread only costs
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        if len(row_blocks) < 2 or (cpus or 1) < 2:
-            fh.writelines(text_blocks(columns, _INT_COLUMNS))
-            return
-        odd: list[bytes | BaseException] = []
-        go, ready = threading.Semaphore(0), threading.Semaphore(0)
-        done = False
-
-        def render_odd() -> None:
-            for block in row_blocks[1::2]:
-                go.acquire()
-                if done:
-                    return
-                try:
-                    odd.append(_text_block(columns, _INT_COLUMNS, block))
-                except BaseException as exc:  # raised again by the calling thread
-                    odd.append(exc)
-                ready.release()
-
-        worker = threading.Thread(target=render_odd)
-        worker.start()
-        try:
-            for i in range(0, len(row_blocks), 2):
-                paired = i + 1 < len(row_blocks)
-                if paired:
-                    go.release()  # the worker renders block i + 1 meanwhile
-                fh.write(_text_block(columns, _INT_COLUMNS, row_blocks[i]))
-                if paired:
-                    ready.acquire()
-                    text = odd.pop()
-                    if isinstance(text, BaseException):
-                        raise text
-                    fh.write(text)
-        finally:
-            done = True
-            go.release()
-            worker.join()
+        fh.writelines(_in_pairs(partial(_text_block, columns, _INT_COLUMNS), _row_blocks(columns)))
 
 
 def _read_columns(path: Path, header: list[str], category_ids: tuple[str, ...]) -> Population:
@@ -173,20 +126,23 @@ def _read_columns(path: Path, header: list[str], category_ids: tuple[str, ...]) 
 def _read_plain(path: Path, k: int, sources: list[int]) -> list[np.ndarray] | None:
     """The five fixed columns and the spend matrix, or None if any block is not plain.
 
-    A body of ``_SPLIT_BYTES`` or more is read as two halves at once, split
-    at the first line start at or after its middle: the calling thread reads
-    the first and one worker thread the second, each from its own handle
-    into its own rows of the columns.  A half that meets a block that is not
-    plain, or rows other than those counted for it, sets ``stop``, and the
-    other half stops at its next block.  An exception in either half is
-    raised here once the worker has ended.
+    A body of two ``_BLOCK_BYTES`` or more is read as two halves, split at the
+    first line start at or after its middle, each from its own handle into
+    its own rows of the columns, two at a time (``_in_pairs``).  A half that
+    meets a block that is not plain, or rows other than those counted for
+    it, or that raises, sets ``stop``, and the other half stops at its next
+    block.
     """
     with path.open("rb") as fh:
         body = body_start(fh)
         if body is None:
             return None
         size = os.fstat(fh.fileno()).st_size
-        counted = count_rows(fh, (body + size) // 2 if size - body >= _SPLIT_BYTES else size)
+        # the split costs some 60 us (a second open, and with two CPUs a
+        # thread's start and join) and pays once each half holds a whole
+        # block: on a 2-CPU host a plp68 body of 512 KB reads 0.5 ms faster,
+        # 1 MB 1.5 ms (of 8.8) and 4 MB 7.7 ms (of 33)
+        counted = count_rows(fh, (body + size) // 2 if size - body >= 2 * _BLOCK_BYTES else size)
     if counted is None or not counted[0]:
         return None  # not plain; an empty body is left to np.loadtxt, whose warning names it
     rows, split, first = counted
@@ -195,11 +151,11 @@ def _read_plain(path: Path, k: int, sources: list[int]) -> list[np.ndarray] | No
     spend = np.empty((rows, len(sources) - len(FIXED_COLUMNS)), order="F")
     targets = fixed + [spend[:, j] for j in range(spend.shape[1])]
     stop = threading.Event()
-    errors: list[BaseException] = []
 
-    def fill(start: int, end: int | None, n: int, last: int) -> None:
+    def fill(half: tuple[int, int | None, int, int]) -> None:
         """Rows n to last of the columns, from the file's bytes from ``start``
-        to ``end`` (to its end if None); records an exception rather than raising it."""
+        to ``end`` (to its end if None)."""
+        start, end, n, last = half
         try:
             with path.open("rb") as fh:
                 fh.seek(start)
@@ -215,21 +171,13 @@ def _read_plain(path: Path, k: int, sources: list[int]) -> list[np.ndarray] | No
                     n += len(columns[0])
             if n != last:
                 stop.set()  # the file changed since it was counted
-        except BaseException as exc:  # raised again by the calling thread
-            errors.append(exc)
-            stop.set()
+        except BaseException:
+            stop.set()  # the other half stops at its next block
+            raise
 
-    if first == rows:
-        fill(body, None, 0, rows)
-    else:
-        worker = threading.Thread(target=fill, args=(split, None, first, rows))
-        worker.start()
-        try:
-            fill(body, split, 0, first)
-        finally:
-            worker.join()
-    if errors:
-        raise errors[0]
+    halves = [(body, split, 0, first), (split, None, first, rows)]
+    for _ in _in_pairs(fill, halves if first < rows else [(body, None, 0, rows)]):
+        pass
     return None if stop.is_set() else [*fixed, spend]
 
 
@@ -243,6 +191,68 @@ def _read_structured(path: Path, k: int, sources: list[int]) -> list[np.ndarray]
     for j, source in enumerate(sources[len(FIXED_COLUMNS):]):
         spend[:, j] = table[f"f{source}"]
     return [*(table[f"f{i}"] for i in sources[:len(FIXED_COLUMNS)]), spend]
+
+
+def _in_pairs(work: Callable, items: Sequence) -> Iterator:
+    """``work(item)`` of each of ``items``, in order, worked two at a time.
+
+    The calling thread works items 0, 2, 4, ... and one worker thread,
+    started once, works the item after each meanwhile: at most two results
+    are held.  An exception in the worker is raised here once it has ended.
+    A caller that stops early (closes the generator, or drops it by
+    raising) wakes the worker, which ends after the item it is on; one that
+    keeps an unfinished generator keeps the worker waiting, and the process
+    cannot exit.  With fewer than two items, or fewer than two CPUs this
+    process may run on, where a second thread only costs, it is
+    ``map(work, items)`` and starts no thread.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if len(items) < 2 or (cpus or 1) < 2:
+        yield from map(work, items)
+        return
+    odd: list = []  # the worker's result, or the exception it raised
+    go, ready = threading.Semaphore(0), threading.Semaphore(0)
+    done = False
+
+    def work_odd() -> None:
+        for item in items[1::2]:
+            go.acquire()
+            if done:
+                return
+            try:
+                odd.append(work(item))
+            except BaseException as exc:  # raised again by the calling thread
+                odd.append(exc)
+            ready.release()
+
+    worker = threading.Thread(target=work_odd)
+    worker.start()
+    try:
+        for i in range(0, len(items), 2):
+            go.release()  # the worker works item i + 1, if there is one, meanwhile
+            yield work(items[i])
+            if i + 1 < len(items):
+                ready.acquire()
+                if isinstance(odd[-1], BaseException):
+                    raise odd.pop()
+                yield odd.pop()  # held by the caller only, while the next item is worked
+    finally:
+        done = True
+        go.release()
+        worker.join()
+
+
+def _lift_heap() -> None:
+    """Free an untouched array larger than any block's scratch.
+
+    glibc malloc's mmap threshold follows the largest block freed, and its
+    trim threshold is twice that: each thread's block scratch then stays in
+    its heap from block to block instead of going back to the system and
+    being faulted in again.  At 100k households a ``generate`` takes about
+    17K minor page faults rather than 80K or more, and a ``solve`` of its
+    file about 7.7K rather than 16K.
+    """
+    np.empty(_SCRATCH_BYTES, np.uint8)
 
 
 # -- the header line and the row reader ---------------------------------------
@@ -388,17 +398,9 @@ def count_rows(fh, middle: int) -> tuple[int, int, int] | None:
     A byte above "9" (an exponent, "nan", a letter, non-ASCII text) or a blank
     last line is never plain, so such a file goes to ``np.loadtxt`` before
     any block is parsed.
-
-    It reads 1 MB at a time, before the columns exist.  Freeing a buffer that
-    large also lifts glibc malloc's mmap and trim thresholds, which follow
-    the largest block freed, above a block parse's scratch: that scratch
-    then stays in the heap from block to block instead of going back to the
-    system and being faulted in again (a ``solve`` of a 100k households file
-    takes about 8K minor page faults rather than 37K).  So no 1 MB array may
-    outlive its chunk: a mask kept to the next one costs the lift.
     """
     ends, tail, offset, split = 0, b"", fh.tell(), None
-    while chunk := fh.read(_COUNT_BLOCKS * _BLOCK_BYTES):
+    while chunk := fh.read(_BLOCK_BYTES):
         buf = np.frombuffer(chunk, np.uint8)
         if buf.max() > _NINE:
             return None
@@ -697,26 +699,11 @@ _INT_WORDS = 5  # 20 places: any int64, its sign included
 _WHOLE_WORDS, _FRACTION_WORDS = 4, 5  # 16 places before the dot, 20 after it
 _FLOAT_WORDS = _WHOLE_WORDS + 1 + _FRACTION_WORDS  # 40 bytes: room for any float's repr
 # above the peak of a block's render, about 5 MB at 1 << 15 cells (most of it
-# in _shortest's loop): freeing an untouched array this large sets glibc
-# malloc's mmap threshold to its size and its trim threshold to twice that
+# in _shortest's loop), and of a block's parse (see _lift_heap)
 _SCRATCH_BYTES = 256 * _WRITE_CELLS
 _CHUNK = 10**4  # the digits of one word
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 _MANTISSA = np.uint64(2**52 - 1)
-
-
-def text_blocks(columns: list[np.ndarray], int_columns: tuple[int, ...]):
-    """The plain body of ``columns`` as bytes, in blocks of whole lines,
-    rendered one at a time on the calling thread.
-
-    Row i holds cell i of each column.  A column in ``int_columns`` (int64)
-    is written as ``str`` writes it, any other (float64) as ``repr`` does:
-    the shortest decimal that reads back as the same double, and of those
-    the nearest.  Each block's words become text by one numpy compaction
-    that drops their NUL bytes; it and most of a block's other steps
-    release the GIL, so ``write`` renders two blocks at once.
-    """
-    return (_text_block(columns, int_columns, rows) for rows in _row_blocks(columns))
 
 
 def _row_blocks(columns: list[np.ndarray]) -> list[slice]:
@@ -726,7 +713,14 @@ def _row_blocks(columns: list[np.ndarray]) -> list[slice]:
 
 
 def _text_block(columns: list[np.ndarray], int_columns: tuple[int, ...], block: slice) -> bytes:
-    """The lines of the rows ``block`` of ``columns``, as ``text_blocks`` renders them."""
+    """The plain lines of the rows ``block`` of ``columns``.
+
+    Row i holds cell i of each column.  A column in ``int_columns`` (int64)
+    is written as ``str`` writes it, any other (float64) as ``repr`` does:
+    the shortest decimal that reads back as the same double, and of those
+    the nearest.  The words become text by one numpy compaction that drops
+    their NUL bytes.
+    """
     k = len(columns)
     rows = len(columns[0][block])
     cells = {}

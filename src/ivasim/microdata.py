@@ -59,13 +59,6 @@ class Household:
             if v < 0 or not math.isfinite(v):
                 raise MicrodataError(f"household {self.id}: expenditure {cid!r} must be >= 0, got {v}")
 
-    def monetary_total(self) -> float:
-        return math.fsum(self.expenditures.values())
-
-    def total_expenditure(self) -> float:
-        """Monetary plus non-monetary consumption, the quintile ranking base."""
-        return self.monetary_total() + self.nonmonetary_total
-
 
 @dataclass(frozen=True)
 class Provenance:
@@ -190,7 +183,7 @@ class Population:
 
     @cached_property
     def monetary(self) -> np.ndarray:
-        """``Household.monetary_total`` of every household."""
+        """Every household's monetary spending: the exact sum of its ``spend`` row."""
         return row_sums(self.spend)
 
     def total_weight(self) -> float:

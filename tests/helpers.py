@@ -1,6 +1,7 @@
 """Views of library results that only the tests need, and reference writers and rates."""
 
 import csv
+import math
 from itertools import repeat
 from pathlib import Path
 
@@ -28,9 +29,19 @@ def incidences(result: ScenarioResult) -> tuple[HouseholdIncidence, ...]:
     return tuple(map(result.scalar_incidence, result.population.households))
 
 
+def monetary_total(household: Household) -> float:
+    """The household's monetary spending, summed exactly."""
+    return math.fsum(household.expenditures.values())
+
+
+def total_expenditure(household: Household) -> float:
+    """Monetary plus non-monetary consumption, the quintile ranking base."""
+    return monetary_total(household) + household.nonmonetary_total
+
+
 def per_capita_total(household: Household) -> float:
     """Monetary plus non-monetary consumption per resident."""
-    return household.total_expenditure() / household.residents
+    return total_expenditure(household) / household.residents
 
 
 def burden_simultaneous(calc: IncidenceCalculator, t_ref_outside: float) -> float:

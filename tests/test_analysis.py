@@ -25,7 +25,7 @@ from ivasim.microdata import Household, Population, Provenance, generate_synthet
 from ivasim.schedule import bundled_schedule_path, load_schedule
 from ivasim.solver import marginal_rate_impact
 
-from helpers import incidences, per_capita_total, quintile_of
+from helpers import incidences, monetary_total, per_capita_total, quintile_of
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +174,7 @@ def test_total_column_is_population_share(synthetic, plp68, quintiles):
         if r.group == "total":
             continue
         want = 100.0 * math.fsum(
-            h.weight * math.fsum(h.expenditures[cid] for cid in members[r.group]) / h.monetary_total()
+            h.weight * math.fsum(h.expenditures[cid] for cid in members[r.group]) / monetary_total(h)
             for h in synthetic.households
         ) / synthetic.total_weight()
         assert r.cells[5] == pytest.approx(want, abs=1e-9)
@@ -350,7 +350,7 @@ def test_uniform_vat_delta_share_constant_for_proportional_households(plp68):
     base, uni = results
     base_by_id = {i.household_id: i.net_tax for i in incidences(base)}
     ratios = [
-        (inc.net_tax - base_by_id[inc.household_id]) / h.monetary_total()
+        (inc.net_tax - base_by_id[inc.household_id]) / monetary_total(h)
         for h, inc in zip(sorted(pop.households, key=lambda h: h.id), incidences(uni))
     ]
     assert ratios[0] == pytest.approx(ratios[1], abs=1e-12)

@@ -2,7 +2,6 @@
 
 import errno
 import hashlib
-import io
 import math
 import os
 import random
@@ -32,7 +31,7 @@ from ivasim.microdata import (
 from ivasim.schedule import bundled_schedule_path, load_schedule
 from ivasim.solver import solve_with_cashback
 
-from helpers import per_capita_total, repr_csv
+from helpers import monetary_total, per_capita_total, repr_csv, total_expenditure
 
 
 @pytest.fixture(scope="module")
@@ -217,26 +216,12 @@ def test_writer_matches_the_repr_writer_on_edge_cells(tmp_path, uniform):
     assert again.spend.tobytes() == p.spend.tobytes()  # -0.0 included
 
 
-# -- the body written on two threads ------------------------------------------
-
-ROWS_PER_BLOCK = 10  # plp68's 25 cells a row, in blocks of 250 cells
+# -- work two at a time, and the body written on two threads -----------------
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Blocks of ``ROWS_PER_BLOCK`` plp68 rows, two CPUs whatever the host has,
-    and a log of (first row, thread ident) for each block rendered."""
-    monkeypatch.setattr(csvbody, "_WRITE_CELLS", 250)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    log = []
-    text_block = csvbody._text_block
-
-    def block_spy(columns, int_columns, rows):
-        log.append((rows.start, threading.get_ident()))
-        return text_block(columns, int_columns, rows)
-
-    monkeypatch.setattr(csvbody, "_text_block", block_spy)
-    return log
+def pin_cpus(monkeypatch, cpus):
+    """The CPUs this process may run on, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
 
 
 def within_a_minute(function):
@@ -258,100 +243,143 @@ def within_a_minute(function):
 
 
 def on_alternate_threads(log):
-    """Each block rendered by the thread that rendered block 0 if it is even,
-    and by another if it is odd."""
+    """Each item worked by the thread that worked item 0 if it is even, and
+    by another if it is odd; ``log`` holds (item, thread ident) pairs."""
     caller = dict(log)[0]
-    return all((ident == caller) == (start // ROWS_PER_BLOCK % 2 == 0) for start, ident in log)
+    return all((ident == caller) == (item % 2 == 0) for item, ident in log)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_in_pairs_yields_in_order_with_at_most_two_results_held(monkeypatch, n):
+    pin_cpus(monkeypatch, {0, 1})
+    log, taken = [], []
+
+    def work(item):
+        assert item <= len(taken) + 1  # items before the last two worked are taken
+        log.append((item, threading.get_ident()))
+        return 10 * item
+
+    for result in csvbody._in_pairs(work, range(n)):
+        taken.append(result)
+    assert taken == [10 * item for item in range(n)]
+    assert on_alternate_threads(log) and len({ident for _, ident in log}) == 2
+
+
+def test_in_pairs_under_frequent_thread_switches(monkeypatch):
+    pin_cpus(monkeypatch, {0, 1})
+    log, taken = [], []
+
+    def work(item):
+        assert item <= len(taken) + 1
+        log.append((item, threading.get_ident()))
+        return np.full(1000, item).sum()  # numpy releases the GIL here and there
+
+    def run():
+        for _ in range(3):
+            taken.clear()
+            for result in csvbody._in_pairs(work, range(40)):
+                taken.append(result)
+            assert taken == [1000 * item for item in range(40)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert within_a_minute(run) is None
+    finally:
+        sys.setswitchinterval(interval)
+    assert on_alternate_threads(log)
+
+
+@pytest.mark.parametrize("fails", [0, 1, 3])  # the caller's item, the worker's first, a later one
+def test_in_pairs_raises_an_exception_once_the_worker_has_ended(monkeypatch, fails):
+    pin_cpus(monkeypatch, {0, 1})
+    log = []
+
+    def work(item):
+        log.append((item, threading.get_ident()))
+        if item == fails:
+            raise RuntimeError(f"item {item}")
+        return item
+
+    def run():
+        for _ in csvbody._in_pairs(work, range(8)):
+            pass
+
+    threads = threading.active_count()
+    raised = within_a_minute(run)
+    assert isinstance(raised, RuntimeError) and str(raised) == f"item {fails}"
+    assert threading.active_count() == threads
+    # nothing worked after the failing item's pair; the worker may not have begun its item
+    assert on_alternate_threads(log)
+    assert sorted(item for item, _ in log)[:fails + 1] == list(range(fails + 1))
+    assert max(item for item, _ in log) <= fails | 1
+
+
+@pytest.mark.parametrize("how", ["close", "full_disk"])
+@pytest.mark.parametrize("last", [0, 1, 2])  # a result of the caller's, the worker's, the caller's
+def test_in_pairs_caller_that_stops_early_ends_the_worker(monkeypatch, how, last):
+    pin_cpus(monkeypatch, {0, 1})
+    worked = []
+
+    def work(item):
+        worked.append(item)
+        return item
+
+    def run():
+        if how == "close":
+            results = csvbody._in_pairs(work, range(8))
+            for result in results:
+                if result == last:
+                    results.close()
+        else:  # as write does: the generator is dropped when a write fails
+            for result in csvbody._in_pairs(work, range(8)):
+                if result == last:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+    threads = threading.active_count()
+    raised = within_a_minute(run)
+    assert raised is None if how == "close" else raised.errno == errno.ENOSPC
+    assert threading.active_count() == threads
+    # the worker ends after the item it is on, if it has begun it
+    assert sorted(worked)[:last + 1] == list(range(last + 1)) and max(worked) <= last | 1
+
+
+@pytest.mark.parametrize("n, cpus", [(0, {0, 1}), (1, {0, 1}), (5, {0})])
+def test_in_pairs_of_one_item_or_on_one_cpu_starts_no_thread(monkeypatch, n, cpus):
+    pin_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(csvbody, "threading", SimpleNamespace())  # any use raises
+    assert list(csvbody._in_pairs(lambda item: 10 * item, range(n))) == [10 * i for i in range(n)]
+
+
+ROWS_PER_BLOCK = 10  # plp68's 25 cells a row, in blocks of 250 cells
 
 
 # 1 block, 1 at its edge, 2 (one row in the second), 3, and 4 ending at a block edge
 @pytest.mark.parametrize("n", [7, 10, 11, 25, 40])
 def test_two_thread_write_matches_the_repr_writer_and_the_one_thread_write(
-        tmp_path, plp68, two_cpus, monkeypatch, n):
+        tmp_path, plp68, monkeypatch, n):
+    monkeypatch.setattr(csvbody, "_WRITE_CELLS", 250)
+    log = []  # (block, thread ident) of each block rendered
+    text_block = csvbody._text_block
+
+    def block_spy(columns, int_columns, rows):
+        log.append((rows.start // ROWS_PER_BLOCK, threading.get_ident()))
+        return text_block(columns, int_columns, rows)
+
+    monkeypatch.setattr(csvbody, "_text_block", block_spy)
+    pin_cpus(monkeypatch, {0, 1})
     population = generate_synthetic(7, n, plp68)
     write_population(population, tmp_path / "two.csv", plp68)
-    assert sorted(start for start, _ in two_cpus) == list(range(0, n, ROWS_PER_BLOCK))
-    assert on_alternate_threads(two_cpus)
-    two_cpus.clear()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert sorted(block for block, _ in log) == list(range(-(-n // ROWS_PER_BLOCK)))
+    assert on_alternate_threads(log)
+    log.clear()
+    pin_cpus(monkeypatch, {0})
     write_population(population, tmp_path / "one.csv", plp68)
-    assert len({ident for _, ident in two_cpus}) == 1
+    assert len({ident for _, ident in log}) == 1
     repr_csv(population, tmp_path / "repr.csv", plp68)
     written = (tmp_path / "two.csv").read_bytes()
     assert written == (tmp_path / "one.csv").read_bytes()
     assert written == (tmp_path / "repr.csv").read_bytes()
-
-
-def test_two_thread_write_under_frequent_thread_switches(tmp_path, plp68, two_cpus):
-    population = generate_synthetic(7, 400, plp68)  # 40 blocks
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for i in range(3):
-            write_population(population, tmp_path / f"{i}.csv", plp68)
-    finally:
-        sys.setswitchinterval(interval)
-    assert on_alternate_threads(two_cpus)
-    repr_csv(population, tmp_path / "repr.csv", plp68)
-    reference = (tmp_path / "repr.csv").read_bytes()
-    assert all((tmp_path / f"{i}.csv").read_bytes() == reference for i in range(3))
-
-
-@pytest.mark.parametrize("n, cpus", [(10, {0, 1}), (40, {0})])
-def test_one_block_or_one_cpu_starts_no_thread(tmp_path, plp68, two_cpus, monkeypatch, n, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    monkeypatch.setattr(csvbody, "threading", SimpleNamespace())  # any use raises
-    population = generate_synthetic(7, n, plp68)
-    write_population(population, tmp_path / "out.csv", plp68)
-    repr_csv(population, tmp_path / "repr.csv", plp68)
-    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "repr.csv").read_bytes()
-
-
-def test_render_error_in_the_worker_is_raised_once_it_has_ended(tmp_path, plp68, two_cpus,
-                                                                monkeypatch):
-    block_spy = csvbody._text_block
-
-    def failing(columns, int_columns, rows):
-        text = block_spy(columns, int_columns, rows)
-        if rows.start == 3 * ROWS_PER_BLOCK:
-            raise RuntimeError("block 3")
-        return text
-
-    monkeypatch.setattr(csvbody, "_text_block", failing)
-    population = generate_synthetic(7, 60, plp68)
-    threads = threading.active_count()
-    raised = within_a_minute(lambda: write_population(population, tmp_path / "out.csv", plp68))
-    assert isinstance(raised, RuntimeError) and str(raised) == "block 3"
-    assert threading.active_count() == threads
-    assert on_alternate_threads(two_cpus) and max(two_cpus)[0] == 3 * ROWS_PER_BLOCK
-
-
-class FullDisk(io.BytesIO):
-    """A file whose writes fail from the ``writes``-th on, as on a full disk."""
-
-    def __init__(self, writes):
-        super().__init__()
-        self.writes = writes
-
-    def write(self, data):
-        self.writes -= 1
-        if self.writes <= 0:
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return super().write(data)
-
-
-@pytest.mark.parametrize("block", [0, 1, 2])  # the caller's, the worker's, the caller's
-def test_write_that_fails_ends_the_worker(tmp_path, plp68, two_cpus, monkeypatch, block):
-    disk = FullDisk(writes=block + 2)  # the header is the first write
-    monkeypatch.setattr(csvbody, "Path", lambda path: SimpleNamespace(open=lambda mode: disk))
-    population = generate_synthetic(7, 60, plp68)
-    threads = threading.active_count()
-    raised = within_a_minute(lambda: write_population(population, "households.csv", plp68))
-    assert isinstance(raised, OSError) and raised.errno == errno.ENOSPC
-    assert threading.active_count() == threads
-    # nothing rendered after the failing block's pair
-    starts = sorted(start for start, _ in two_cpus)
-    assert block * ROWS_PER_BLOCK in starts and starts[-1] <= (block | 1) * ROWS_PER_BLOCK
 
 
 # -- synthetic generation ----------------------------------------------------
@@ -429,7 +457,7 @@ def test_generated_population_satisfies_invariants(plp68):
         assert h.income_per_capita >= 0
         assert h.nonmonetary_total >= 0
         assert all(v >= 0 for v in h.expenditures.values())
-        assert h.monetary_total() > 0
+        assert monetary_total(h) > 0
 
 
 def test_generated_eligibility_fraction_nontrivial(plp68):
@@ -471,8 +499,8 @@ def test_validate_against_rejects_mismatched_schedule(plp68, uniform):
 
 def test_household_total_helpers():
     h = Household(9, 2.0, 4, 100.0, {"a": 300.0, "b": 100.0}, 80.0)
-    assert h.monetary_total() == 400.0
-    assert h.total_expenditure() == 480.0
+    assert monetary_total(h) == 400.0
+    assert total_expenditure(h) == 480.0
     assert per_capita_total(h) == 120.0
 
 
@@ -593,12 +621,16 @@ COLUMNS = ("ids", "weight", "residents", "income_per_capita", "nonmonetary_total
 
 @pytest.fixture
 def parsed(monkeypatch):
-    """Blocks of 1000 bytes (about two plp68 rows), and a log of how the body was read.
+    """Blocks of 1000 bytes (about two plp68 rows), one CPU, and a log of how
+    the body was read.
 
-    The log holds "plain" or "other" for each block ``plain_columns`` saw, and
-    "loadtxt" when the whole file went to the structured ``np.loadtxt``.
+    A body of two blocks or more is read as two halves, so on one CPU as the
+    first half and then the second, on the calling thread.  The log holds
+    "plain" or "other" for each block ``plain_columns`` saw, and "loadtxt"
+    when the whole file went to the structured ``np.loadtxt``.
     """
     monkeypatch.setattr(csvbody, "_BLOCK_BYTES", 1000)
+    pin_cpus(monkeypatch, {0})
     log = []
     plain_columns, read_structured = csvbody.plain_columns, csvbody._read_structured
 
@@ -904,7 +936,7 @@ BLOCKS = csvbody.blocks  # the reader's, whatever a test spies on
 
 @pytest.fixture
 def halves(parsed, monkeypatch):
-    """Every body splits, and a log of the (start, end) each half's ``blocks`` got.
+    """Two CPUs, and a log of the (start, end) each half's ``blocks`` got.
 
     The ``parsed`` log also gets "stop" when a half stops the read.
     """
@@ -914,9 +946,9 @@ def halves(parsed, monkeypatch):
             parsed.append("stop")
             super().set()
 
-    monkeypatch.setattr(csvbody, "_SPLIT_BYTES", 0)
-    monkeypatch.setattr(csvbody, "threading",
-                        SimpleNamespace(Event=LoggedEvent, Thread=threading.Thread))
+    pin_cpus(monkeypatch, {0, 1})
+    monkeypatch.setattr(csvbody, "threading", SimpleNamespace(
+        Event=LoggedEvent, Semaphore=threading.Semaphore, Thread=threading.Thread))
     log = []
     blocks = csvbody.blocks
 
@@ -952,23 +984,44 @@ def test_split_read_matches_the_one_thread_read(tmp_path, plp68, parsed, halves,
     lines = csv_lines(tmp_path, plp68)
     if case == "one_row_second_half":  # the longer row first, so the middle falls in it
         lines = [lines[0], *sorted(lines[1:3], key=len, reverse=True)]
+        monkeypatch.setattr(csvbody, "_BLOCK_BYTES", 300)  # two blocks or more in three rows
     path = write_csv(tmp_path, "\n".join(lines) + ("" if case == "unended_last_line" else "\n"))
     body, split = split_at(path)
-    if case == "at_a_block_edge":
-        monkeypatch.setattr(csvbody, "_BLOCK_BYTES", split - body)
-        assert split in block_edges(path)
+    if case == "at_a_block_edge":  # the largest blocks that split the body, one ending at the split
+        for block_bytes in range((path.stat().st_size - body) // 2, 0, -1):
+            monkeypatch.setattr(csvbody, "_BLOCK_BYTES", block_bytes)
+            if split in block_edges(path):
+                break
+        assert block_bytes > 1000
     elif case == "inside_a_block":
         monkeypatch.setattr(csvbody, "_BLOCK_BYTES", 1500)
         assert split not in block_edges(path)
     population = reads_like_row_reader(path, plp68)
     assert set(halves) == {(body, split), (split, None)}
     assert set(parsed) == {"plain"}
-    monkeypatch.setattr(csvbody, "_SPLIT_BYTES", 1 << 62)
-    reference = load_population(path, plp68)  # on one thread
+    monkeypatch.setattr(csvbody, "_BLOCK_BYTES", 1 << 30)
+    reference = load_population(path, plp68)  # one block, on one thread
     for name in COLUMNS:
         assert getattr(population, name).tobytes() == getattr(reference, name).tobytes(), name
     if case == "one_row_second_half":
         assert path.read_bytes()[split:].count(b"\n") == 1
+
+
+def test_one_cpu_reads_the_halves_on_the_calling_thread(tmp_path, plp68, monkeypatch):
+    path = tmp_path / "households.csv"
+    write_population(generate_synthetic(3, 4000, plp68), path, plp68)
+    assert path.stat().st_size > 4 * csvbody._BLOCK_BYTES
+    pin_cpus(monkeypatch, {0})
+    monkeypatch.setattr(csvbody, "threading", SimpleNamespace(Event=threading.Event))  # no Thread
+    starts = []
+
+    def blocks_spy(fh, end=None):
+        starts.append(fh.tell())
+        return BLOCKS(fh, end)
+
+    monkeypatch.setattr(csvbody, "blocks", blocks_spy)
+    assert len(reads_like_row_reader(path, plp68)) == 4000
+    assert starts == list(split_at(path))  # both halves, in turn
 
 
 def test_split_read_under_frequent_thread_switches(tmp_path, plp68, parsed, halves, monkeypatch):
@@ -1060,7 +1113,11 @@ def test_error_in_either_half_reaches_the_caller_and_ends_the_worker(tmp_path, p
     with pytest.raises(RuntimeError, match=f"^{half} half$"):
         load_population(path, plp68)
     assert threading.active_count() == threads
-    assert len(halves) == 2 and "loadtxt" not in parsed
+    assert "stop" in parsed and "loadtxt" not in parsed  # the failing half stops the other
+    # the worker reads its half unless the first fails before it begins
+    body, split = split_at(path)
+    assert set(halves) == {(body, split), (split, None)} or (half == "first"
+                                                             and halves == [(body, split)])
 
 
 @pytest.mark.parametrize("warns", [True, False])

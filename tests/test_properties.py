@@ -49,7 +49,7 @@ from ivasim.analysis import (
     build_scenario_table,
     compute_scenarios,
 )
-from ivasim.csvbody import _decimal_values, _read_rows, _shortest, text_blocks
+from ivasim.csvbody import _decimal_values, _read_rows, _shortest, _text_block
 from ivasim.engine import IncidenceCalculator, aggregate, household_tax, with_cashback
 from ivasim.exactsum import _SHORT
 from ivasim.microdata import (
@@ -619,9 +619,9 @@ def test_kernel_leaves_near_ties_to_float(digits, side):
 
 
 def _written(values, dtype=float):
-    """The lines ``text_blocks`` writes for one column of ``values``."""
+    """The lines the writer renders for one column of ``values``, as one block."""
     int_columns = (0,) if dtype is np.int64 else ()
-    text = b"".join(text_blocks([np.array(values, dtype=dtype)], int_columns)).decode("ascii")
+    text = _text_block([np.array(values, dtype=dtype)], int_columns, slice(None)).decode("ascii")
     return text.splitlines()
 
 
