@@ -35,6 +35,7 @@ import csv
 import enum
 import io
 import math
+import sys
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Sequence
@@ -56,7 +57,7 @@ from .engine import (
     with_cashback,
 )
 from .exactsum import exact_parts
-from .microdata import Household, Population
+from .microdata import Household, MicrodataError, Population
 from .rates import Rate
 from .schedule import Schedule, TaxTreatment, TreatmentKind, with_removal
 from .solver import SolverError, solve_given_cashback, solve_with_cashback
@@ -86,10 +87,20 @@ def assign_quintiles(population: Population) -> QuintileAssignment:
     int(5 * cum / W) + 1, capped at 5, where cum is the running (sequential)
     sum of the weights ranked before it and W the total weight.
     """
-    per_capita = (population.monetary + population.nonmonetary_total) / population.residents
+    total = population.total_weight()  # refused if it overflows, before any sum that would
+    with np.errstate(over="ignore"):
+        expenditure = population.monetary + population.nonmonetary_total
+    # it bounds every weighted sum of the tables
+    if weighted_total(population.weight, expenditure) == math.inf:
+        raise MicrodataError("the weighted total expenditure overflows a double")
+    per_capita = expenditure / population.residents
     order = np.lexsort((population.ids, per_capita))
     cum = np.concatenate(([0.0], np.cumsum(population.weight[order][:-1])))
-    ranked = np.minimum(5, (5.0 * cum / population.total_weight()).astype(np.int64) + 1)
+    if total > sys.float_info.max / 5.0:
+        # 5 * cum could overflow; scaling both by 1/8 leaves every quotient as it
+        # was (a cum it leaves subnormal gives a quotient of 0 either way)
+        cum, total = cum * 0.125, total * 0.125
+    ranked = np.minimum(5, (5.0 * cum / total).astype(np.int64) + 1)
     opens = np.flatnonzero(np.diff(ranked)) + 1  # ranks where a new quintile starts
     quintile = np.empty(len(population), dtype=np.int8)
     quintile[order] = ranked

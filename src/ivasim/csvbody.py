@@ -15,7 +15,9 @@ columns counted and allocated once, without a float parser: each block's
 dot-free text parses as int64 significands (``plain_columns``), scaled
 exactly to the doubles ``float`` gives (``_decimal_values``).  A body of two
 blocks or more is read as two halves, two at a time (``_in_pairs``):
-``np.fromstring`` and the numpy steps around it release the GIL.  A block
+``np.fromstring`` and the numpy steps around it release the GIL.  The halves
+share nothing but the columns, each filling its own rows, and the body goes
+to ``np.loadtxt`` if either was not plain.  A block
 parse holds about three times ``_BLOCK_BYTES`` of scratch, so a read holds
 the columns plus about 2.3 MB, some nine ``_BLOCK_BYTES`` with two blocks in
 flight, whatever the file's size.  Any other body (quotes, exponents, CR,
@@ -128,10 +130,10 @@ def _read_plain(path: Path, k: int, sources: list[int]) -> list[np.ndarray] | No
 
     A body of two ``_BLOCK_BYTES`` or more is read as two halves, split at the
     first line start at or after its middle, each from its own handle into
-    its own rows of the columns, two at a time (``_in_pairs``).  A half that
-    meets a block that is not plain, or rows other than those counted for
-    it, or that raises, sets ``stop``, and the other half stops at its next
-    block.
+    its own rows of the columns, two at a time (``_in_pairs``).  The halves
+    share nothing but the columns: each reads to its end, or to its first
+    block that is not plain, and says whether its rows were plain and as
+    many as counted for it.
     """
     with path.open("rb") as fh:
         body = body_start(fh)
@@ -150,35 +152,27 @@ def _read_plain(path: Path, k: int, sources: list[int]) -> list[np.ndarray] | No
              for i in range(len(FIXED_COLUMNS))]
     spend = np.empty((rows, len(sources) - len(FIXED_COLUMNS)), order="F")
     targets = fixed + [spend[:, j] for j in range(spend.shape[1])]
-    stop = threading.Event()
 
-    def fill(half: tuple[int, int | None, int, int]) -> None:
+    def fill(half: tuple[int, int | None, int, int]) -> bool:
         """Rows n to last of the columns, from the file's bytes from ``start``
-        to ``end`` (to its end if None)."""
+        to ``end`` (to its end if None); whether they were plain and as many
+        as counted."""
         start, end, n, last = half
-        try:
-            with path.open("rb") as fh:
-                fh.seek(start)
-                for block in blocks(fh, end):
-                    if stop.is_set():
-                        return
-                    columns = plain_columns(block, k, _INT_COLUMNS)
-                    if columns is None or n + len(columns[0]) > last:
-                        stop.set()  # not plain, or the file changed since it was counted
-                        return
-                    for target, source in zip(targets, sources):
-                        target[n:n + len(columns[0])] = columns[source]
-                    n += len(columns[0])
-            if n != last:
-                stop.set()  # the file changed since it was counted
-        except BaseException:
-            stop.set()  # the other half stops at its next block
-            raise
+        with path.open("rb") as fh:
+            fh.seek(start)
+            for block in blocks(fh, end):
+                columns = plain_columns(block, k, _INT_COLUMNS)
+                if columns is None or n + len(columns[0]) > last:
+                    return False  # not plain, or the file changed since it was counted
+                for target, source in zip(targets, sources):
+                    target[n:n + len(columns[0])] = columns[source]
+                n += len(columns[0])
+        return n == last  # else the file changed since it was counted
 
     halves = [(body, split, 0, first), (split, None, first, rows)]
-    for _ in _in_pairs(fill, halves if first < rows else [(body, None, 0, rows)]):
-        pass
-    return None if stop.is_set() else [*fixed, spend]
+    # both results are collected, so an error in either half reaches the caller
+    plain = list(_in_pairs(fill, halves if first < rows else [(body, None, 0, rows)]))
+    return [*fixed, spend] if all(plain) else None
 
 
 def _read_structured(path: Path, k: int, sources: list[int]) -> list[np.ndarray]:

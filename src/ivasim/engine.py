@@ -28,6 +28,8 @@ per-category products, so it is exact for its addends and therefore
 independent of household order and of how a survey weight is split across
 duplicate rows.  ``ivasim.exactsum`` computes it in a few numpy passes by
 error-free extraction and returns what ``math.fsum`` returns, bit for bit.
+A total of products >= 0 past the largest double is inf, without a numpy
+warning; ``IncidenceCalculator`` refuses such a total, naming it.
 """
 
 from __future__ import annotations
@@ -181,6 +183,8 @@ def universal_transfer_amount(extra_revenue: float, population: Population) -> f
     persons = weighted_total(population.weight, population.residents)
     if persons <= 0:
         raise ValueError("population has no weighted persons")
+    if persons == math.inf:
+        raise MicrodataError("the weighted number of persons overflows a double")
     return extra_revenue / persons
 
 
@@ -192,9 +196,27 @@ def cashback_eligible(population: Population, schedule: Schedule) -> np.ndarray:
 def weighted_total(weights: np.ndarray, values: np.ndarray) -> float:
     """fsum_i(w_i * x_i): the rounded products, summed without further rounding error.
 
-    The products are formed one ``chunk_parts`` chunk at a time.
+    The products are formed one ``chunk_parts`` chunk at a time; a total
+    past the largest double is inf (``_sum_products``).
     """
-    return math.fsum(chunk_parts(len(weights), lambda s: weights[s] * values[s]))
+    return _sum_products(len(weights), lambda s: weights[s] * values[s])
+
+
+def _sum_products(n: int, products) -> float:
+    """``math.fsum`` of the n products ``products`` forms a slice at a time.
+
+    A product past the largest double is inf, without a warning, and so is a
+    sum of products >= 0 past it (``math.fsum`` raises there): a caller
+    refuses a total that is not finite, naming it.
+    """
+    with np.errstate(over="ignore"):
+        parts = chunk_parts(n, products)
+    try:
+        return math.fsum(parts)
+    except OverflowError:
+        if min(parts) < 0.0:
+            raise
+        return math.inf
 
 
 def _taxable(spend: np.ndarray, reducer: float | None) -> np.ndarray:
@@ -215,7 +237,7 @@ def _base_total(population: Population, column: int, reducer: float | None,
         w = weight[s] if eligible is None else np.where(eligible[s], weight[s], 0.0)
         return w * _taxable(spend[s], reducer)
 
-    return math.fsum(chunk_parts(len(spend), products))
+    return _sum_products(len(spend), products)
 
 
 def _base_totals(population: Population, schedule: Schedule) -> np.ndarray:
@@ -300,13 +322,27 @@ class IncidenceCalculator:
     ``Rate.outside`` validation, k float rates and one ``math.fsum`` of k
     products.  The per-household functions above remain the reference
     semantics; the test suite pins both together.
+
+    A build refuses a population whose burden is undefined, with a
+    ``MicrodataError`` naming the total: no in-denominator expenditure, or a
+    denominator or W_j (and so E_j) past the largest double.  ``solve``, ``tables``
+    and ``validate`` all build one, so this guard is the one check of them.
     """
 
     def __init__(self, population: Population, schedule: Schedule) -> None:
         self.denominator = denominator_expenditure(population, schedule)
         if not self.denominator > 0.0:
             raise MicrodataError("no in-denominator expenditure: the net burden is undefined")
+        if self.denominator == math.inf:
+            raise MicrodataError("the weighted in-denominator expenditure overflows a double")
         base_totals, eligible_totals = _base_totals(population, schedule)
+        # each E_j sums some of W_j's products, so it is finite where W_j is: the
+        # refund totals below never meet inf * 0
+        finite = np.isfinite(base_totals)
+        if not finite.all():
+            category = schedule.categories[int(np.argmin(finite))].id
+            raise MicrodataError(
+                f"the weighted taxable base W of category {category!r} overflows a double")
         self.base_totals = base_totals.tolist()
         self.refund_totals = (eligible_totals * _refund_shares(schedule)).tolist()
         self._rate_functions = [inside_rate_function(c.treatment) for c in schedule.categories]

@@ -14,6 +14,7 @@ estimates.  Generation is a pure function of (seed, n, schedule fingerprint).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -25,6 +26,7 @@ from .exactsum import exact_sum, row_sums
 from .schedule import Schedule, TreatmentKind
 
 FIXED_COLUMNS = ("id", "weight", "residents", "income_pc", "nonmonetary_total")
+MIN_WEIGHT = sys.float_info.min  # the smallest normal double
 
 
 class MicrodataError(ValueError):
@@ -43,8 +45,10 @@ class Household:
     nonmonetary_total: float
 
     def __post_init__(self) -> None:
-        if self.weight <= 0 or not math.isfinite(self.weight):
-            raise MicrodataError(f"household {self.id}: weight must be > 0, got {self.weight}")
+        # a subnormal weight would hold a weighted product to a few digits
+        if not MIN_WEIGHT <= self.weight < math.inf:
+            raise MicrodataError(f"household {self.id}: weight must be a normal double > 0 "
+                                 f"(at least {MIN_WEIGHT!r}), got {self.weight}")
         if self.residents < 1:
             raise MicrodataError(f"household {self.id}: residents must be >= 1, got {self.residents}")
         if self.income_per_capita < 0 or not math.isfinite(self.income_per_capita):
@@ -149,9 +153,9 @@ class Population:
 
     def _check_rows(self) -> None:
         """Raise the ``Household`` message of the first row that breaks an invariant."""
-        ok = _positive(self.weight, strict=True) & (self.residents >= 1)
+        ok = _finite_from(self.weight, MIN_WEIGHT) & (self.residents >= 1)
         for column in (self.income_per_capita, self.nonmonetary_total, *self.spend.T):
-            ok &= _positive(column)
+            ok &= _finite_from(column, 0.0)
         if not ok.all():
             self.row(int(np.argmin(ok)))  # Household.__post_init__ names the invariant
             raise AssertionError("row check disagrees with Household")
@@ -184,10 +188,17 @@ class Population:
     @cached_property
     def monetary(self) -> np.ndarray:
         """Every household's monetary spending: the exact sum of its ``spend`` row."""
-        return row_sums(self.spend)
+        try:
+            return row_sums(self.spend)
+        except OverflowError:
+            raise MicrodataError("a household's monetary spending overflows a double") from None
 
     def total_weight(self) -> float:
-        return exact_sum(self.weight)
+        """The exact sum of the weights; ``MicrodataError`` if it passes the largest double."""
+        try:
+            return exact_sum(self.weight)
+        except OverflowError:
+            raise MicrodataError("the total weight overflows a double") from None
 
     def validate_against(self, schedule: Schedule) -> None:
         """Every household must carry exactly the schedule's categories."""
@@ -217,9 +228,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _positive(a: np.ndarray, strict: bool = False) -> np.ndarray:
-    """Finite and >= 0 (> 0 if ``strict``); NaN fails both comparisons."""
-    return ((a > 0) if strict else (a >= 0)) & (a < np.inf)
+def _finite_from(a: np.ndarray, low: float) -> np.ndarray:
+    """Finite and >= ``low``; NaN fails both comparisons."""
+    return (a >= low) & (a < np.inf)
 
 
 def _id_order(ids: np.ndarray) -> np.ndarray | None:

@@ -82,8 +82,18 @@ def check_target(target: float) -> None:
 
 
 def _bisect(calc: IncidenceCalculator, fixed_cashback: float, target: float) -> float:
-    """Rate at which burden(rate) - fixed cashback hits target; monotone bisection."""
-    f = lambda t: calc.burden_with_fixed_cashback(t, fixed_cashback) - target
+    """Rate at which burden(rate) - fixed cashback hits target; monotone bisection.
+
+    A burden that is NaN fails every comparison, so it is refused with a
+    ``SolverError`` rather than shrinking the bracket to 0.
+    """
+    def f(t: float) -> float:
+        gap = calc.burden_with_fixed_cashback(t, fixed_cashback) - target
+        if math.isnan(gap):
+            raise SolverError(
+                f"net burden at outside rate {t!r} is NaN: target {target:.6g} cannot be bracketed")
+        return gap
+
     lo, hi = 0.0, BRACKET_HI
     f_lo = f(lo)
     if f_lo > 0.0:

@@ -12,6 +12,7 @@ import random
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ivasim import engine
@@ -26,7 +27,9 @@ from ivasim.engine import (
     with_cashback,
     HouseholdIncidence,
 )
-from ivasim.microdata import Household, Population, Provenance, generate_synthetic, load_population
+from ivasim.microdata import (
+    Household, MicrodataError, Population, Provenance, generate_synthetic, load_population,
+)
 from ivasim.rates import Rate, to_inside
 from ivasim.schedule import bundled_schedule_path, load_schedule, with_removal
 
@@ -364,6 +367,49 @@ def test_calculator_reuses_the_reductions_of_earlier_schedules(plp68, monkeypatc
     assert len(calls) == 2
     IncidenceCalculator(pop, no_rent)
     assert len(calls) == 2
+
+
+def _two_households(schedule, weights, cells):
+    """Two households spending 10 in every category but the first, where they
+    spend ``cells``."""
+    spend = np.full((2, len(schedule.categories)), 10.0)
+    spend[:, 0] = cells
+    return Population(Provenance("synthetic", "two"), schedule.category_ids(), np.array([1, 2]),
+                      np.array(weights), np.array([1, 1]), np.array([100.0, 100.0]), np.zeros(2),
+                      spend)
+
+
+@pytest.mark.parametrize("weights, cells, in_denominator, message", [
+    # products past the largest double
+    ((1e308, 1e308), 10.0, True, "the weighted in-denominator expenditure overflows a double"),
+    # finite products whose sum passes it
+    ((1.5, 1.5), 1e308, True, "the weighted in-denominator expenditure overflows a double"),
+    # a category outside the denominator
+    ((100.0, 100.0), 1e307, False,
+     "the weighted taxable base W of category 'cesta_basica' overflows a double"),
+])
+def test_calculator_refuses_an_overflowing_total_naming_it(plp68, weights, cells, in_denominator,
+                                                           message):
+    schedule = dataclasses.replace(plp68, categories=(
+        dataclasses.replace(plp68.categories[0], in_denominator=in_denominator),
+        *plp68.categories[1:]))
+    assert schedule.categories[0].id == "cesta_basica"
+    population = _two_households(schedule, weights, cells)
+    # the suite makes a numpy overflow warning an error, so none is raised on the way
+    with pytest.raises(MicrodataError, match=f"^{message}$"):
+        IncidenceCalculator(population, schedule)
+
+
+def test_population_totals_that_overflow_are_named(plp68):
+    with pytest.raises(MicrodataError, match="^the total weight overflows a double$"):
+        _two_households(plp68, (1e308, 1e308), 10.0).total_weight()
+    two = _two_households(plp68, (1.0, 1.0), 10.0)
+    spend = two.spend.copy()
+    spend[0, :2] = 1e308  # one household's cells sum past the largest double
+    population = Population(two.provenance, two.category_ids, two.ids, two.weight, two.residents,
+                            two.income_per_capita, two.nonmonetary_total, spend)
+    with pytest.raises(MicrodataError, match="^a household's monetary spending overflows a double$"):
+        population.monetary
 
 
 def test_calculator_fixed_cashback_burden(oracle6, fixture_population):

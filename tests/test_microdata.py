@@ -7,7 +7,6 @@ import os
 import random
 import sys
 import threading
-import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -20,6 +19,7 @@ from ivasim import csvbody, microdata
 from ivasim.csvbody import _read_rows
 from ivasim.microdata import (
     FIXED_COLUMNS,
+    MIN_WEIGHT,
     Household,
     MicrodataError,
     Population,
@@ -203,7 +203,7 @@ def test_writer_matches_the_repr_writer_on_edge_cells(tmp_path, uniform):
     rows = []
     for i, cell in enumerate(EDGE_CELLS):
         other = EDGE_CELLS[(i + 5) % len(EDGE_CELLS)]
-        weight = cell if float(cell) > 0 else "2.0"
+        weight = cell if float(cell) >= MIN_WEIGHT else "2.0"  # a weight is a normal double
         rows.append(f"{10 * i + 1},{weight},{i + 1},{other},{cell},{cell}")
     source = write_csv(tmp_path, SMALL_CSV.splitlines()[0] + "\n" + "\n".join(rows) + "\n")
     p = load_population(source, uniform)
@@ -648,6 +648,27 @@ def parsed(monkeypatch):
     return log
 
 
+def fallback_log(path):
+    """The ``parsed`` log of a one-CPU read that goes to ``np.loadtxt``.
+
+    Each half (``split_at``) reads its blocks to its end, or up to and
+    including its first that is not plain, whatever the other half met; then
+    the whole file goes to "loadtxt".
+    """
+    body, split = split_at(path)
+    k = len(path.read_bytes().split(b"\n", 1)[0].split(b","))
+    log = []
+    for start, end in ((body, split), (split, None)):
+        with path.open("rb") as fh:
+            fh.seek(start)
+            for block in BLOCKS(fh, end):
+                log.append("other" if PLAIN_COLUMNS(block, k, csvbody._INT_COLUMNS) is None
+                           else "plain")
+                if log[-1] == "other":
+                    break
+    return log + ["loadtxt"]
+
+
 def csv_lines(tmp_path, plp68, n=40):
     """The header and rows write_population writes for a synthetic population."""
     path = tmp_path / "written.csv"
@@ -707,8 +728,8 @@ def test_other_block_sends_the_file_to_loadtxt(tmp_path, plp68, parsed, change):
     if change == "exponent":
         assert parsed == ["loadtxt"]  # the counting pass saw a byte above "9"
     else:
-        # the plain blocks before it are dropped, and no block after it is read
-        assert parsed[0] == "plain" and parsed[-2:] == ["other", "loadtxt"]
+        # the plain blocks before it are dropped, and its half reads no block after it
+        assert parsed[0] == "plain" and parsed == fallback_log(path)
 
 
 @pytest.mark.parametrize("line_end", ["\r\n", "\r"])
@@ -728,8 +749,8 @@ def test_blank_lines(tmp_path, plp68, parsed, end):
     lines[25:25] = [""] * 2500
     path = write_csv(tmp_path, "\n".join(lines) + end)
     assert len(reads_like_row_reader(path, plp68)) == 40
-    # a blank last line shows in the counting pass
-    assert parsed == (["other", "loadtxt"] if end == "\n" else ["loadtxt"])
+    # a blank last line shows in the counting pass; else each half stops at its blank block
+    assert parsed == (["other", "other", "loadtxt"] if end == "\n" else ["loadtxt"])
 
 
 def test_header_only(tmp_path, plp68, parsed):
@@ -792,7 +813,7 @@ def test_dot_in_an_integer_column_is_not_an_integer(tmp_path, plp68, parsed, col
     with pytest.raises(MicrodataError) as reference:
         _read_rows(path, plp68)
     assert str(fast.value) == str(reference.value)
-    assert parsed[-2:] == ["other", "loadtxt"]
+    assert parsed == fallback_log(path)
 
 
 def test_cells_the_kernel_leaves_unsettled_are_read_by_float(tmp_path, plp68, parsed):
@@ -837,7 +858,7 @@ def test_cell_without_a_digit_is_not_plain(tmp_path, plp68, parsed, cell):
     path = write_csv(tmp_path, "\n".join(lines) + "\n")
     column = lines[0].split(",")[8]
     assert _load_both(path, plp68) == f"{path}: row 21: column {column!r}: not a number: {cell!r}"
-    assert parsed[0] == "plain" and parsed[-2:] == ["other", "loadtxt"]
+    assert parsed[0] == "plain" and parsed == fallback_log(path)
 
 
 def test_sign_and_dot_before_the_digits_is_plain(tmp_path, plp68, parsed):
@@ -868,7 +889,7 @@ def test_float_significand_beyond_64_bits_is_not_plain(tmp_path, plp68, parsed):
     lines[20] = _cell(lines[20], 8, cell)
     path = write_csv(tmp_path, "\n".join(lines) + "\n")
     population = reads_like_row_reader(path, plp68)
-    assert parsed[0] == "plain" and parsed[-2:] == ["other", "loadtxt"]
+    assert parsed[0] == "plain" and parsed == fallback_log(path)
     assert float(cell) in set(population.spend.ravel())
 
 
@@ -896,10 +917,10 @@ def test_id_of_twenty_digits_is_not_plain(tmp_path, plp68, parsed):
     path = write_csv(tmp_path, "\n".join(lines) + "\n")
     assert _load_both(path, plp68) == (f"{path}: row 21: column 'id': outside the 64-bit "
                                        f"integer range: '{'9' * 20}'")
-    assert parsed[0] == "plain" and parsed[-2:] == ["other", "loadtxt"]
+    assert parsed[0] == "plain" and parsed == fallback_log(path)
 
 
-def test_households_file_path_holds_a_few_mb_beyond_the_columns(tmp_path, plp68):
+def test_households_file_path_holds_a_few_mb_beyond_the_columns(tmp_path, plp68, monkeypatch):
     """Traced peaks above the population's own arrays on a 20k households file.
 
     The bounds sit between two designs, measured with numpy 2.4 only (MiB): a
@@ -909,11 +930,14 @@ def test_households_file_path_holds_a_few_mb_beyond_the_columns(tmp_path, plp68)
     n-length products and 8192-row blocks 3.5, this one 1.0.  The bounds
     leave this design close to twice its measured scratch, as other numpy
     versions (1.23 was not measured) may allocate their temporaries
-    differently.
+    differently.  The load is traced without ``_lift_heap``, whose untouched
+    8 MB array would set its peak; the lift is traced on its own.
     """
     path = tmp_path / "households.csv"
     write_population(generate_synthetic(3, 20_000, plp68), path, plp68)
     load_population(path, plp68)  # caches filled on the first call are not scratch
+    lift_heap = csvbody._lift_heap
+    monkeypatch.setattr(csvbody, "_lift_heap", lambda: None)
     tracemalloc.start()
     try:
         population = load_population(path, plp68)
@@ -926,29 +950,26 @@ def test_households_file_path_holds_a_few_mb_beyond_the_columns(tmp_path, plp68)
     columns = sum(getattr(population, name).nbytes for name in COLUMNS)
     assert load_peak - columns < 20 * csvbody._BLOCK_BYTES
     assert solve_peak - columns < 2 * 2**20
+    tracemalloc.start()
+    try:
+        lift_heap()
+        held, lift_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lift_peak >= csvbody._SCRATCH_BYTES and held < 2**16  # the lift frees what it takes
 
 
 # -- the body in two halves ----------------------------------------------------
 
 
 BLOCKS = csvbody.blocks  # the reader's, whatever a test spies on
+PLAIN_COLUMNS = csvbody.plain_columns
 
 
 @pytest.fixture
 def halves(parsed, monkeypatch):
-    """Two CPUs, and a log of the (start, end) each half's ``blocks`` got.
-
-    The ``parsed`` log also gets "stop" when a half stops the read.
-    """
-
-    class LoggedEvent(threading.Event):
-        def set(self):
-            parsed.append("stop")
-            super().set()
-
+    """Two CPUs, and a log of the (start, end) each half's ``blocks`` got."""
     pin_cpus(monkeypatch, {0, 1})
-    monkeypatch.setattr(csvbody, "threading", SimpleNamespace(
-        Event=LoggedEvent, Semaphore=threading.Semaphore, Thread=threading.Thread))
     log = []
     blocks = csvbody.blocks
 
@@ -1012,7 +1033,7 @@ def test_one_cpu_reads_the_halves_on_the_calling_thread(tmp_path, plp68, monkeyp
     write_population(generate_synthetic(3, 4000, plp68), path, plp68)
     assert path.stat().st_size > 4 * csvbody._BLOCK_BYTES
     pin_cpus(monkeypatch, {0})
-    monkeypatch.setattr(csvbody, "threading", SimpleNamespace(Event=threading.Event))  # no Thread
+    monkeypatch.setattr(csvbody, "threading", SimpleNamespace())  # no Thread, no Event
     starts = []
 
     def blocks_spy(fh, end=None):
@@ -1075,26 +1096,21 @@ def test_rows_other_than_counted_send_the_file_to_loadtxt(tmp_path, plp68, parse
     monkeypatch.setattr(csvbody, "count_rows", miscounted)
     path = write_csv(tmp_path, "\n".join(csv_lines(tmp_path, plp68)) + "\n")
     assert len(reads_like_row_reader(path, plp68)) == 40
-    assert "other" not in parsed and "stop" in parsed and parsed[-1] == "loadtxt"
+    assert "other" not in parsed and parsed[-1] == "loadtxt"
 
 
 @pytest.mark.parametrize("row", [1, 21])  # the first block of the first half, of the second
-def test_other_half_parses_at_most_one_more_block_after_a_stop(tmp_path, plp68, parsed, halves,
-                                                               monkeypatch, row):
-    plain_spy = csvbody.plain_columns
-
-    def slow_spy(block, k, int_columns):
-        time.sleep(0.002)  # lets the other half run between blocks
-        return plain_spy(block, k, int_columns)
-
-    monkeypatch.setattr(csvbody, "plain_columns", slow_spy)
+def test_other_half_reads_to_its_end_after_a_block_that_is_not_plain(tmp_path, plp68, parsed,
+                                                                    halves, row):
+    # the halves share only their rows: the one that meets the block stops, the other
+    # parses all its blocks, on its own thread, and then the file goes to np.loadtxt
     lines = csv_lines(tmp_path, plp68)
     lines[row] = _cell(lines[row], 7, "+12.5")
     path = write_csv(tmp_path, "\n".join(lines) + "\n")
     assert len(reads_like_row_reader(path, plp68)) == 40
-    stop = parsed.index("stop")
-    assert "other" in parsed[:stop] and parsed[-1] == "loadtxt"
-    assert len(parsed[stop + 1:-1]) <= 1  # the block in flight when the stop came
+    assert len(halves) == 2 and parsed[-1] == "loadtxt"
+    assert sorted(parsed) == sorted(fallback_log(path))
+    assert parsed.count("plain") >= 8  # the other half's blocks of about two rows
 
 
 @pytest.mark.parametrize("half", ["first", "second"])
@@ -1113,11 +1129,31 @@ def test_error_in_either_half_reaches_the_caller_and_ends_the_worker(tmp_path, p
     with pytest.raises(RuntimeError, match=f"^{half} half$"):
         load_population(path, plp68)
     assert threading.active_count() == threads
-    assert "stop" in parsed and "loadtxt" not in parsed  # the failing half stops the other
+    assert "loadtxt" not in parsed  # the error, not the fallback, reaches the caller
     # the worker reads its half unless the first fails before it begins
     body, split = split_at(path)
     assert set(halves) == {(body, split), (split, None)} or (half == "first"
                                                              and halves == [(body, split)])
+
+
+def test_error_in_the_worker_reaches_the_caller_whose_half_was_not_plain(tmp_path, plp68, parsed,
+                                                                         halves, monkeypatch):
+    # the calling thread's half is not plain, so the file would go to np.loadtxt;
+    # the worker's error is collected all the same
+    plain_spy = csvbody.plain_columns
+
+    def failing(block, k, int_columns):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("second half")
+        return plain_spy(block, k, int_columns)
+
+    monkeypatch.setattr(csvbody, "plain_columns", failing)
+    lines = csv_lines(tmp_path, plp68)
+    lines[1] = _cell(lines[1], 7, "+12.5")
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(RuntimeError, match="^second half$"):
+        load_population(path, plp68)
+    assert parsed == ["other"] and len(halves) == 2
 
 
 @pytest.mark.parametrize("warns", [True, False])

@@ -269,6 +269,24 @@ def test_invalid_target_rejected(uniform):
         solve_with_cashback(pop, uniform, 1.0)
 
 
+@pytest.mark.parametrize("nan_at", [0.0, 5.0, 2.5])  # at the bracket's low end, high end, middle
+def test_bisection_refuses_a_nan_burden(nan_at):
+    class Calculator:
+        """A burden that rises through the target, and is NaN at one rate."""
+
+        def __init__(self):
+            self.rates = []
+
+        def burden_with_fixed_cashback(self, t, fixed_cashback):
+            self.rates.append(t)
+            return math.nan if t == nan_at else t / (1.0 + t)
+
+    calc = Calculator()
+    with pytest.raises(SolverError, match=r"is NaN: target 0\.2 cannot be bracketed"):
+        solver._bisect(calc, 0.0, 0.2)
+    assert calc.rates[-1] == nan_at  # refused at the first NaN, not bisected on to 0
+
+
 def test_nonconvergence_error_carries_trace():
     rows = (TraceRow(0, 0.3, 10.0, 0.2),)
     err = NonConvergenceError("no luck", rows)
