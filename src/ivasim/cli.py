@@ -213,10 +213,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     population = _resolve_population(args, schedule)
     target = _resolve_target(args, schedule)
     result = solve_with_cashback(population, schedule, target)
-    print(f"reference rate (inside):  {result.t_ref_inside.value:.4f}")
-    print(f"reference rate (outside): {result.t_ref.value:.4f}")
-    print(f"iterations: {result.iterations}")
-    print(f"residual: {result.residual:.3e}")
+    # the trace is written first, so a run that fails prints no result
     if args.trace:
         with open(args.trace, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -230,6 +227,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
                         repr(row.net_burden),
                     ]
                 )
+    print(f"reference rate (inside):  {result.t_ref_inside.value:.4f}")
+    print(f"reference rate (outside): {result.t_ref.value:.4f}")
+    print(f"iterations: {result.iterations}")
+    print(f"residual: {result.residual:.3e}")
+    if args.trace:
         print(f"trace written to {args.trace}")
     return 0
 
@@ -356,12 +358,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
         ok("schedule loads", f"{len(schedule.categories)} categories")
 
     if schedule is not None:
-        t_ref = Rate.outside(
-            schedule.target_net_burden / (1.0 - schedule.target_net_burden)
-        )
-        try:
-            rate_vector(schedule, t_ref)
-        except ValueError as exc:  # names the first category whose rate is out of range
+        try:  # at the target solve and tables take
+            target = _resolve_target(args, schedule)
+            rate_vector(schedule, Rate.outside(target / (1.0 - target)))
+        except ValueError as exc:  # names --target-burden, or the first category out of range
             fail("effective rates well-formed", exc)
         else:
             ok("effective rates well-formed")

@@ -14,16 +14,17 @@ cell and none in an integer column), is read in blocks of whole lines into
 columns counted and allocated once, without a float parser: each block's
 dot-free text parses as int64 significands (``plain_columns``), scaled
 exactly to the doubles ``float`` gives (``_decimal_values``).  A body of two
-blocks or more is read as two halves, two at a time (``_in_pairs``):
-``np.fromstring`` and the numpy steps around it release the GIL.  The halves
-share nothing but the columns, each filling its own rows, and the body goes
-to ``np.loadtxt`` if either was not plain.  A block
-parse holds about three times ``_BLOCK_BYTES`` of scratch, so a read holds
-the columns plus about 2.3 MB, some nine ``_BLOCK_BYTES`` with two blocks in
-flight, whatever the file's size.  Any other body (quotes, exponents, CR,
-spaces, blank lines) is parsed whole by one structured ``np.loadtxt``.  Only
-when the file is rejected does the row reader, one csv record and one
-``Household`` at a time, re-read it to name the first bad row.
+lines or more is read as two halves, split at the first line start at or
+after its middle, two at a time (``_in_pairs``): ``np.fromstring`` and the
+numpy steps around it release the GIL.  The halves share nothing but the
+columns, each filling its own rows, and the body goes to ``np.loadtxt`` if
+either was not plain.  A block parse holds about three times
+``_BLOCK_BYTES`` of scratch, so a read holds the columns plus about 2.3 MB,
+some nine ``_BLOCK_BYTES`` with two blocks in flight, whatever the file's
+size.  Any other body (quotes, exponents, CR, spaces, blank lines) is parsed
+whole by one structured ``np.loadtxt``.  Only when the file is rejected does
+the row reader, one csv record and one ``Household`` at a time, re-read it
+to name the first bad row.
 
 ``write`` writes the header line, then the body in blocks of rows, each
 float as ``repr`` spells it: the shortest decimal that reads back as the
@@ -33,10 +34,12 @@ compaction drops them.  Most of a block's steps release the GIL, so the
 blocks are rendered two at a time (``_in_pairs``) and written in order: the
 bytes are those one thread writes.
 
-``_in_pairs`` is the one place that starts a thread: the calling thread
-works the even items and one worker thread each odd one meanwhile, where
-the process may run on two CPUs.  ``_lift_heap``, called by ``read`` and
-``write``, keeps each thread's block scratch in its malloc heap.
+``_in_pairs`` is the one place that starts a thread: where the process may
+run on two CPUs, the calling thread works the first item of each pair while
+a thread started for the pair works the second, and the thread is joined
+before the pair's second result is yielded, so none is left running when a
+read or write ends.  ``_lift_heap``, called by ``read`` and ``write``, keeps
+the threads' block scratch in their malloc heaps.
 
 ``microdata.load_population`` and ``write_population`` import this module
 when they run: a run on a synthetic population does not load it.
@@ -128,23 +131,18 @@ def _read_columns(path: Path, header: list[str], category_ids: tuple[str, ...]) 
 def _read_plain(path: Path, k: int, sources: list[int]) -> list[np.ndarray] | None:
     """The five fixed columns and the spend matrix, or None if any block is not plain.
 
-    A body of two ``_BLOCK_BYTES`` or more is read as two halves, split at the
-    first line start at or after its middle, each from its own handle into
-    its own rows of the columns, two at a time (``_in_pairs``).  The halves
-    share nothing but the columns: each reads to its end, or to its first
-    block that is not plain, and says whether its rows were plain and as
-    many as counted for it.
+    The body is read as two halves, split at the first line start at or
+    after its middle (a body of one line is one half), each from its own
+    handle into its own rows of the columns, two at a time (``_in_pairs``).
+    The halves share nothing but the columns: each reads to its end, or to
+    its first block that is not plain, and says whether its rows were plain
+    and as many as counted for it.
     """
     with path.open("rb") as fh:
         body = body_start(fh)
         if body is None:
             return None
-        size = os.fstat(fh.fileno()).st_size
-        # the split costs some 60 us (a second open, and with two CPUs a
-        # thread's start and join) and pays once each half holds a whole
-        # block: on a 2-CPU host a plp68 body of 512 KB reads 0.5 ms faster,
-        # 1 MB 1.5 ms (of 8.8) and 4 MB 7.7 ms (of 33)
-        counted = count_rows(fh, (body + size) // 2 if size - body >= 2 * _BLOCK_BYTES else size)
+        counted = count_rows(fh, (body + os.fstat(fh.fileno()).st_size) // 2)
     if counted is None or not counted[0]:
         return None  # not plain; an empty body is left to np.loadtxt, whose warning names it
     rows, split, first = counted
@@ -190,50 +188,40 @@ def _read_structured(path: Path, k: int, sources: list[int]) -> list[np.ndarray]
 def _in_pairs(work: Callable, items: Sequence) -> Iterator:
     """``work(item)`` of each of ``items``, in order, worked two at a time.
 
-    The calling thread works items 0, 2, 4, ... and one worker thread,
-    started once, works the item after each meanwhile: at most two results
-    are held.  An exception in the worker is raised here once it has ended.
-    A caller that stops early (closes the generator, or drops it by
-    raising) wakes the worker, which ends after the item it is on; one that
-    keeps an unfinished generator keeps the worker waiting, and the process
-    cannot exit.  With fewer than two items, or fewer than two CPUs this
-    process may run on, where a second thread only costs, it is
+    For each pair one thread, started for it, works the second item while
+    the calling thread works the first and yields its result; the thread is
+    joined before the second result is yielded, or its exception raised, so
+    at most two results are held.  The join is in a ``finally``, so a
+    caller that raises or stops early still waits for the thread; one that
+    keeps an unfinished generator keeps no thread past its one item, and the
+    process can exit.  With fewer than two items, or fewer than two CPUs
+    this process may run on, where a second thread only costs, it is
     ``map(work, items)`` and starts no thread.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if len(items) < 2 or (cpus or 1) < 2:
         yield from map(work, items)
         return
-    odd: list = []  # the worker's result, or the exception it raised
-    go, ready = threading.Semaphore(0), threading.Semaphore(0)
-    done = False
+    for i in range(0, len(items) - 1, 2):
+        second: dict = {}  # the thread's result, or the exception it raised
 
-    def work_odd() -> None:
-        for item in items[1::2]:
-            go.acquire()
-            if done:
-                return
+        def work_second() -> None:
             try:
-                odd.append(work(item))
+                second["result"] = work(items[i + 1])
             except BaseException as exc:  # raised again by the calling thread
-                odd.append(exc)
-            ready.release()
+                second["error"] = exc
 
-    worker = threading.Thread(target=work_odd)
-    worker.start()
-    try:
-        for i in range(0, len(items), 2):
-            go.release()  # the worker works item i + 1, if there is one, meanwhile
+        thread = threading.Thread(target=work_second)
+        thread.start()
+        try:
             yield work(items[i])
-            if i + 1 < len(items):
-                ready.acquire()
-                if isinstance(odd[-1], BaseException):
-                    raise odd.pop()
-                yield odd.pop()  # held by the caller only, while the next item is worked
-    finally:
-        done = True
-        go.release()
-        worker.join()
+        finally:
+            thread.join()
+        if "error" in second:
+            raise second["error"]
+        yield second["result"]
+    if len(items) % 2:
+        yield work(items[-1])
 
 
 def _lift_heap() -> None:
@@ -242,9 +230,11 @@ def _lift_heap() -> None:
     glibc malloc's mmap threshold follows the largest block freed, and its
     trim threshold is twice that: each thread's block scratch then stays in
     its heap from block to block instead of going back to the system and
-    being faulted in again.  At 100k households a ``generate`` takes about
-    17K minor page faults rather than 80K or more, and a ``solve`` of its
-    file about 7.7K rather than 16K.
+    being faulted in again.  The thresholds hold for the whole process, and
+    a thread started for the next pair takes over the heap the last one
+    left, so a short-lived thread keeps its scratch too.  At 100k households
+    a ``generate`` takes about 17K minor page faults rather than 80K or
+    more, and a ``solve`` of its file about 7.7K rather than 16K.
     """
     np.empty(_SCRATCH_BYTES, np.uint8)
 
@@ -323,23 +313,17 @@ def _read_rows(path: Path, schedule: Schedule) -> Population:
             if hid in seen:
                 raise MicrodataError(f"{path}: row {lineno}: duplicate household id {hid}")
             seen.add(hid)
+            weight = _float_cell(row[1], "weight", lineno, path)
+            residents = _int_cell(row[2], "residents", lineno, path)
+            income = _float_cell(row[3], "income_pc", lineno, path)
+            expenditures = {cid: _float_cell(row[cat_index[cid]], cid, lineno, path)
+                            for cid in category_ids}
+            nonmonetary = _float_cell(row[4], "nonmonetary_total", lineno, path)
             try:
-                households.append(
-                    Household(
-                        id=hid,
-                        weight=_float_cell(row[1], "weight", lineno, path),
-                        residents=_int_cell(row[2], "residents", lineno, path),
-                        income_per_capita=_float_cell(row[3], "income_pc", lineno, path),
-                        expenditures={
-                            cid: _float_cell(row[cat_index[cid]], cid, lineno, path)
-                            for cid in category_ids
-                        },
-                        nonmonetary_total=_float_cell(row[4], "nonmonetary_total", lineno, path),
-                    )
-                )
+                households.append(Household(id=hid, weight=weight, residents=residents,
+                                            income_per_capita=income, expenditures=expenditures,
+                                            nonmonetary_total=nonmonetary))
             except MicrodataError as e:
-                if f"row {lineno}" in str(e):
-                    raise
                 raise MicrodataError(f"{path}: row {lineno}: {e}") from None
     if not households:
         raise MicrodataError(f"{path}: no data rows")

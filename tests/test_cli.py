@@ -59,6 +59,15 @@ def test_solve_writes_trace(tmp_path, capsys):
     assert abs(float(last[3]) - 0.201) < 1e-7
 
 
+def test_solve_whose_trace_cannot_be_written_prints_no_result(tmp_path, capsys):
+    trace = tmp_path / "missing" / "trace.csv"
+    rc = main(["solve", "--schedule", "plp68", "--synthetic", "7:400", "--trace", str(trace)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 def test_solve_from_a_households_file_loads_no_hashlib(tmp_path):
     # hashlib maps OpenSSL's libcrypto, megabytes of RSS; a solve makes no digest
     csv_path = tmp_path / "hh.csv"

@@ -12,7 +12,8 @@ input:
   100.0 (0.0 in a quintile where no household spends) and a table 3 whose
   reform totals are revenue neutral;
 * a run that returns 1 or 2 prints one ``error:`` line and writes no table;
-* on plp68, ``validate`` returns 1 exactly when ``solve`` returns 1.
+* on plp68, ``validate`` returns 1 exactly when ``solve`` returns 1, and
+  for a drawn ``--target-burden`` it returns 1 whenever ``solve`` does.
 
 The two files of the overflow report, from ``generate --synthetic 1:50``
 with two weights or two ``cesta_basica`` cells set to 1e308, are fixed cases
@@ -183,6 +184,18 @@ def test_validate_fails_exactly_when_solve_exits_1(text):
         solved, _, _ = run("solve", *args)
         validated, report, _ = run("validate", *args)
     assert (validated == 1) == (solved == 1), report
+    assert validated in (0, 1)
+
+
+@SETTINGS
+@given(st.one_of(st.floats(), st.sampled_from([0.0, 0.201, 0.999, 1.0, 5.0])))
+def test_validate_fails_when_solve_exits_1_on_the_target(target):
+    args = ("--synthetic", "1:50", f"--target-burden={target!r}")
+    solved, _, _ = run("solve", *args)
+    validated, report, _ = run("validate", *args)
+    if solved == 1:
+        assert validated == 1, report
+        assert "FAIL effective rates well-formed: --target-burden: " in report
     assert validated in (0, 1)
 
 

@@ -5,11 +5,13 @@ import hashlib
 import math
 import os
 import random
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -351,6 +353,20 @@ def test_in_pairs_of_one_item_or_on_one_cpu_starts_no_thread(monkeypatch, n, cpu
     assert list(csvbody._in_pairs(lambda item: 10 * item, range(n))) == [10 * i for i in range(n)]
 
 
+def test_a_process_that_keeps_an_unfinished_in_pairs_exits():
+    # the thread of the pair under way ends after its item, so the child's
+    # interpreter has no thread left to wait for at exit
+    script = ("import os\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
+              "from ivasim import csvbody\n"
+              "results = csvbody._in_pairs(lambda item: item, range(4))\n"
+              "assert next(results) == 0\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(csvbody.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                           timeout=10)
+    assert child.returncode == 0, child.stderr
+
+
 ROWS_PER_BLOCK = 10  # plp68's 25 cells a row, in blocks of 250 cells
 
 
@@ -624,7 +640,7 @@ def parsed(monkeypatch):
     """Blocks of 1000 bytes (about two plp68 rows), one CPU, and a log of how
     the body was read.
 
-    A body of two blocks or more is read as two halves, so on one CPU as the
+    A body of two lines or more is read as two halves, so on one CPU as the
     first half and then the second, on the calling thread.  The log holds
     "plain" or "other" for each block ``plain_columns`` saw, and "loadtxt"
     when the whole file went to the structured ``np.loadtxt``.
@@ -963,6 +979,7 @@ def test_households_file_path_holds_a_few_mb_beyond_the_columns(tmp_path, plp68,
 
 
 BLOCKS = csvbody.blocks  # the reader's, whatever a test spies on
+BLOCK_BYTES = csvbody._BLOCK_BYTES  # the reader's, whatever a test sets
 PLAIN_COLUMNS = csvbody.plain_columns
 
 
@@ -999,13 +1016,13 @@ def block_edges(path):
 
 
 @pytest.mark.parametrize("case", ["inside_a_block", "at_a_block_edge", "one_row_second_half",
-                                  "unended_last_line"])
+                                  "unended_last_line", "under_two_blocks"])
 def test_split_read_matches_the_one_thread_read(tmp_path, plp68, parsed, halves, monkeypatch,
                                                 case):
     lines = csv_lines(tmp_path, plp68)
     if case == "one_row_second_half":  # the longer row first, so the middle falls in it
         lines = [lines[0], *sorted(lines[1:3], key=len, reverse=True)]
-        monkeypatch.setattr(csvbody, "_BLOCK_BYTES", 300)  # two blocks or more in three rows
+        monkeypatch.setattr(csvbody, "_BLOCK_BYTES", 300)  # about a row a block
     path = write_csv(tmp_path, "\n".join(lines) + ("" if case == "unended_last_line" else "\n"))
     body, split = split_at(path)
     if case == "at_a_block_edge":  # the largest blocks that split the body, one ending at the split
@@ -1017,11 +1034,15 @@ def test_split_read_matches_the_one_thread_read(tmp_path, plp68, parsed, halves,
     elif case == "inside_a_block":
         monkeypatch.setattr(csvbody, "_BLOCK_BYTES", 1500)
         assert split not in block_edges(path)
+    elif case == "under_two_blocks":
+        monkeypatch.setattr(csvbody, "_BLOCK_BYTES", BLOCK_BYTES)
+        assert path.stat().st_size - body < 2 * BLOCK_BYTES
     population = reads_like_row_reader(path, plp68)
     assert set(halves) == {(body, split), (split, None)}
     assert set(parsed) == {"plain"}
     monkeypatch.setattr(csvbody, "_BLOCK_BYTES", 1 << 30)
-    reference = load_population(path, plp68)  # one block, on one thread
+    pin_cpus(monkeypatch, {0})
+    reference = load_population(path, plp68)  # one block a half, both on the calling thread
     for name in COLUMNS:
         assert getattr(population, name).tobytes() == getattr(reference, name).tobytes(), name
     if case == "one_row_second_half":
