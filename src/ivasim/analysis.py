@@ -203,6 +203,24 @@ class SpotCheckError(SolverError):
 SWAP_GROUP = "cesta_basica"  # the group the transfer swap retaxes
 
 
+def scenario_names(
+    schedule: Schedule, requested: Sequence[ScenarioName] = ()
+) -> tuple[ScenarioName, ...]:
+    """The ``requested`` scenarios, or by default every reform the schedule can run.
+
+    The transfer swap retaxes the removal selector ``SWAP_GROUP``: where it
+    names no group or category of the schedule, the default leaves the swap
+    out and a request for it is a ValueError.
+    """
+    swap = ScenarioName.PLP68_TRANSFER_SWAP
+    swappable = SWAP_GROUP in schedule.groups() or SWAP_GROUP in schedule.category_ids()
+    if swap in requested and not swappable:
+        raise ValueError(f"scenario {swap.value!r} retaxes {SWAP_GROUP!r}, "
+                         f"which names no group or category of the schedule")
+    return tuple(requested) or tuple(n for n in ScenarioName if n is not ScenarioName.BASELINE
+                                     and (n is not swap or swappable))
+
+
 @dataclass(frozen=True, eq=False)
 class ScenarioResult:
     """One scenario's totals and per-household arrays, in the population's row order.
@@ -352,10 +370,12 @@ def compute_scenarios(
     Every reform is solved to the baseline's net burden.  The reform rate is
     solved at most once, by the first of ``PLP68`` and ``PLP68_TRANSFER_SWAP``
     that needs it, and the other reuses it.  ``BASELINE`` among ``names`` is
-    skipped: it always comes first.
+    skipped: it always comes first.  A transfer swap the schedule cannot run
+    (``scenario_names``) is refused before any solve.
     """
     if not names:
         raise ValueError("empty scenario list")
+    scenario_names(schedule, names)
     zeros = np.zeros(len(population))  # every absent cashback and transfer
     baseline = _result(population, schedule, ScenarioName.BASELINE, None, zeros,
                        baseline_taxes(population, schedule))

@@ -41,6 +41,7 @@ from .analysis import (
     render_rate_impacts_text,
     render_scenarios_csv,
     render_scenarios_text,
+    scenario_names,
 )
 from .engine import IncidenceCalculator, rate_vector
 from .microdata import (
@@ -59,8 +60,6 @@ from .schedule import (
     load_schedule,
 )
 from .solver import SolverError, check_target, marginal_rate_impact, solve_with_cashback
-
-_DEFAULT_SCENARIOS = ("uniform_vat", "plp68", "plp68_transfer_swap")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         choices=[n.value for n in ScenarioName],
         help="scenario to include (repeatable); default: all reforms, less the "
-        f"transfer swap when the schedule has no {SWAP_GROUP} group",
+        f"transfer swap when the schedule has no {SWAP_GROUP} group or category",
     )
     p_tables.set_defaults(func=cmd_tables)
 
@@ -262,11 +261,9 @@ def cmd_tables(args: argparse.Namespace) -> int:
         )
     shares = budget_share_table(population, schedule, quintiles)
     selectors = list(args.remove) if args.remove else list(default_removal_selectors(schedule))
+    names = scenario_names(schedule, [ScenarioName(n) for n in args.scenario or ()])
     impacts = marginal_rate_impact(population, schedule, selectors, target)
-    names = args.scenario or list(_DEFAULT_SCENARIOS)
-    if not args.scenario and SWAP_GROUP not in schedule.groups():
-        names.remove("plp68_transfer_swap")  # the swap has no group to retax
-    results = compute_scenarios(population, schedule, [ScenarioName(n) for n in names])
+    results = compute_scenarios(population, schedule, names)
     table = build_scenario_table(population, quintiles, results)
 
     out = Path(args.out)

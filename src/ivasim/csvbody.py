@@ -97,13 +97,13 @@ def write(population: Population, path: str | Path, schedule: Schedule) -> None:
     two rendered blocks are held, and written in order.
     """
     _lift_heap()
-    header = io.StringIO()
-    csv.writer(header, lineterminator="\n").writerow([*FIXED_COLUMNS, *schedule.category_ids()])
+    # fixed columns and category ids are tokens of [a-z0-9_], which csv never quotes
+    header = ",".join([*FIXED_COLUMNS, *schedule.category_ids()]) + "\n"
     columns = [population.ids, population.weight, population.residents,
                population.income_per_capita, population.nonmonetary_total]
     columns += [population.spend[:, j] for j in population.column_index(schedule)]
     with Path(path).open("wb") as fh:
-        fh.write(header.getvalue().encode("utf-8"))
+        fh.write(header.encode("utf-8"))
         fh.writelines(_in_pairs(partial(_text_block, columns, _INT_COLUMNS), _row_blocks(columns)))
 
 
@@ -676,8 +676,8 @@ _WRITE_CELLS = 1 << 15  # cells formatted at a time; bounds the block's buffers
 _INT_WORDS = 5  # 20 places: any int64, its sign included
 _WHOLE_WORDS, _FRACTION_WORDS = 4, 5  # 16 places before the dot, 20 after it
 _FLOAT_WORDS = _WHOLE_WORDS + 1 + _FRACTION_WORDS  # 40 bytes: room for any float's repr
-# above the peak of a block's render, about 5 MB at 1 << 15 cells (most of it
-# in _shortest's loop), and of a block's parse (see _lift_heap)
+# above the peak of a block's render, 5.4 MB by tracemalloc at 1 << 15 float
+# cells, random or of two decimals (numpy 2.4), and of a block's parse (see _lift_heap)
 _SCRATCH_BYTES = 256 * _WRITE_CELLS
 _CHUNK = 10**4  # the digits of one word
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
@@ -734,12 +734,10 @@ def _float_words(x: np.ndarray) -> np.ndarray:
     """
     bits = x.view(np.uint64)
     fixed = np.flatnonzero((x >= 1e-4) & (x < 1e16) & (bits & _MANTISSA != 0))
-    digits, exponent, settled = _shortest(x[fixed])
-    fixed, digits, exponent = fixed[settled], digits[settled], exponent[settled]
+    digits, places, settled = _shortest(x[fixed])
+    fixed, digits, places = fixed[settled], digits[settled], places[settled]
     # repr's decimal as whole + fraction / 10**places; past 18 places the
-    # digits (< 10**17) are all fraction
-    places = np.maximum(-exponent, 0)
-    digits *= _POW10[np.maximum(exponent, 0)]
+    # digits (<= 10**17) are all fraction
     below = _POW10[np.minimum(places, 18)]
     whole = np.zeros(len(x), np.int64)
     whole[fixed] = digits // below
@@ -762,24 +760,30 @@ def _float_words(x: np.ndarray) -> np.ndarray:
 
 
 def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``repr``'s digits of each x in [1e-4, 1e16) that is no power of two.
+    """``repr``'s decimal of each x in [1e-4, 1e16) that is no power of two.
 
-    Returns int64 (digits, exponent) and bool settled: where settled,
-    digits * 10**exponent is the decimal ``repr`` writes, the shortest that
-    reads back as x and of those the nearest to x.  Left unsettled are the
-    cells that would need a tie broken or a decimal read that
+    Returns int64 (digits, places) and bool settled: where settled,
+    digits * 10**-places is the decimal ``repr`` writes, the shortest that
+    reads back as x and of those the nearest to x, as 17 digits (digits in
+    [10**16, 10**17]) with 1 to 20 places after the dot.  Left unsettled are
+    the cells that would need a tie broken or a decimal read that
     ``_decimal_values`` leaves unsettled.
 
     1. With d chosen so that x 10**d lies in [1e16, 1e17), ``_scaled`` gives
        it exactly as m + f: m is the nearest 17-digit integer, and as half an
        ulp of x is more than 0.55 in these units, m reads back as x.
-    2. For p = 16, 15, ..., m is rounded to p digits (an exact half of the
-       dropped part rounds as f's sign says) while the result still reads
-       back as x.  The nearest (p+1)-digit decimal is never farther from x
-       than the nearest p-digit one, and away from a power of two x's
-       rounding interval is symmetric, so the last decimal that reads back
-       is the shortest, and the nearest of that length.  A dropped part of
-       exactly half with f = 0 is a tie: if the candidate reads back, so does
+    2. With 10**e <= x < 10**(e+1), half an ulp of x is below
+       1.2 10**(e-15), and half the spacing of 15-digit decimals near x is
+       5 10**(e-15): a decimal of at most 15 significant digits that reads
+       back as x is the 15-digit rounding of x, trailing zeros added
+       (``_fraction`` drops them).
+       Failing that, the shortest decimal that reads back has 16 digits,
+       and away from a power of two x's rounding interval is symmetric, so
+       the nearest of those, the 16-digit rounding, reads back if any does;
+       failing that too, it is m.  The 15-digit rounding reads back only if
+       the 16-digit one does, so it is tried only there.  A rounding (an
+       exact half of the dropped part rounds as f's sign says) whose dropped
+       part is exactly half with f = 0 is a tie: if it reads back, so does
        its twin, and ``repr`` breaks the tie.
     """
     d = 16 - np.floor(np.log10(x)).astype(np.int64)
@@ -788,30 +792,26 @@ def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d[off] += np.where(m[off] < 10**16, 1, -1)
     m[off], f[off] = _scaled(x[off], d[off])
     settled = (m >= 10**16) & (m < 10**17)
-    digits, length = m.copy(), np.full(len(x), 17)
-    # the cells still shortening, and their m, f, d and x
-    active = np.flatnonzero(settled)
-    ma, fa, da, xa = m[active], f[active], d[active], x[active]
-    unit = 1
-    for p in range(16, 0, -1):
-        if not active.size:
-            break
-        unit *= 10
+    digits, shortened = m.copy(), np.zeros(len(x), bool)
+    active = np.flatnonzero(settled)  # the cells whose last rounding read back
+    for dropped_places in (1, 2):  # the 16-digit rounding, then the 15-digit one
+        unit = 10**dropped_places
+        ma, fa = m[active], f[active]
         candidate = ma // unit
         dropped = ma - candidate * unit
         half = dropped == unit // 2
         candidate += (dropped > unit // 2) | (half & (fa > 0))
-        exponent = 17 - p - da  # the candidate is candidate * 10**exponent
-        value = _decimal_values((candidate * _POW10[np.maximum(exponent, 0)]).view(np.uint64),
-                                np.maximum(-exponent, 0))
-        reads = value == xa
+        places = d[active] - dropped_places  # -1 only at 15 digits on [1e15, 1e16)
+        value = _decimal_values((candidate * _POW10[np.maximum(-places, 0)]).view(np.uint64),
+                                np.maximum(places, 0))
+        reads = value == x[active]
         tie = half & (fa == 0)
         settled[active[np.isnan(value) | (tie & reads)]] = False
-        keep = np.flatnonzero(reads & ~tie)
-        active, ma, fa, da, xa = active[keep], ma[keep], fa[keep], da[keep], xa[keep]
-        digits[active], length[active] = candidate[keep], p
-    settled &= (length < 17) | (np.abs(f) != 0.5)  # a tie between two 17-digit decimals
-    return digits, 17 - length - d, settled
+        keep = reads & ~tie
+        active = active[keep]
+        digits[active], shortened[active] = candidate[keep] * unit, True
+    settled &= shortened | (np.abs(f) != 0.5)  # a tie between two 17-digit decimals
+    return digits, d, settled
 
 
 def _scaled(x: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

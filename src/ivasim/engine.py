@@ -180,9 +180,9 @@ def universal_transfer_amount(extra_revenue: float, population: Population) -> f
     """Flat per-person amount that exhausts ``extra_revenue``."""
     if extra_revenue < 0:
         raise ValueError(f"extra revenue must be >= 0, got {extra_revenue}")
+    # every weight is a normal double > 0 and every household has a resident,
+    # so persons > 0
     persons = weighted_total(population.weight, population.residents)
-    if persons <= 0:
-        raise ValueError("population has no weighted persons")
     if persons == math.inf:
         raise MicrodataError("the weighted number of persons overflows a double")
     return extra_revenue / persons

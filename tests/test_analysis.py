@@ -18,6 +18,7 @@ from ivasim.analysis import (
     render_rate_impacts_text,
     render_scenarios_csv,
     render_scenarios_text,
+    scenario_names,
     _fmt,
 )
 from ivasim.cli import main
@@ -392,6 +393,20 @@ def test_spot_check_rejects_a_columnar_fault(monkeypatch, plp68, tmp_path, capsy
                "--out", str(tmp_path)])
     assert rc == 2
     assert "reference path" in capsys.readouterr().err
+
+
+def test_transfer_swap_without_its_group_is_refused_before_any_solve(uniform, plp68, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(analysis, "solve_given_cashback", no_solve)
+    monkeypatch.setattr(analysis, "solve_with_cashback", no_solve)
+    pop = generate_synthetic(5, 50, uniform)
+    swap = ScenarioName.PLP68_TRANSFER_SWAP
+    with pytest.raises(ValueError, match="'plp68_transfer_swap' retaxes 'cesta_basica'"):
+        compute_scenarios(pop, uniform, [ScenarioName.UNIFORM_VAT, swap])
+    assert swap not in scenario_names(uniform)
+    assert scenario_names(plp68) == (ScenarioName.UNIFORM_VAT, ScenarioName.PLP68, swap)
 
 
 def test_empty_scenario_list_errors(synthetic, plp68, quintiles):

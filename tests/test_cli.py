@@ -260,12 +260,24 @@ def test_tables_unknown_removal_selector_exits_1(tmp_path, capsys):
     assert not list((tmp_path / "run").glob("table*"))
 
 
-def test_tables_transfer_swap_needs_the_swapped_group(tmp_path, capsys):
-    # the transfer swap retaxes cesta_basica, which the uniform schedule lacks
+def test_tables_transfer_swap_needs_the_swapped_group(tmp_path, capsys, monkeypatch):
+    # the transfer swap retaxes cesta_basica, which the uniform schedule lacks:
+    # the run is refused before any solve
+    solves = []
+
+    def counted(solve):
+        return lambda *args, **kwargs: solves.append(solve.__name__) or solve(*args, **kwargs)
+
+    for module, name in ((ivasim.cli, "marginal_rate_impact"),
+                         (ivasim.analysis, "solve_given_cashback"),
+                         (ivasim.analysis, "solve_with_cashback")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     rc = main(["tables", "--schedule", "uniform", "--synthetic", "11:300",
                "--out", str(tmp_path / "run"), "--scenario", "plp68_transfer_swap"])
     assert rc == 1
-    assert "cesta_basica" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "plp68_transfer_swap" in err and "cesta_basica" in err
+    assert solves == []
     assert not list((tmp_path / "run").glob("table*"))
 
 

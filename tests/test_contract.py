@@ -29,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ivasim.cli import main
@@ -189,6 +189,7 @@ def test_validate_fails_exactly_when_solve_exits_1(text):
 
 @SETTINGS
 @given(st.one_of(st.floats(), st.sampled_from([0.0, 0.201, 0.999, 1.0, 5.0])))
+@example(5.0)
 def test_validate_fails_when_solve_exits_1_on_the_target(target):
     args = ("--synthetic", "1:50", f"--target-burden={target!r}")
     solved, _, _ = run("solve", *args)
@@ -196,6 +197,9 @@ def test_validate_fails_when_solve_exits_1_on_the_target(target):
     if solved == 1:
         assert validated == 1, report
         assert "FAIL effective rates well-formed: --target-burden: " in report
+    if target == 5.0:
+        assert ("\nFAIL effective rates well-formed: --target-burden: "
+                "target net burden must be in [0, 1), got 5.0\n") in report
     assert validated in (0, 1)
 
 
@@ -226,7 +230,8 @@ def test_overflowing_totals_exit_1_naming_the_total(tmp_path, column, solve_erro
     assert run("tables", "--households", str(path), "--out", str(out))[1:] == (
         "", f"error: {tables_error}\n")
     assert not out.exists()
-    rc, report, _ = run("validate", "--households", str(path))
+    rc, report, err = run("validate", "--households", str(path))
     assert rc == 1
+    assert err == ""  # no numpy warning either
     assert f"FAIL totals well-formed: {solve_error}\n" in report
     assert report.endswith("1 check(s) failed\n")

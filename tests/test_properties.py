@@ -654,6 +654,15 @@ def test_shortest_leaves_exact_ties_to_repr():
     assert _written(EXACT_TIES) == [repr(x) for x in EXACT_TIES]
 
 
+def test_shortest_gives_reprs_decimal_as_17_digits_and_its_places():
+    xs = [0.1, 2.5, 1234.56, 0.00012, 3000000000000001.5, 1 / 3]
+    digits, places, settled = _shortest(np.array(xs))
+    assert settled.all()
+    for x, m, d in zip(xs, digits.tolist(), places.tolist()):
+        assert 10**16 <= m <= 10**17
+        assert Fraction(m, 10**d) == Fraction(repr(x))
+
+
 def test_writer_spells_powers_of_two_as_repr():
     xs = [2.0**k for k in range(-1080, 1024)]
     xs += [math.nextafter(x, side) for x in xs[50:] for side in (0.0, math.inf)]
