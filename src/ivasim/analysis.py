@@ -16,12 +16,13 @@ no cashback; the transfer-swap variant keeps the reform's solved rate,
 retaxes the food-basket group (``SWAP_GROUP``), and recycles the extra
 revenue as a flat per-person transfer.
 
-Scenarios and tables work on the population's columns: per-household arrays
-of gross tax, cashback, transfer and net tax.  A quintile assignment groups
-the rows by quintile, so each per-quintile mean is an exact sum over one
-slice of a single gather, and the whole population's total adds up the five
-quintiles' exact parts.  Table 3 gathers the weights and computes the mean
-expenditures once and shares them across scenarios.  Every scenario
+Scenarios and tables work on the population's columns.  A scenario forms
+per-household arrays of gross tax, cashback and transfer, totals them, and
+keeps only its net tax, the one array table 3 reads.  A quintile assignment
+groups the rows by quintile, so each per-quintile mean is an exact sum over
+one slice of a single gather, and the whole population's total adds up the
+five quintiles' exact parts.  Table 3 gathers the weights and computes the
+mean expenditures once and shares them across scenarios.  Every scenario
 spot-checks its arrays against the per-household reference functions of
 ``ivasim.engine`` on a few households.
 
@@ -52,6 +53,7 @@ from .engine import (
     denominator_expenditure,
     household_tax,
     household_taxes,
+    sum_products,
     universal_transfer_amount,
     weighted_total,
     with_cashback,
@@ -223,22 +225,16 @@ def scenario_names(
 
 @dataclass(frozen=True, eq=False)
 class ScenarioResult:
-    """One scenario's totals and per-household arrays, in the population's row order.
-
-    The arrays are read-only and may share memory: an absent cashback or
-    transfer is an all-zero array shared by the scenarios of one
-    ``compute_scenarios`` call, and ``net`` is ``gross`` when both are absent.
-    """
+    """One scenario's totals and its read-only net tax per household, in the
+    population's row order (the gross tax itself where no cashback or
+    transfer is subtracted)."""
 
     name: ScenarioName
     t_ref: Rate | None  # None for the pre-reform baseline
     transfer_per_person: float
     totals: AggregateIncidence
     schedule: Schedule  # the schedule the scenario taxes with
-    population: Population  # the population the arrays describe
-    gross: np.ndarray
-    cashback: np.ndarray
-    transfer: np.ndarray
+    population: Population  # the population ``net`` describes
     net: np.ndarray
 
     @property
@@ -275,33 +271,28 @@ def _result(
     schedule: Schedule,
     name: ScenarioName,
     t_ref: Rate | None,
-    zeros: np.ndarray,
     gross: np.ndarray,
     cashback: np.ndarray | None = None,
     transfer_per_person: float = 0.0,
 ) -> ScenarioResult:
-    """Assemble a scenario from its arrays and spot-check it against the reference.
+    """Total a scenario's arrays, spot-check them against the reference, and
+    keep its net tax.
 
-    A scenario without cashback or with a zero transfer holds the read-only
-    all-zero array ``zeros`` for it, and its net tax skips subtracting it:
-    x - 0.0 is x, bit for bit, so with neither, ``net`` is ``gross``.  Neither
-    shortcut costs a weighted total: that of ``zeros`` is +0.0, and that of
-    ``net`` is then ``gross``'s.
+    An absent cashback (None) or zero transfer totals +0.0 and is not
+    subtracted: x - 0.0 is x, bit for bit, so with neither, ``net`` is
+    ``gross`` and so is its total.
     """
-    weight = population.weight
-    cashback = zeros if cashback is None else cashback
-    transfer = zeros if transfer_per_person == 0.0 else transfer_per_person * population.residents
+    transfer = None if transfer_per_person == 0.0 else transfer_per_person * population.residents
     net = gross
     for part in (cashback, transfer):
-        if part is not zeros:
+        if part is not None:
             net = net - part
-    for array in (gross, cashback, transfer, net):
-        array.flags.writeable = False
+    net.flags.writeable = False
 
-    def total(array: np.ndarray) -> float:
-        return 0.0 if array is zeros else weighted_total(weight, array)  # weights are > 0
+    def total(array: np.ndarray | None) -> float:
+        return 0.0 if array is None else weighted_total(population.weight, array)  # weights are > 0
 
-    total_gross = weighted_total(weight, gross)
+    total_gross = total(gross)
     result = ScenarioResult(
         name=name,
         t_ref=t_ref,
@@ -315,17 +306,15 @@ def _result(
         ),
         schedule=schedule,
         population=population,
-        gross=gross,
-        cashback=cashback,
-        transfer=transfer,
         net=net,
     )
-    _spot_check(result)
+    _spot_check(result, (gross, cashback, transfer, net))
     return result
 
 
-def _spot_check(result: ScenarioResult) -> None:
-    """Compare the arrays, and ``aggregate`` over a sample, with the reference path.
+def _spot_check(result: ScenarioResult, arrays: Sequence[np.ndarray | None]) -> None:
+    """Compare the (gross, cashback, transfer, net) arrays, None for an absent
+    one, and ``aggregate`` over a sample, with the reference path.
 
     The sample is at most six households: id-sorted positions 0, n/4, n/2,
     3n/4 and n-1, and the lowest-id cashback-eligible one.
@@ -339,6 +328,7 @@ def _spot_check(result: ScenarioResult) -> None:
     rows = np.array(sorted(positions))
     sample = [population.row(i) for i in rows]
     incidences = [result.scalar_incidence(h) for h in sample]
+    columns = [np.zeros(len(rows)) if a is None else a[rows] for a in arrays]
 
     def check(what: str, fast, reference) -> None:
         """(gross, cashback, transfer, net) against the reference, relative to its size."""
@@ -350,16 +340,15 @@ def _spot_check(result: ScenarioResult) -> None:
                     f"path but {b!r} on the per-household reference path"
                 )
 
-    arrays = (result.gross, result.cashback, result.transfer, result.net)
-    for i, h, inc in zip(rows, sample, incidences):
+    for j, (h, inc) in enumerate(zip(sample, incidences)):
         reference = (inc.gross_tax, inc.cashback, inc.transfer, inc.net_tax)
-        check(f"household {h.id}", [float(a[i]) for a in arrays], reference)
+        check(f"household {h.id}", [float(c[j]) for c in columns], reference)
 
     agg = aggregate(Population.from_households(sample, population.provenance), incidences,
                     result.schedule)
     w = population.weight[rows]
     reference = (agg.total_gross, agg.total_cashback, agg.total_transfer, agg.total_net)
-    check("sample", [weighted_total(w, a[rows]) for a in arrays], reference)
+    check("sample", [weighted_total(w, c) for c in columns], reference)
 
 
 def compute_scenarios(
@@ -376,8 +365,7 @@ def compute_scenarios(
     if not names:
         raise ValueError("empty scenario list")
     scenario_names(schedule, names)
-    zeros = np.zeros(len(population))  # every absent cashback and transfer
-    baseline = _result(population, schedule, ScenarioName.BASELINE, None, zeros,
+    baseline = _result(population, schedule, ScenarioName.BASELINE, None,
                        baseline_taxes(population, schedule))
     target = baseline.totals.net_burden
     results = [baseline]
@@ -389,17 +377,19 @@ def compute_scenarios(
             uni = _uniform_vat_schedule(schedule)
             rate = solve_given_cashback(population, uni, 0.0, target)
             gross, _ = household_taxes(population, uni, rate)
-            results.append(_result(population, uni, name, rate, zeros, gross))
+            results.append(_result(population, uni, name, rate, gross))
             continue
         if reform_rate is None:
             reform_rate = solve_with_cashback(population, schedule, target).t_ref
         if name is ScenarioName.PLP68:
-            results.append(_result(population, schedule, name, reform_rate, zeros,
+            results.append(_result(population, schedule, name, reform_rate,
                                    *household_taxes(population, schedule, reform_rate)))
             continue
         swapped = with_removal(schedule, SWAP_GROUP)
         gross, cashback = household_taxes(population, swapped, reform_rate)
-        extra = weighted_total(population.weight, gross - cashback) - baseline.totals.total_net
+        weight = population.weight
+        revenue = sum_products(len(weight), lambda s: weight[s] * (gross[s] - cashback[s]))
+        extra = revenue - baseline.totals.total_net
         if extra < 0:
             if extra < -1e-6 * abs(baseline.totals.total_net):
                 raise ValueError(
@@ -408,8 +398,7 @@ def compute_scenarios(
                 )
             extra = 0.0
         amount = universal_transfer_amount(extra, population)
-        results.append(_result(population, swapped, name, reform_rate, zeros,
-                               gross, cashback, amount))
+        results.append(_result(population, swapped, name, reform_rate, gross, cashback, amount))
     return tuple(results)
 
 

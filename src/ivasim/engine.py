@@ -138,16 +138,26 @@ def baseline_tax(household: Household, schedule: Schedule) -> HouseholdIncidence
 
 
 def denominator_expenditure(population: Population, schedule: Schedule) -> float:
-    """Weighted monetary consumption over the in-denominator categories (memoised)."""
+    """Weighted monetary consumption over the in-denominator categories (memoised).
+
+    Each household's in-denominator spending is summed a chunk of rows at a
+    time, unless every category is in the denominator and the population
+    already holds its ``monetary`` column.
+    """
     in_denom = [c.id for c in schedule.categories if c.in_denominator]
     key = ("denominator", frozenset(in_denom))
     if key not in population.memo:
-        if key[1] == set(population.category_ids):
-            per_household = population.monetary
+        spend, weight = population.spend, population.weight
+        columns = None if key[1] == set(population.category_ids) else [
+            population.category_ids.index(cid) for cid in in_denom]
+        if columns is None and "monetary" in vars(population):  # the cached property is formed
+            population.memo[key] = weighted_total(weight, population.monetary)
         else:
-            columns = [population.category_ids.index(cid) for cid in in_denom]
-            per_household = row_sums(population.spend, columns)
-        population.memo[key] = weighted_total(population.weight, per_household)
+            try:
+                population.memo[key] = sum_products(
+                    len(weight), lambda s: weight[s] * row_sums(spend[s], columns))
+            except OverflowError:  # from a row sum: the products are >= 0
+                raise MicrodataError("a household's monetary spending overflows a double") from None
     return population.memo[key]
 
 
@@ -197,12 +207,12 @@ def weighted_total(weights: np.ndarray, values: np.ndarray) -> float:
     """fsum_i(w_i * x_i): the rounded products, summed without further rounding error.
 
     The products are formed one ``chunk_parts`` chunk at a time; a total
-    past the largest double is inf (``_sum_products``).
+    past the largest double is inf (``sum_products``).
     """
-    return _sum_products(len(weights), lambda s: weights[s] * values[s])
+    return sum_products(len(weights), lambda s: weights[s] * values[s])
 
 
-def _sum_products(n: int, products) -> float:
+def sum_products(n: int, products) -> float:
     """``math.fsum`` of the n products ``products`` forms a slice at a time.
 
     A product past the largest double is inf, without a warning, and so is a
@@ -237,7 +247,7 @@ def _base_total(population: Population, column: int, reducer: float | None,
         w = weight[s] if eligible is None else np.where(eligible[s], weight[s], 0.0)
         return w * _taxable(spend[s], reducer)
 
-    return _sum_products(len(spend), products)
+    return sum_products(len(spend), products)
 
 
 def _base_totals(population: Population, schedule: Schedule) -> np.ndarray:

@@ -5,8 +5,10 @@ import math
 from itertools import repeat
 from pathlib import Path
 
-from ivasim.analysis import QuintileAssignment, ScenarioResult
-from ivasim.engine import HouseholdIncidence, IncidenceCalculator
+import numpy as np
+
+from ivasim.analysis import QuintileAssignment, ScenarioName, ScenarioResult
+from ivasim.engine import HouseholdIncidence, IncidenceCalculator, baseline_taxes, household_taxes
 from ivasim.microdata import FIXED_COLUMNS, Household, Population
 from ivasim.rates import Rate, RateBasis, to_inside
 from ivasim.schedule import Category, Schedule, TreatmentKind
@@ -27,6 +29,21 @@ def quintile_of(quintiles: QuintileAssignment) -> dict[int, int]:
 def incidences(result: ScenarioResult) -> tuple[HouseholdIncidence, ...]:
     """Every household's reference-path incidence, in ascending id order."""
     return tuple(map(result.scalar_incidence, result.population.households))
+
+
+def scenario_arrays(result: ScenarioResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A scenario's gross tax, cashback and transfer per household, in row order,
+    from the functions ``compute_scenarios`` forms them with (the baseline and
+    uniform VAT pay no cashback)."""
+    population, schedule = result.population, result.schedule
+    none = np.zeros(len(population))
+    if result.t_ref is None:
+        gross, cashback = baseline_taxes(population, schedule), none
+    else:
+        gross, cashback = household_taxes(population, schedule, result.t_ref)
+        if result.name is ScenarioName.UNIFORM_VAT:
+            cashback = none
+    return gross, cashback, result.transfer_per_person * population.residents
 
 
 def monetary_total(household: Household) -> float:

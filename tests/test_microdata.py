@@ -255,16 +255,25 @@ def on_alternate_threads(log):
 def test_in_pairs_yields_in_order_with_at_most_two_results_held(monkeypatch, n):
     pin_cpus(monkeypatch, {0, 1})
     log, taken = [], []
+    before = set(threading.enumerate())
 
     def work(item):
         assert item <= len(taken) + 1  # items before the last two worked are taken
+        started = set(threading.enumerate()) - before
+        # one thread per pair, the one working the odd item: the previous
+        # pair's has ended (an ended thread's ident may be reused, so idents
+        # are not counted)
+        assert len(started) <= 1
+        if item % 2:
+            assert started == {threading.current_thread()}
         log.append((item, threading.get_ident()))
         return 10 * item
 
     for result in csvbody._in_pairs(work, range(n)):
         taken.append(result)
     assert taken == [10 * item for item in range(n)]
-    assert on_alternate_threads(log) and len({ident for _, ident in log}) == 2
+    assert on_alternate_threads(log)
+    assert set(threading.enumerate()) == before  # no thread outlives the loop
 
 
 def test_in_pairs_under_frequent_thread_switches(monkeypatch):
