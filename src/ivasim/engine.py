@@ -10,10 +10,13 @@ per capita with no phase-out.
 The per-household functions (``household_tax``, ``household_cashback``,
 ``baseline_tax``, ``aggregate``) are the reference semantics.  The columnar
 path below computes the same quantities from the population's numpy
-columns: per-household arrays by one matrix-vector product, and population
-totals from per-category sums, because tax is linear in spending and every
-household faces the same rate vector.  Vectors over categories are in
-schedule order; ``Population.column_index`` maps them onto ``spend``.
+columns: per-household arrays as left folds over the categories in
+ascending category id, ((0 + b_1*v_1) + b_2*v_2) + ..., a block of rows at
+a time and without BLAS, so their bits depend on neither the BLAS build nor
+the order of the population's columns or the schedule's categories; and
+population totals from per-category sums, because tax is linear in spending
+and every household faces the same rate vector.  Vectors over categories
+are in schedule order; ``Population.column_index`` maps them onto ``spend``.
 
 Each taxable-base column is reduced once per population: ``_base_totals``
 and ``denominator_expenditure`` memoise their sums in ``Population.memo``.
@@ -89,19 +92,19 @@ def taxable_base(household: Household, schedule: Schedule) -> dict[str, float]:
     return out
 
 
+def _incidence(household: Household, per_cat: dict[str, float]) -> HouseholdIncidence:
+    """The household's taxes by category, their fsum as its gross tax, no refund or transfer."""
+    return HouseholdIncidence(household.id, math.fsum(per_cat.values()), 0.0, 0.0,
+                              MappingProxyType(per_cat))
+
+
 def household_tax(household: Household, schedule: Schedule, t_ref: Rate) -> HouseholdIncidence:
     """Gross reform tax by category at reference rate ``t_ref`` (outside)."""
     base = taxable_base(household, schedule)
     per_cat = {
         c.id: base[c.id] * effective_inside_rate(c, t_ref).value for c in schedule.categories
     }
-    return HouseholdIncidence(
-        household_id=household.id,
-        gross_tax=math.fsum(per_cat.values()),
-        cashback=0.0,
-        transfer=0.0,
-        per_category_tax=MappingProxyType(per_cat),
-    )
+    return _incidence(household, per_cat)
 
 
 def household_cashback(
@@ -128,13 +131,7 @@ def baseline_tax(household: Household, schedule: Schedule) -> HouseholdIncidence
         c.id: household.expenditures[c.id] * c.baseline_effective.value
         for c in schedule.categories
     }
-    return HouseholdIncidence(
-        household_id=household.id,
-        gross_tax=math.fsum(per_cat.values()),
-        cashback=0.0,
-        transfer=0.0,
-        per_category_tax=MappingProxyType(per_cat),
-    )
+    return _incidence(household, per_cat)
 
 
 def denominator_expenditure(population: Population, schedule: Schedule) -> float:
@@ -229,6 +226,9 @@ def sum_products(n: int, products) -> float:
         return math.inf
 
 
+_FOLD_ROWS = 8192  # rows of a per-household fold formed at a time
+
+
 def _taxable(spend: np.ndarray, reducer: float | None) -> np.ndarray:
     """Taxable base of ``spend`` in one category: the spending, less the rent reducer if any."""
     return spend if reducer is None else np.maximum(0.0, spend - reducer)
@@ -281,39 +281,45 @@ def _refund_shares(schedule: Schedule) -> np.ndarray:
     return np.array([schedule.refund_share(c.cashback) for c in schedule.categories])
 
 
-def _base_times(population: Population, schedule: Schedule, v: np.ndarray) -> np.ndarray:
-    """Taxable base (n x k) times ``v`` (schedule order), without materialising the base."""
+def _category_folds(population: Population, schedule: Schedule, vectors,
+                    taxable: bool = True) -> list[np.ndarray]:
+    """Per household, the left fold ((0 + b_1*v_1) + b_2*v_2) + ... of each
+    vector v of ``vectors`` (schedule order), over the categories in ascending id.
+
+    b is the taxable base (``_taxable``), or the plain spending if not
+    ``taxable``.  The folds run ``_FOLD_ROWS`` rows at a time, never through
+    BLAS, so their bits depend on neither the BLAS build nor the order of the
+    population's columns or the schedule's categories.
+    """
     idx = population.column_index(schedule)
-    reducers = [c.treatment.reducer for c in schedule.categories]
-    plain = np.empty(len(v))  # v along the columns of spend, rent columns left out
-    plain[idx] = np.where([r is None for r in reducers], v, 0.0)
-    out = population.spend @ plain
-    for j, reducer in enumerate(reducers):
-        if reducer is not None:
-            out += _taxable(population.spend[:, idx[j]], reducer) * v[j]
-    return out
+    order = sorted(range(len(idx)), key=lambda j: schedule.categories[j].id)
+    folds = [np.zeros(len(population)) for _ in vectors]
+    for start in range(0, len(population), _FOLD_ROWS):
+        s = slice(start, start + _FOLD_ROWS)
+        for j in order:
+            reducer = schedule.categories[j].treatment.reducer if taxable else None
+            base = _taxable(population.spend[s, idx[j]], reducer)
+            for fold, v in zip(folds, vectors):
+                fold[s] += base * v[j]
+    return folds
 
 
-def household_taxes(
-    population: Population, schedule: Schedule, t_ref: Rate
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gross tax and cashback of every household.
+def household_taxes(population: Population, schedule: Schedule,
+                    t_ref: Rate) -> tuple[np.ndarray, np.ndarray]:
+    """Gross tax and cashback of every household, one ``_category_folds`` pass.
 
     The columnar counterpart of ``household_tax`` + ``household_cashback``.
     """
     rates = rate_vector(schedule, t_ref)
-    gross = _base_times(population, schedule, rates)
-    refund = _base_times(population, schedule, rates * _refund_shares(schedule))
-    return gross, np.where(cashback_eligible(population, schedule), refund, 0.0)
+    gross, refund = _category_folds(population, schedule, (rates, rates * _refund_shares(schedule)))
+    refund[~cashback_eligible(population, schedule)] = 0.0
+    return gross, refund
 
 
 def baseline_taxes(population: Population, schedule: Schedule) -> np.ndarray:
-    """Pre-reform tax of every household (``baseline_tax``)."""
-    rates = np.empty(len(schedule.categories))
-    rates[population.column_index(schedule)] = [
-        c.baseline_effective.value for c in schedule.categories
-    ]
-    return population.spend @ rates
+    """Pre-reform tax of every household (``baseline_tax``), by ``_category_folds``."""
+    rates = [c.baseline_effective.value for c in schedule.categories]
+    return _category_folds(population, schedule, (rates,), taxable=False)[0]
 
 
 class IncidenceCalculator:
@@ -330,8 +336,12 @@ class IncidenceCalculator:
     functions ``rate_vector`` evaluates, without its range check, which the
     solver makes at every solved rate.  An evaluation is then one
     ``Rate.outside`` validation, k float rates and one ``math.fsum`` of k
-    products.  The per-household functions above remain the reference
-    semantics; the test suite pins both together.
+    products.  These sums run in units of 2**e, e the binade of the
+    denominator, and ``gross_total`` and ``cashback_total`` scale back by
+    2**e, so the unit of the weights cannot push a product of a tiny rate or
+    refund share into the subnormal range: scaling every weight by a power of
+    two scales the totals by it exactly.  The per-household functions above
+    remain the reference semantics; the test suite pins both together.
 
     A build refuses a population whose burden is undefined, with a
     ``MicrodataError`` naming the total: no in-denominator expenditure, or a
@@ -353,8 +363,10 @@ class IncidenceCalculator:
             category = schedule.categories[int(np.argmin(finite))].id
             raise MicrodataError(
                 f"the weighted taxable base W of category {category!r} overflows a double")
-        self.base_totals = base_totals.tolist()
-        self.refund_totals = (eligible_totals * _refund_shares(schedule)).tolist()
+        self._scale = math.frexp(self.denominator)[1]
+        self.base_totals = np.ldexp(base_totals, -self._scale).tolist()
+        self.refund_totals = (np.ldexp(eligible_totals, -self._scale)
+                              * _refund_shares(schedule)).tolist()
         self._rate_functions = [inside_rate_function(c.treatment) for c in schedule.categories]
 
     def inside_rates(self, t_ref_outside: float) -> list[float]:
@@ -362,11 +374,15 @@ class IncidenceCalculator:
         t = Rate.outside(t_ref_outside).value
         return [rate(t) for rate in self._rate_functions]
 
+    def _total(self, totals: list[float], t_ref_outside: float) -> float:
+        products = map(operator.mul, totals, self.inside_rates(t_ref_outside))
+        return math.ldexp(math.fsum(products), self._scale)
+
     def gross_total(self, t_ref_outside: float) -> float:
-        return math.fsum(map(operator.mul, self.base_totals, self.inside_rates(t_ref_outside)))
+        return self._total(self.base_totals, t_ref_outside)
 
     def cashback_total(self, t_ref_outside: float) -> float:
-        return math.fsum(map(operator.mul, self.refund_totals, self.inside_rates(t_ref_outside)))
+        return self._total(self.refund_totals, t_ref_outside)
 
     def burden_with_fixed_cashback(self, t_ref_outside: float, fixed_cashback: float) -> float:
         return (self.gross_total(t_ref_outside) - fixed_cashback) / self.denominator

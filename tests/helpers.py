@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 
 from ivasim.analysis import QuintileAssignment, ScenarioName, ScenarioResult
-from ivasim.engine import HouseholdIncidence, IncidenceCalculator, baseline_taxes, household_taxes
+from ivasim.engine import (HouseholdIncidence, IncidenceCalculator, baseline_taxes, household_taxes,
+                           taxable_base)
 from ivasim.microdata import FIXED_COLUMNS, Household, Population
 from ivasim.rates import Rate, RateBasis, to_inside
-from ivasim.schedule import Category, Schedule, TreatmentKind
+from ivasim.schedule import Category, Schedule, TreatmentKind, effective_inside_rate
 
 _ROW_BLOCK = 8192  # rows turned into Python objects at a time
 
@@ -44,6 +45,33 @@ def scenario_arrays(result: ScenarioResult) -> tuple[np.ndarray, np.ndarray, np.
         if result.name is ScenarioName.UNIFORM_VAT:
             cashback = none
     return gross, cashback, result.transfer_per_person * population.residents
+
+
+def folded_taxes(household: Household, schedule: Schedule, t_ref: Rate | None
+                 ) -> tuple[float, float]:
+    """The household's gross tax and cashback at ``t_ref`` as ``household_taxes``
+    forms them, or its ``baseline_taxes`` tax and 0.0 if ``t_ref`` is None.
+
+    Each is the left fold ((0 + b_1*v_1) + b_2*v_2) + ... over the categories
+    in ascending id, in Python floats: b the taxable base (the spending for the
+    baseline), v the inside rate, that rate times the refund share, or the
+    baseline rate.
+    """
+    def fold(bases: dict, rates: dict) -> float:
+        total = 0.0
+        for cid in sorted(rates):
+            total += bases[cid] * rates[cid]
+        return total
+
+    categories = schedule.categories
+    if t_ref is None:
+        baseline = {c.id: c.baseline_effective.value for c in categories}
+        return fold(household.expenditures, baseline), 0.0
+    base = taxable_base(household, schedule)
+    rates = {c.id: effective_inside_rate(c, t_ref).value for c in categories}
+    refund = {c.id: rates[c.id] * schedule.refund_share(c.cashback) for c in categories}
+    eligible = household.income_per_capita <= schedule.eligibility_threshold
+    return fold(base, rates), fold(base, refund) if eligible else 0.0
 
 
 def monetary_total(household: Household) -> float:

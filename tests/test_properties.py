@@ -4,10 +4,15 @@ Small random schedules and populations, each with a cashback-eligible
 household and renters on both sides of the rent reducer, check that
 
 * every scenario's net tax, and the gross tax, cashback and transfer it is
-  formed from, match the scalar functions,
+  formed from, match the scalar functions, and the gross tax and cashback
+  are left folds over the categories in ascending id, bit for bit,
+* the per-household arrays keep their bits when the population's columns or
+  the schedule's categories are permuted,
 * every reform scenario is revenue neutral,
 * calculator totals match the scalar aggregate and do not change when
   households are permuted or one household is split into two half-weight rows,
+* scaling every weight by 2**k leaves the solved rate and every table bit for
+  bit unchanged and scales the trace's cashback totals by exactly 2**k,
 * calculators built one after another on one population, which reuse its
   memoised reductions, give the totals of a fresh population bit for bit,
 * the burden at a fixed cashback never falls as the reference rate rises,
@@ -49,9 +54,16 @@ from ivasim.analysis import (
     budget_share_table,
     build_scenario_table,
     compute_scenarios,
+    render_budget_shares_csv,
+    render_budget_shares_text,
+    render_rate_impacts_csv,
+    render_rate_impacts_text,
+    render_scenarios_csv,
+    render_scenarios_text,
 )
 from ivasim.csvbody import _decimal_values, _read_rows, _shortest, _text_block
-from ivasim.engine import IncidenceCalculator, aggregate, household_tax, with_cashback
+from ivasim.engine import (IncidenceCalculator, aggregate, baseline_taxes, household_tax,
+                           household_taxes, with_cashback)
 from ivasim.exactsum import _SHORT
 from ivasim.microdata import (
     FIXED_COLUMNS,
@@ -70,15 +82,16 @@ from ivasim.schedule import (
     TaxTreatment,
     TreatmentKind,
     bundled_schedule_path,
+    default_removal_selectors,
     effective_inside_rate,
     load_schedule,
     parse_schedule,
     with_removal,
 )
-from ivasim.solver import BRACKET_HI_MAX, RATE_TOLERANCE, solve_with_cashback
+from ivasim.solver import BRACKET_HI_MAX, RATE_TOLERANCE, marginal_rate_impact, solve_with_cashback
 
-from helpers import (incidences, per_capita_total, quintile_of, reference_inside_rate,
-                     scenario_arrays)
+from helpers import (folded_taxes, incidences, per_capita_total, quintile_of,
+                     reference_inside_rate, scenario_arrays)
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 REL = 1e-9
@@ -198,6 +211,10 @@ def test_scenario_arrays_match_scalar_oracle(case):
         reference = incidences(result)
         assert [inc.household_id for inc in reference] == [h.id for h in ordered]
         gross, cashback, transfer = scenario_arrays(result)
+        folds = [folded_taxes(h, result.schedule, result.t_ref) for h in ordered]
+        assert list(map(repr, gross.tolist())) == [repr(g) for g, _ in folds], result.name
+        if result.name is not ScenarioName.UNIFORM_VAT:
+            assert list(map(repr, cashback.tolist())) == [repr(c) for _, c in folds], result.name
         for i, inc in enumerate(reference):
             scale = abs(inc.gross_tax) + abs(inc.cashback) + abs(inc.transfer)
             assert _close(gross[i], inc.gross_tax, scale), (result.name, i)
@@ -263,6 +280,62 @@ def test_totals_invariant_to_weight_splitting(case, data):
         IncidenceCalculator(split, schedule).denominator
         == IncidenceCalculator(population, schedule).denominator
     )
+
+
+def _household_arrays(population, schedule):
+    arrays = [baseline_taxes(population, schedule)]
+    for t in RATES:
+        arrays += household_taxes(population, schedule, Rate.outside(t))
+    return [a.tobytes() for a in arrays]
+
+
+@PROPERTY_SETTINGS
+@given(cases(), st.data())
+def test_household_arrays_invariant_to_category_order(case, data):
+    schedule, p = case
+    columns = data.draw(st.permutations(range(len(p.category_ids))))
+    permuted = Population(p.provenance, tuple(p.category_ids[j] for j in columns), p.ids,
+                          p.weight, p.residents, p.income_per_capita, p.nonmonetary_total,
+                          p.spend[:, columns])
+    reordered = replace(schedule, categories=tuple(data.draw(st.permutations(schedule.categories))))
+    arrays = _household_arrays(p, schedule)
+    assert _household_arrays(permuted, schedule) == arrays
+    assert _household_arrays(p, reordered) == arrays
+
+
+def _outputs(population, schedule):
+    """The solve and the six rendered tables of ``ivasim tables``."""
+    target = schedule.target_net_burden
+    quintiles = assign_quintiles(population)
+    shares = budget_share_table(population, schedule, quintiles)
+    impacts = marginal_rate_impact(population, schedule, default_removal_selectors(schedule),
+                                   target)
+    table = build_scenario_table(population, quintiles,
+                                 compute_scenarios(population, schedule, REFORMS))
+    return solve_with_cashback(population, schedule, target), [
+        render_budget_shares_csv(shares), render_budget_shares_text(shares),
+        render_rate_impacts_csv(impacts), render_rate_impacts_text(impacts),
+        render_scenarios_csv(table), render_scenarios_text(table),
+    ]
+
+
+@PROPERTY_SETTINGS
+@given(cases(), st.sampled_from([-1015, 900]) | st.integers(-1015, 900))
+def test_outputs_invariant_to_weight_normalisation(case, k):
+    """Weights scaled by 2**k, as a survey's are when they sum to the
+    households, the persons or 1, leave the rate and every table as they are,
+    and scale the trace's cashback totals by exactly 2**k."""
+    schedule, p = case
+    scaled = Population(p.provenance, p.category_ids, p.ids, p.weight * 2.0**k, p.residents,
+                        p.income_per_capita, p.nonmonetary_total, p.spend)
+    result, tables = _outputs(p, schedule)
+    scaled_result, scaled_tables = _outputs(scaled, schedule)
+    assert scaled_result.t_ref.value.hex() == result.t_ref.value.hex()
+    assert scaled_tables == tables
+    assert [(r.iteration, r.t_ref_outside.hex(), r.net_burden.hex(),
+             math.ldexp(r.cashback_total, k).hex()) for r in result.trace] == [
+        (r.iteration, r.t_ref_outside.hex(), r.net_burden.hex(), r.cashback_total.hex())
+        for r in scaled_result.trace]
 
 
 def _fresh(population):
