@@ -16,15 +16,17 @@ no cashback; the transfer-swap variant keeps the reform's solved rate,
 retaxes the food-basket group (``SWAP_GROUP``), and recycles the extra
 revenue as a flat per-person transfer.
 
-Scenarios and tables work on the population's columns.  A scenario forms
-per-household arrays of gross tax, cashback and transfer, totals them, and
-keeps only its net tax, the one array table 3 reads.  A quintile assignment
-groups the rows by quintile, so each per-quintile mean is an exact sum over
-one slice of a single gather, and the whole population's total adds up the
-five quintiles' exact parts.  Table 3 gathers the weights and computes the
-mean expenditures once and shares them across scenarios.  Every scenario
-spot-checks its arrays against the per-household reference functions of
-``ivasim.engine`` on a few households.
+Scenarios and tables work on the population's columns, each stage with at
+most a few n-length arrays of scratch.  A scenario forms per-household
+arrays of gross tax and cashback, totals them and the transfer, and turns
+its gross tax array into its net tax in place, the one array table 3 reads.
+A quintile assignment groups the rows by quintile, so each per-quintile mean
+is an exact sum over one quintile's rows, gathered a chunk at a time, and
+the whole population's total adds up the five quintiles' exact parts.
+Table 3 gathers the weights and computes the mean expenditures once and
+shares them across scenarios.  Every scenario spot-checks its arrays against
+the per-household reference functions of ``ivasim.engine`` on a few
+households.
 
 Outputs are plain data plus deterministic CSV/text renderings: one decimal
 for percentages, whole currency units for monthly amounts.
@@ -58,7 +60,7 @@ from .engine import (
     weighted_total,
     with_cashback,
 )
-from .exactsum import exact_parts
+from .exactsum import chunk_parts
 from .microdata import Household, MicrodataError, Population
 from .rates import Rate
 from .schedule import Schedule, TaxTreatment, TreatmentKind, with_removal
@@ -82,6 +84,9 @@ class QuintileAssignment:
         return tuple(q for q in range(1, 6) if self.bounds[q - 1] == self.bounds[q])
 
 
+_ROWS = 8192  # rows formed at a time where a stage walks the population in blocks
+
+
 def assign_quintiles(population: Population) -> QuintileAssignment:
     """Partition cumulative household weight into fifths by per-capita total.
 
@@ -91,56 +96,79 @@ def assign_quintiles(population: Population) -> QuintileAssignment:
     """
     total = population.total_weight()  # refused if it overflows, before any sum that would
     with np.errstate(over="ignore"):
-        expenditure = population.monetary + population.nonmonetary_total
+        per_capita = population.monetary + population.nonmonetary_total  # divided below
     # it bounds every weighted sum of the tables
-    if weighted_total(population.weight, expenditure) == math.inf:
+    if weighted_total(population.weight, per_capita) == math.inf:
         raise MicrodataError("the weighted total expenditure overflows a double")
-    per_capita = expenditure / population.residents
-    order = np.lexsort((population.ids, per_capita))
-    cum = np.concatenate(([0.0], np.cumsum(population.weight[order][:-1])))
+    per_capita /= population.residents
+    # rows are in id order, so a stable sort breaks ties by id
+    order = np.argsort(per_capita, kind="stable")
+    # cum, the running sum of the ranked weights, is formed in place from a
+    # block of them at a time; each block's sum starts from the last one's end,
+    # so cum is the one sequential cumsum
+    n = len(order)
+    cum = np.empty(n)
+    cum[0] = 0.0
+    for start in range(0, n - 1, _ROWS):
+        block = population.weight[order[start:min(start + _ROWS, n - 1)]]
+        block[0] += cum[start]
+        np.cumsum(block, out=cum[start + 1:start + 1 + len(block)])
     if total > sys.float_info.max / 5.0:
         # 5 * cum could overflow; scaling both by 1/8 leaves every quotient as it
         # was (a cum it leaves subnormal gives a quotient of 0 either way)
-        cum, total = cum * 0.125, total * 0.125
-    ranked = np.minimum(5, (5.0 * cum / total).astype(np.int64) + 1)
+        cum *= 0.125
+        total *= 0.125
+    cum *= 5.0
+    cum /= total
+    ranked = np.minimum(5, cum.astype(np.int8) + 1)  # 5 * cum / total lies in [0, 5]
+    del cum
     opens = np.flatnonzero(np.diff(ranked)) + 1  # ranks where a new quintile starts
-    quintile = np.empty(len(population), dtype=np.int8)
+    boundaries = tuple(per_capita[order[opens]].tolist())
+    del per_capita
+    bounds = tuple(np.searchsorted(ranked, np.arange(1, 7, dtype=np.int8)).tolist())
+    quintile = np.empty(n, dtype=np.int8)
     quintile[order] = ranked
+    del order, ranked
     # grouped in row order, not rank order: gathers through it stay near-sequential
     grouped = np.argsort(quintile, kind="stable")
     grouped.flags.writeable = False
-    bounds = tuple(np.searchsorted(ranked, np.arange(1, 7)).tolist())
-    return QuintileAssignment(population.ids, grouped, bounds,
-                              tuple(per_capita[order[opens]].tolist()))
+    return QuintileAssignment(population.ids, grouped, bounds, boundaries)
 
 
 class _QuintileMeans:
     """Weighted means over each quintile, then the whole population.
 
     The weights are gathered into quintile order once, with zeros for rows
-    outside ``keep``: exact zeros do not move an exact sum.  Every sum is exact,
-    so it does not depend on row order, and the whole population's is
-    ``math.fsum`` of its quintiles' exact parts.
+    outside ``keep``: exact zeros do not move an exact sum.  The values are
+    gathered and multiplied one ``chunk_parts`` chunk of a quintile at a time,
+    so no n-length gather is made.  Every sum is exact, so it does not depend
+    on row order, and the whole population's is ``math.fsum`` of its
+    quintiles' exact parts.
     """
 
     def __init__(self, population: Population, quintiles: QuintileAssignment,
                  keep: np.ndarray | None = None) -> None:
         if not np.array_equal(population.ids, quintiles.ids):
             raise ValueError("the quintiles were assigned to another population")
-        self.order = quintiles.order
-        self.slices = [slice(a, b) for a, b in zip(quintiles.bounds, quintiles.bounds[1:])]
-        self.weight = population.weight[self.order]
+        order = quintiles.order
+        weight = population.weight[order]
         if keep is not None:
-            self.weight[~keep[self.order]] = 0.0
-        self.weight_sums = self._sums(self.weight)
+            weight[~keep[order]] = 0.0
+        # each quintile's rows and their weights
+        self.quintiles = [(order[a:b], weight[a:b])
+                          for a, b in zip(quintiles.bounds, quintiles.bounds[1:])]
+        self.weight_sums = self._sums(lambda rows, w: w)
 
-    def _sums(self, grouped: np.ndarray) -> list[float]:
-        parts = [exact_parts(grouped[s]) for s in self.slices]
+    def _sums(self, products) -> list[float]:
+        """Exact sums of ``products(rows, weights)`` over each quintile, then over all rows."""
+        parts = [chunk_parts(len(rows), lambda s, rows=rows, w=w: products(rows[s], w[s]))
+                 for rows, w in self.quintiles]
         return [math.fsum(p) for p in parts] + [math.fsum(chain.from_iterable(parts))]
 
-    def __call__(self, values: np.ndarray) -> list[float]:
-        """fsum(w * x) / fsum(w) per column, 0 where the rows carry no weight."""
-        totals = self._sums(self.weight * values[self.order])
+    def __call__(self, values) -> list[float]:
+        """fsum(w * x) / fsum(w) per column, 0 where the rows carry no weight;
+        ``values(rows)`` gives x at an array of row positions."""
+        totals = self._sums(lambda rows, w: w * values(rows))
         return [t / w if w > 0 else 0.0 for t, w in zip(totals, self.weight_sums)]
 
 
@@ -153,6 +181,16 @@ class BudgetShareRow:
     cells: tuple[float, ...]  # q1..q5 then total, in percent
 
 
+def _group_spending(members: Sequence[np.ndarray], rows: slice, out: np.ndarray) -> np.ndarray:
+    """The sum of the ``members`` columns over ``rows``, into ``out``: added in
+    the order given from +0.0, as numpy's ``sum(axis=1)`` over their F-order
+    gather adds them."""
+    out[...] = 0.0
+    for column in members:
+        out += column[rows]
+    return out
+
+
 def budget_share_table(
     population: Population, schedule: Schedule, quintiles: QuintileAssignment
 ) -> tuple[BudgetShareRow, ...]:
@@ -163,16 +201,20 @@ def budget_share_table(
     monetary spending carry no shares and are left out of the means.
     """
     idx = population.column_index(schedule)
-    spending = population.monetary > 0
+    columns = [population.spend[:, j] for j in idx.tolist()]
+    monetary = population.monetary
+    spending = monetary > 0
     means = _QuintileMeans(population, quintiles, spending)
+    share = np.empty(len(monetary))
     rows = []
     for g in schedule.groups():
-        members = [j for j, c in enumerate(schedule.categories) if c.group == g]
-        group_spend = population.spend[:, idx[members]].sum(axis=1)
-        share = np.divide(group_spend, population.monetary, out=np.zeros_like(group_spend),
-                          where=spending)
-        cells = tuple(100.0 * m for m in means(share))
-        rows.append(BudgetShareRow(g, cells))
+        members = [columns[j] for j, c in enumerate(schedule.categories) if c.group == g]
+        for start in range(0, len(share), _ROWS):
+            s = slice(start, start + _ROWS)
+            block, spent = _group_spending(members, s, share[s]), spending[s]
+            np.divide(block, monetary[s], out=block, where=spent)
+            block[~spent] = 0.0
+        rows.append(BudgetShareRow(g, tuple(100.0 * m for m in means(share.__getitem__))))
     totals = tuple(math.fsum(r.cells[i] for r in rows) for i in range(6))
     rows.append(BudgetShareRow("total", totals))
     return tuple(rows)
@@ -278,57 +320,70 @@ def _result(
     """Total a scenario's arrays, spot-check them against the reference, and
     keep its net tax.
 
-    An absent cashback (None) or zero transfer totals +0.0 and is not
-    subtracted: x - 0.0 is x, bit for bit, so with neither, ``net`` is
-    ``gross`` and so is its total.
+    The totals and the spot-check rows are taken first; then ``gross``
+    becomes the net tax in place: the cashback is subtracted whole and the
+    transfer, ``transfer_per_person`` times the residents, a block of rows at
+    a time, so no transfer array is formed.  An absent cashback (None) or zero
+    transfer totals +0.0 and is not subtracted: x - 0.0 is x, bit for bit, so
+    with neither, ``net`` is ``gross`` and so is its total.
     """
-    transfer = None if transfer_per_person == 0.0 else transfer_per_person * population.residents
+    weight, residents = population.weight, population.residents
+    rows = _sample_rows(population, schedule)
+    sampled = [gross[rows], np.zeros(len(rows)) if cashback is None else cashback[rows],
+               transfer_per_person * residents[rows]]
+    # weights are > 0, so an absent part totals +0.0
+    total_gross = weighted_total(weight, gross)
+    total_cashback = 0.0 if cashback is None else weighted_total(weight, cashback)
+    total_transfer = 0.0 if transfer_per_person == 0.0 else sum_products(
+        len(weight), lambda s: weight[s] * (transfer_per_person * residents[s]))
     net = gross
-    for part in (cashback, transfer):
-        if part is not None:
-            net = net - part
+    if cashback is not None:
+        net -= cashback
+    if transfer_per_person != 0.0:
+        for start in range(0, len(net), _ROWS):
+            s = slice(start, start + _ROWS)
+            net[s] -= transfer_per_person * residents[s]
     net.flags.writeable = False
-
-    def total(array: np.ndarray | None) -> float:
-        return 0.0 if array is None else weighted_total(population.weight, array)  # weights are > 0
-
-    total_gross = total(gross)
+    sampled.append(net[rows])
+    subtracted = cashback is not None or transfer_per_person != 0.0
     result = ScenarioResult(
         name=name,
         t_ref=t_ref,
         transfer_per_person=transfer_per_person,
         totals=AggregateIncidence(
             total_gross=total_gross,
-            total_cashback=total(cashback),
-            total_transfer=total(transfer),
-            total_net=total_gross if net is gross else total(net),
+            total_cashback=total_cashback,
+            total_transfer=total_transfer,
+            total_net=weighted_total(weight, net) if subtracted else total_gross,
             denominator_expenditure=denominator_expenditure(population, schedule),
         ),
         schedule=schedule,
         population=population,
         net=net,
     )
-    _spot_check(result, (gross, cashback, transfer, net))
+    _spot_check(result, rows, sampled)
     return result
 
 
-def _spot_check(result: ScenarioResult, arrays: Sequence[np.ndarray | None]) -> None:
-    """Compare the (gross, cashback, transfer, net) arrays, None for an absent
-    one, and ``aggregate`` over a sample, with the reference path.
-
-    The sample is at most six households: id-sorted positions 0, n/4, n/2,
-    3n/4 and n-1, and the lowest-id cashback-eligible one.
-    """
-    population = result.population
+def _sample_rows(population: Population, schedule: Schedule) -> np.ndarray:
+    """The spot check's sample, at most six households: id-sorted positions 0,
+    n/4, n/2, 3n/4 and n-1, and the lowest-id cashback-eligible one."""
     n = len(population)
     positions = {0, n // 4, n // 2, 3 * n // 4, n - 1}
-    eligible = np.flatnonzero(cashback_eligible(population, result.schedule))
-    if eligible.size:
-        positions.add(int(eligible[0]))
-    rows = np.array(sorted(positions))
+    eligible = cashback_eligible(population, schedule)
+    if eligible.any():
+        positions.add(int(eligible.argmax()))
+    return np.array(sorted(positions))
+
+
+def _spot_check(result: ScenarioResult, rows: np.ndarray,
+                columns: Sequence[np.ndarray]) -> None:
+    """Compare the (gross, cashback, transfer, net) values at the sampled
+    ``rows``, zeros for an absent part, and ``aggregate`` over the sample,
+    with the reference path."""
+    population = result.population
     sample = [population.row(i) for i in rows]
     incidences = [result.scalar_incidence(h) for h in sample]
-    columns = [np.zeros(len(rows)) if a is None else a[rows] for a in arrays]
 
     def check(what: str, fast, reference) -> None:
         """(gross, cashback, transfer, net) against the reference, relative to its size."""
@@ -376,7 +431,7 @@ def compute_scenarios(
         if name is ScenarioName.UNIFORM_VAT:
             uni = _uniform_vat_schedule(schedule)
             rate = solve_given_cashback(population, uni, 0.0, target)
-            gross, _ = household_taxes(population, uni, rate)
+            gross = household_taxes(population, uni, rate)[0]  # its cashback is not held
             results.append(_result(population, uni, name, rate, gross))
             continue
         if reform_rate is None:
@@ -428,15 +483,16 @@ def build_scenario_table(
     if baseline is None:
         raise ValueError("scenario results must include the baseline")
     means = _QuintileMeans(population, quintiles)
-    mean_mon = means(population.monetary)
-    mean_total = means(population.monetary + population.nonmonetary_total)
+    monetary, nonmonetary = population.monetary, population.nonmonetary_total
+    mean_mon = means(monetary.__getitem__)
+    mean_total = means(lambda at: monetary[at] + nonmonetary[at])
 
     def rows(scenario: ScenarioResult) -> tuple[ScenarioQuintileRow, ...]:
         # the exact sum of per-household differences, not a difference of sums
-        delta = means(scenario.net - baseline.net)
+        delta = means(lambda at: scenario.net[at] - baseline.net[at])
         return tuple(
             ScenarioQuintileRow(q, net, mon, total, d, 100.0 * d / mon if mon else 0.0)
-            for q, net, mon, total, d in zip((1, 2, 3, 4, 5, 0), means(scenario.net),
+            for q, net, mon, total, d in zip((1, 2, 3, 4, 5, 0), means(scenario.net.__getitem__),
                                              mean_mon, mean_total, delta)
         )
 

@@ -335,10 +335,12 @@ def generate_synthetic(seed: int, n: int, schedule: Schedule) -> Population:
     z = rng.standard_normal(n)
     pc_expenditure = np.exp(_MEAN_LOG_PC_EXPENDITURE + _SD_LOG_PC_EXPENDITURE * z)
     total = pc_expenditure * residents
-    nonmonetary_share = rng.beta(2.0, 8.0, size=n)
-    monetary = total * (1.0 - nonmonetary_share)
+    monetary = total * (1.0 - rng.beta(2.0, 8.0, size=n))
+    nonmonetary = total - monetary
+    del total
     # income tracks expenditure with noise; some households dissave
     income_pc = pc_expenditure * np.exp(rng.normal(0.25, 0.35, size=n))
+    del pc_expenditure
     weights = rng.uniform(50.0, 150.0, size=n)
 
     categories = schedule.categories
@@ -349,16 +351,24 @@ def generate_synthetic(seed: int, n: int, schedule: Schedule) -> Population:
             c.id, (1.0 / k, _KIND_GRADIENT[c.treatment.kind])
         )
         noise = rng.normal(0.0, 0.25, size=n)
-        spending[:, j] = base * np.exp(gradient * z + noise)
+        # base * exp(gradient * z + noise), formed in the returned column: the
+        # loop holds no n-length scratch but z, monetary and the noise
+        column = spending[:, j]
+        np.multiply(gradient, z, out=column)
+        column += noise
+        del noise
+        np.exp(column, out=column)  # a contiguous column: the same exp loop, and bits, as out of place
+        column *= base
         if c.treatment.kind is TreatmentKind.RENT_REGIME:
-            spending[:, j] *= rng.random(n) < _RENTER_SHARE
+            column *= rng.random(n) < _RENTER_SHARE
+    del z
     # shares, then spending, in place: the draws' matrix is the returned one
     spending /= _row_totals(spending)[:, None]
     spending *= monetary[:, None]
 
     return Population(
         Provenance("synthetic", f"{seed}:{n}"), schedule.category_ids(),
-        np.arange(1, n + 1), weights, residents, income_pc, total - monetary, spending,
+        np.arange(1, n + 1), weights, residents, income_pc, nonmonetary, spending,
     )
 
 

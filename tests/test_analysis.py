@@ -2,7 +2,9 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import ivasim.analysis as analysis
@@ -24,7 +26,7 @@ from ivasim.analysis import (
 )
 from ivasim.cli import main
 from ivasim.microdata import Household, Population, Provenance, generate_synthetic
-from ivasim.schedule import bundled_schedule_path, load_schedule
+from ivasim.schedule import bundled_schedule_path, default_removal_selectors, load_schedule
 from ivasim.solver import marginal_rate_impact
 
 from helpers import incidences, monetary_total, per_capita_total, quintile_of, scenario_arrays
@@ -114,6 +116,16 @@ def test_quintile_ties_broken_by_id():
     pop = five_households(totals=(100.0, 100.0, 100.0, 100.0, 100.0))
     of = quintile_of(assign_quintiles(pop))
     assert [of[i] for i in range(1, 6)] == [1, 2, 3, 4, 5]
+    # rows given out of id order, with two runs of ties: (total, id) ranks them
+    rows = ((5, 100.0), (3, 200.0), (1, 200.0), (4, 100.0), (2, 200.0))
+    pop = Population.from_households(
+        tuple(Household(hid, 1.0, 1, 0.0, {"consumo": t}, 0.0) for hid, t in rows),
+        Provenance("file", "inline"),
+    )
+    q = assign_quintiles(pop)
+    of = quintile_of(q)
+    assert [of[i] for i in (4, 5, 1, 2, 3)] == [1, 2, 3, 4, 5]
+    assert q.boundaries == (100.0, 200.0, 200.0, 200.0)
 
 
 def test_quintile_weight_balance(plp68):
@@ -147,6 +159,47 @@ def test_single_category_schedule_all_cells_100(uniform):
     data_rows = [r for r in rows if r.group != "total"]
     assert len(data_rows) == 1
     assert all(c == pytest.approx(100.0, abs=1e-12) for c in data_rows[0].cells)
+
+
+def test_group_spending_is_numpys_row_sum_of_the_gathered_columns(plp68):
+    """Table 1's group spending, formed a block of rows at a time, has the bits
+    of ``spend[:, cols].sum(axis=1)``, sign of zero included: that sum adds the
+    columns of its F-order gather one after another from +0.0, in the order
+    given, for any number of them (a C-order row sum of eight or more is pairwise)."""
+    pop = generate_synthetic(42, 5000, plp68)
+    spend = np.array(pop.spend, order="F")
+    spend[::7] = -0.0  # a valid cell, alone in its row or among positives
+    spend[3::11, ::2] = -0.0
+    spend[5::13, 1::3] = 0.0
+    idx = pop.column_index(plp68).tolist()
+    members = [[idx[j] for j, c in enumerate(plp68.categories) if c.group == g]
+               for g in plp68.groups()]
+    assert sorted({len(m) for m in members}) == [1, 3, 5, 6]
+    rng = np.random.default_rng(3)
+    members += [idx[:9], idx[::-1], rng.permutation(idx).tolist()]  # 9 and 20 members
+    rows = analysis._ROWS
+    for cols in members:
+        expected = spend[:, cols].sum(axis=1)
+        got = np.empty(len(spend))
+        for start in range(0, len(spend), rows):
+            s = slice(start, start + rows)
+            analysis._group_spending([spend[:, j] for j in cols], s, got[s])
+        assert got.tobytes() == expected.tobytes(), len(cols)
+    # and the budget shares of a schedule with one twenty-member group
+    one_group = replace(plp68, categories=tuple(replace(c, group="tudo") for c in plp68.categories))
+    pop = generate_synthetic(7, 3000, plp68)
+    q = assign_quintiles(pop)
+    cells = budget_share_table(pop, one_group, q)[0].cells
+    share = np.zeros(len(pop))
+    spending = pop.monetary > 0
+    np.divide(pop.spend[:, pop.column_index(one_group)].sum(axis=1), pop.monetary, out=share,
+              where=spending)
+    of = quintile_of(q)
+    for k, cell in zip((1, 2, 3, 4, 5, 0), cells):
+        rows = [i for i, hid in enumerate(pop.ids.tolist()) if k in (0, of[hid]) and spending[i]]
+        mean = (math.fsum((pop.weight[rows] * share[rows]).tolist())
+                / math.fsum(pop.weight[rows].tolist()))
+        assert cell.hex() == (100.0 * mean).hex()
 
 
 def test_columns_close_to_100(synthetic, plp68, quintiles):
@@ -269,6 +322,42 @@ def test_scenario_results_hold_one_array_each(plp68):
     assert held < 5 * 8 * len(pop)  # four vectors, and the schedules and results around them
 
 
+def test_each_tables_stage_holds_at_most_three_vectors_of_scratch(plp68):
+    """Traced peak of each stage of ``ivasim tables`` above what it holds when
+    done, at 50k households with the population's caches and memo formed: at
+    most three float64 n-vectors.  With numpy 2.4 the quintiles read 2.3,
+    table 1 2.7, table 2 0.0, the scenarios 2.0 and table 3 1.6 (an exact sum's
+    16K-element chunks are about one of them at this size); with n-length
+    gathers, transfer and rank arrays they read 5.1, 10.1, 0.0, 5.0 and 3.4.
+    Synthesis is bounded in test_microdata.py."""
+    pop = generate_synthetic(42, 50_000, plp68)
+    names = scenario_names(plp68)
+    selectors = default_removal_selectors(plp68)
+
+    def traced(stage):
+        tracemalloc.start()
+        try:
+            out = stage()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, (peak - held) / (8 * len(pop))
+
+    def run() -> dict:
+        scratch = {}
+        q, scratch["quintiles"] = traced(lambda: assign_quintiles(pop))
+        _, scratch["table 1"] = traced(lambda: budget_share_table(pop, plp68, q))
+        _, scratch["table 2"] = traced(
+            lambda: marginal_rate_impact(pop, plp68, selectors, plp68.target_net_burden))
+        results, scratch["scenarios"] = traced(lambda: compute_scenarios(pop, plp68, names))
+        _, scratch["table 3"] = traced(lambda: build_scenario_table(pop, q, results))
+        return scratch
+
+    run()  # forms the population's cached columns and memo
+    scratch = run()
+    assert max(scratch.values()) <= 3.0, scratch
+
+
 def test_transfer_swap_alone_solves_the_reform_rate_once(monkeypatch, synthetic, plp68,
                                                          scenario_results):
     calls = []
@@ -301,9 +390,9 @@ def test_scenario_totals_skip_absent_arrays_and_a_net_that_is_gross(monkeypatch,
     results = compute_scenarios(synthetic, plp68, [ScenarioName.UNIFORM_VAT, ScenarioName.PLP68,
                                                    ScenarioName.PLP68_TRANSFER_SWAP])
     # gross alone for the baseline and uniform VAT, gross, cashback and net for
-    # plp68, all four for the swap (whose revenue is summed a chunk at a time):
-    # seven fewer than a total of each array
-    assert len(full) == 1 + 1 + 3 + 4
+    # plp68 and for the swap (whose revenue and transfer are summed a chunk at
+    # a time, so no transfer array is formed): eight fewer than a total of each array
+    assert len(full) == 1 + 1 + 3 + 3
     for result in results:
         gross, cashback, transfer = scenario_arrays(result)
         assert result.net.tobytes() == (gross - cashback - transfer).tobytes()

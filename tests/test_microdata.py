@@ -444,19 +444,22 @@ def test_row_totals_are_the_c_order_row_sums(k):
 
 
 def test_synthesis_holds_one_spend_matrix(plp68):
-    """Traced scratch of ``generate_synthetic`` at 100k beyond the columns it
-    returns: drawing into the returned matrix peaks at 5.0 MiB (0.33 of
-    ``spend``, with numpy 2.4: some n-length draws and the row totals); a
-    separate C-order matrix of draws peaks at 18.4 MiB (1.21)."""
+    """Traced scratch of ``generate_synthetic`` at 50k beyond the columns it
+    returns, in float64 n-vectors: drawing every column into the array that
+    is returned and freeing each draw once used peaks at 2.6 with numpy 2.4
+    (z, the monetary totals and one category's noise, or the row totals and
+    a block of rows); n-length intermediates peaked at 6.6, and a separate
+    C-order matrix of draws at about 24 (18.4 MiB at 100k)."""
     generate_synthetic(42, 1000, plp68)  # caches filled on the first call are not scratch
+    n = 50_000
     tracemalloc.start()
     try:
-        population = generate_synthetic(42, 100_000, plp68)
+        population = generate_synthetic(42, n, plp68)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     columns = sum(getattr(population, name).nbytes for name in COLUMNS)
-    assert peak - columns < population.spend.nbytes / 2
+    assert peak - columns <= 3 * 8 * n
 
 
 def test_generation_varies_with_seed(plp68):
