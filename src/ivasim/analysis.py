@@ -23,7 +23,9 @@ its gross tax array into its net tax in place, the one array table 3 reads.
 A quintile assignment groups the rows by quintile, so each per-quintile mean
 is an exact sum over one quintile's rows, gathered a chunk at a time, and
 the whole population's total adds up the five quintiles' exact parts.
-Table 3 gathers the weights and computes the mean expenditures once and
+Table 1 forms one group's spending at a time by ``engine.category_folds``,
+the fold the per-household taxes use, over the group's members in schedule
+order.  Table 3 gathers the weights and computes the mean expenditures once and
 shares them across scenarios.  Every scenario spot-checks its arrays against
 the per-household reference functions of ``ivasim.engine`` on a few
 households.
@@ -46,12 +48,14 @@ from typing import Sequence
 import numpy as np
 
 from .engine import (
+    FOLD_ROWS,
     AggregateIncidence,
     HouseholdIncidence,
     aggregate,
     baseline_tax,
     baseline_taxes,
     cashback_eligible,
+    category_folds,
     denominator_expenditure,
     household_tax,
     household_taxes,
@@ -84,9 +88,6 @@ class QuintileAssignment:
         return tuple(q for q in range(1, 6) if self.bounds[q - 1] == self.bounds[q])
 
 
-_ROWS = 8192  # rows formed at a time where a stage walks the population in blocks
-
-
 def assign_quintiles(population: Population) -> QuintileAssignment:
     """Partition cumulative household weight into fifths by per-capita total.
 
@@ -109,8 +110,8 @@ def assign_quintiles(population: Population) -> QuintileAssignment:
     n = len(order)
     cum = np.empty(n)
     cum[0] = 0.0
-    for start in range(0, n - 1, _ROWS):
-        block = population.weight[order[start:min(start + _ROWS, n - 1)]]
+    for start in range(0, n - 1, FOLD_ROWS):
+        block = population.weight[order[start:min(start + FOLD_ROWS, n - 1)]]
         block[0] += cum[start]
         np.cumsum(block, out=cum[start + 1:start + 1 + len(block)])
     if total > sys.float_info.max / 5.0:
@@ -181,16 +182,6 @@ class BudgetShareRow:
     cells: tuple[float, ...]  # q1..q5 then total, in percent
 
 
-def _group_spending(members: Sequence[np.ndarray], rows: slice, out: np.ndarray) -> np.ndarray:
-    """The sum of the ``members`` columns over ``rows``, into ``out``: added in
-    the order given from +0.0, as numpy's ``sum(axis=1)`` over their F-order
-    gather adds them."""
-    out[...] = 0.0
-    for column in members:
-        out += column[rows]
-    return out
-
-
 def budget_share_table(
     population: Population, schedule: Schedule, quintiles: QuintileAssignment
 ) -> tuple[BudgetShareRow, ...]:
@@ -198,23 +189,21 @@ def budget_share_table(
 
     A household's share vector is its group spending over its monetary total,
     so the groups of one column always add up to 100.  Households with no
-    monetary spending carry no shares and are left out of the means.
+    monetary spending carry no shares and are left out of the means.  A
+    group's spending is ``category_folds`` of its members' spending, added in
+    schedule order from +0.0: the bits of numpy's ``spend[:, cols].sum(axis=1)``.
     """
-    idx = population.column_index(schedule)
-    columns = [population.spend[:, j] for j in idx.tolist()]
     monetary = population.monetary
     spending = monetary > 0
     means = _QuintileMeans(population, quintiles, spending)
-    share = np.empty(len(monetary))
+    ones = np.ones(len(schedule.categories))
     rows = []
     for g in schedule.groups():
-        members = [columns[j] for j, c in enumerate(schedule.categories) if c.group == g]
-        for start in range(0, len(share), _ROWS):
-            s = slice(start, start + _ROWS)
-            block, spent = _group_spending(members, s, share[s]), spending[s]
-            np.divide(block, monetary[s], out=block, where=spent)
-            block[~spent] = 0.0
+        members = [j for j, c in enumerate(schedule.categories) if c.group == g]
+        share = category_folds(population, schedule, (ones,), taxable=False, order=members)[0]
+        np.divide(share, monetary, out=share, where=spending)
         rows.append(BudgetShareRow(g, tuple(100.0 * m for m in means(share.__getitem__))))
+        del share  # before the next group's is formed: one share array at a time
     totals = tuple(math.fsum(r.cells[i] for r in rows) for i in range(6))
     rows.append(BudgetShareRow("total", totals))
     return tuple(rows)
@@ -340,8 +329,8 @@ def _result(
     if cashback is not None:
         net -= cashback
     if transfer_per_person != 0.0:
-        for start in range(0, len(net), _ROWS):
-            s = slice(start, start + _ROWS)
+        for start in range(0, len(net), FOLD_ROWS):
+            s = slice(start, start + FOLD_ROWS)
             net[s] -= transfer_per_person * residents[s]
     net.flags.writeable = False
     sampled.append(net[rows])

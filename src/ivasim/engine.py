@@ -13,7 +13,9 @@ path below computes the same quantities from the population's numpy
 columns: per-household arrays as left folds over the categories in
 ascending category id, ((0 + b_1*v_1) + b_2*v_2) + ..., a block of rows at
 a time and without BLAS, so their bits depend on neither the BLAS build nor
-the order of the population's columns or the schedule's categories; and
+the order of the population's columns or the schedule's categories
+(``category_folds``, which ``analysis`` also runs over a treatment group's
+members, in schedule order, for table 1's group spending); and
 population totals from per-category sums, because tax is linear in spending
 and every household faces the same rate vector.  Vectors over categories
 are in schedule order; ``Population.column_index`` maps them onto ``spend``.
@@ -226,7 +228,7 @@ def sum_products(n: int, products) -> float:
         return math.inf
 
 
-_FOLD_ROWS = 8192  # rows of a per-household fold formed at a time
+FOLD_ROWS = 8192  # rows formed at a time by a fold, or by another blocked pass over households
 
 
 def _taxable(spend: np.ndarray, reducer: float | None) -> np.ndarray:
@@ -281,21 +283,24 @@ def _refund_shares(schedule: Schedule) -> np.ndarray:
     return np.array([schedule.refund_share(c.cashback) for c in schedule.categories])
 
 
-def _category_folds(population: Population, schedule: Schedule, vectors,
-                    taxable: bool = True) -> list[np.ndarray]:
+def category_folds(population: Population, schedule: Schedule, vectors,
+                   taxable: bool = True, order=None) -> list[np.ndarray]:
     """Per household, the left fold ((0 + b_1*v_1) + b_2*v_2) + ... of each
-    vector v of ``vectors`` (schedule order), over the categories in ascending id.
+    vector v of ``vectors`` (schedule order), over the schedule positions
+    ``order`` in the order given, by default every category in ascending id.
 
     b is the taxable base (``_taxable``), or the plain spending if not
-    ``taxable``.  The folds run ``_FOLD_ROWS`` rows at a time, never through
+    ``taxable``.  The folds run ``FOLD_ROWS`` rows at a time, never through
     BLAS, so their bits depend on neither the BLAS build nor the order of the
-    population's columns or the schedule's categories.
+    population's columns, nor, by default, the order of the schedule's
+    categories.
     """
     idx = population.column_index(schedule)
-    order = sorted(range(len(idx)), key=lambda j: schedule.categories[j].id)
+    if order is None:
+        order = sorted(range(len(idx)), key=lambda j: schedule.categories[j].id)
     folds = [np.zeros(len(population)) for _ in vectors]
-    for start in range(0, len(population), _FOLD_ROWS):
-        s = slice(start, start + _FOLD_ROWS)
+    for start in range(0, len(population), FOLD_ROWS):
+        s = slice(start, start + FOLD_ROWS)
         for j in order:
             reducer = schedule.categories[j].treatment.reducer if taxable else None
             base = _taxable(population.spend[s, idx[j]], reducer)
@@ -306,20 +311,25 @@ def _category_folds(population: Population, schedule: Schedule, vectors,
 
 def household_taxes(population: Population, schedule: Schedule,
                     t_ref: Rate) -> tuple[np.ndarray, np.ndarray]:
-    """Gross tax and cashback of every household, one ``_category_folds`` pass.
+    """Gross tax and cashback of every household, one ``category_folds`` pass.
 
     The columnar counterpart of ``household_tax`` + ``household_cashback``.
+    Where every refund rate is zero, the cashback is +0.0 throughout, the
+    bits its fold would give, and only the gross tax is folded.
     """
     rates = rate_vector(schedule, t_ref)
-    gross, refund = _category_folds(population, schedule, (rates, rates * _refund_shares(schedule)))
+    refund_rates = rates * _refund_shares(schedule)
+    if not refund_rates.any():
+        return category_folds(population, schedule, (rates,))[0], np.zeros(len(population))
+    gross, refund = category_folds(population, schedule, (rates, refund_rates))
     refund[~cashback_eligible(population, schedule)] = 0.0
     return gross, refund
 
 
 def baseline_taxes(population: Population, schedule: Schedule) -> np.ndarray:
-    """Pre-reform tax of every household (``baseline_tax``), by ``_category_folds``."""
+    """Pre-reform tax of every household (``baseline_tax``), by ``category_folds``."""
     rates = [c.baseline_effective.value for c in schedule.categories]
-    return _category_folds(population, schedule, (rates,), taxable=False)[0]
+    return category_folds(population, schedule, (rates,), taxable=False)[0]
 
 
 class IncidenceCalculator:

@@ -18,7 +18,7 @@ whatever its length.  ``chunk_parts`` takes the chunks from a function, so a
 caller can sum values it forms a chunk at a time, such as weighted products,
 without ever holding them whole.
 
-``row_sums`` extracts every row of a block of ``_ROW_BLOCK`` rows at once (one
+``row_sums`` extracts every row of a block of ``ROW_BLOCK`` rows at once (one
 sigma per row), turns each row's parts into a non-overlapping expansion with
 TwoSum, and rounds it the way ``math.fsum`` rounds its partials, half-way
 correction included, so no row needs Python floats unless it is non-finite,
@@ -36,7 +36,7 @@ import numpy as np
 
 _SHORT = 384  # 1-D arrays up to this long are summed as a list: a numpy pass costs more
 _CHUNK = 1 << 14  # elements extracted at a time; bounds the scratch arrays
-_ROW_BLOCK = 2048  # rows extracted at once; bounds the scratch matrices
+ROW_BLOCK = 2048  # rows of a matrix copied at once, here and by microdata; bounds the scratch
 _ROW_PASSES = 4  # extractions per row before the row goes to math.fsum
 _MAX_EXPONENT = 1020  # sigma = 2^(M + e) stays this far below overflow
 _NEG_ZERO_SUM = math.fsum([-0.0])  # the interpreter's sum of negative zeros
@@ -106,8 +106,8 @@ def row_sums(matrix: np.ndarray, columns: Sequence[int] | None = None) -> np.nda
     out = np.zeros(len(matrix))
     k = matrix.shape[1] if columns is None else len(columns)
     if k:
-        for start in range(0, len(matrix), _ROW_BLOCK):
-            block = matrix[start:start + _ROW_BLOCK]
+        for start in range(0, len(matrix), ROW_BLOCK):
+            block = matrix[start:start + ROW_BLOCK]
             if columns is not None:
                 block = block[:, columns]
             out[start:start + len(block)] = _block_sums(block)

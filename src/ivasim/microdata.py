@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .exactsum import exact_sum, row_sums
+from .exactsum import ROW_BLOCK, exact_sum, row_sums
 from .schedule import Schedule, TreatmentKind
 
 FIXED_COLUMNS = ("id", "weight", "residents", "income_pc", "nonmonetary_total")
@@ -372,19 +372,16 @@ def generate_synthetic(seed: int, n: int, schedule: Schedule) -> Population:
     )
 
 
-_TOTAL_ROWS = 2048  # rows summed at a time by _row_totals; bounds its C-order copy
-
-
 def _row_totals(matrix: np.ndarray) -> np.ndarray:
     """``np.ascontiguousarray(matrix).sum(axis=1)``, bit for bit, in any layout.
 
-    Each block of ``_TOTAL_ROWS`` rows is copied to C order and summed along
-    its contiguous rows, as numpy sums the rows of a C-order matrix: the
+    Each block of ``ROW_BLOCK`` rows is copied to C order and summed along its
+    contiguous rows, as numpy sums the rows of a C-order matrix: the
     rounding of a row sum depends on that order, and the synthetic shares
     keep the bits they had when the draws were a C-order matrix.
     """
     out = np.empty(len(matrix))
-    for start in range(0, len(matrix), _TOTAL_ROWS):
-        block = np.ascontiguousarray(matrix[start:start + _TOTAL_ROWS])
+    for start in range(0, len(matrix), ROW_BLOCK):
+        block = np.ascontiguousarray(matrix[start:start + ROW_BLOCK])
         out[start:start + len(block)] = block.sum(axis=1)
     return out

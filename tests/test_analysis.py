@@ -25,6 +25,7 @@ from ivasim.analysis import (
     _fmt,
 )
 from ivasim.cli import main
+from ivasim.engine import FOLD_ROWS, category_folds
 from ivasim.microdata import Household, Population, Provenance, generate_synthetic
 from ivasim.schedule import bundled_schedule_path, default_removal_selectors, load_schedule
 from ivasim.solver import marginal_rate_impact
@@ -162,29 +163,39 @@ def test_single_category_schedule_all_cells_100(uniform):
 
 
 def test_group_spending_is_numpys_row_sum_of_the_gathered_columns(plp68):
-    """Table 1's group spending, formed a block of rows at a time, has the bits
-    of ``spend[:, cols].sum(axis=1)``, sign of zero included: that sum adds the
+    """Table 1's group spending, ``category_folds`` of the members' spending
+    with a vector of ones in the members' order, has the bits of
+    ``spend[:, cols].sum(axis=1)``, sign of zero included: that sum adds the
     columns of its F-order gather one after another from +0.0, in the order
-    given, for any number of them (a C-order row sum of eight or more is pairwise)."""
-    pop = generate_synthetic(42, 5000, plp68)
+    given, for any number of them (a C-order row sum of eight or more is
+    pairwise).  20k rows cross the folds' block boundaries."""
+    pop = generate_synthetic(42, 20_000, plp68)
     spend = np.array(pop.spend, order="F")
     spend[::7] = -0.0  # a valid cell, alone in its row or among positives
     spend[3::11, ::2] = -0.0
     spend[5::13, 1::3] = 0.0
-    idx = pop.column_index(plp68).tolist()
-    members = [[idx[j] for j, c in enumerate(plp68.categories) if c.group == g]
+    pop = Population(pop.provenance, pop.category_ids, pop.ids, pop.weight, pop.residents,
+                     pop.income_per_capita, pop.nonmonetary_total, spend)
+    assert len(pop) > 2 * FOLD_ROWS
+    idx = pop.column_index(plp68)
+    members = [[j for j, c in enumerate(plp68.categories) if c.group == g]
                for g in plp68.groups()]
     assert sorted({len(m) for m in members}) == [1, 3, 5, 6]
     rng = np.random.default_rng(3)
-    members += [idx[:9], idx[::-1], rng.permutation(idx).tolist()]  # 9 and 20 members
-    rows = analysis._ROWS
-    for cols in members:
-        expected = spend[:, cols].sum(axis=1)
-        got = np.empty(len(spend))
-        for start in range(0, len(spend), rows):
-            s = slice(start, start + rows)
-            analysis._group_spending([spend[:, j] for j in cols], s, got[s])
-        assert got.tobytes() == expected.tobytes(), len(cols)
+    positions = list(range(len(plp68.categories)))
+    for some in (positions[:9], positions):  # 9 and 20 members
+        members += [some, some[::-1], rng.permutation(some).tolist()]
+    ones = np.ones(len(positions))
+    for order in members:
+        expected = spend[:, idx[order]].sum(axis=1)
+        got = category_folds(pop, plp68, (ones,), taxable=False, order=order)[0]
+        assert got.tobytes() == expected.tobytes(), order
+    # the default order is every category in ascending id
+    v = rng.random(len(positions))
+    by_id = sorted(positions, key=lambda j: plp68.categories[j].id)
+    assert by_id != positions
+    default = category_folds(pop, plp68, (v,))[0]
+    assert default.tobytes() == category_folds(pop, plp68, (v,), order=by_id)[0].tobytes()
     # and the budget shares of a schedule with one twenty-member group
     one_group = replace(plp68, categories=tuple(replace(c, group="tudo") for c in plp68.categories))
     pop = generate_synthetic(7, 3000, plp68)

@@ -16,15 +16,19 @@ import numpy as np
 import pytest
 
 from ivasim import engine
+from ivasim.analysis import _uniform_vat_schedule
 from ivasim.engine import (
     IncidenceCalculator,
     aggregate,
     baseline_tax,
     baseline_taxes,
+    cashback_eligible,
+    category_folds,
     denominator_expenditure,
     household_cashback,
     household_tax,
     household_taxes,
+    rate_vector,
     universal_transfer_amount,
     with_cashback,
     HouseholdIncidence,
@@ -355,6 +359,25 @@ def test_household_taxes_fold_into_the_two_arrays_they_return(plp68):
         tracemalloc.stop()
     assert len(arrays) == 2
     assert peak <= 3 * 8 * len(pop)
+
+
+def test_household_taxes_without_refund_fold_the_gross_tax_alone(plp68, monkeypatch):
+    """Where every refund rate is zero, as in the uniform-VAT scenario, one
+    vector is folded and the cashback is +0.0 throughout: both arrays keep
+    the bits of the two-vector fold."""
+    uni = _uniform_vat_schedule(plp68)
+    pop = generate_synthetic(42, 20_000, plp68)
+    rates = rate_vector(uni, T_REF)
+    refund_rates = rates * engine._refund_shares(uni)
+    assert not refund_rates.any() and rates.any()
+    gross, refund = category_folds(pop, uni, (rates, refund_rates))
+    refund[~cashback_eligible(pop, uni)] = 0.0
+    folded = []
+    monkeypatch.setattr(engine, "category_folds", lambda *args, **kwargs: (
+        folded.append(len(args[2])) or category_folds(*args, **kwargs)))
+    arrays = household_taxes(pop, uni, T_REF)
+    assert folded == [1]
+    assert [a.tobytes() for a in arrays] == [gross.tobytes(), refund.tobytes()]
 
 
 def test_calculator_matches_scalar_path(oracle6, fixture_population, plp68):

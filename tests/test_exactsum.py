@@ -125,7 +125,7 @@ def test_row_sums_equal_fsum(n, k, fortran, seed):
 
 
 def test_row_sums_across_blocks_and_without_columns():
-    matrix = _values(np.random.default_rng(3), 3 * (exactsum._ROW_BLOCK + 5), "mixed")
+    matrix = _values(np.random.default_rng(3), 3 * (exactsum.ROW_BLOCK + 5), "mixed")
     matrix = matrix.reshape(-1, 3)
     assert row_sums(matrix).tolist() == _fsum_rows(matrix).tolist()
     assert row_sums(matrix, [2, 0]).tolist() == _fsum_rows(matrix[:, [2, 0]]).tolist()

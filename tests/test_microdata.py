@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ivasim import csvbody, microdata
+from ivasim import csvbody, exactsum, microdata
 from ivasim.csvbody import _read_rows
 from ivasim.microdata import (
     FIXED_COLUMNS,
@@ -434,7 +434,7 @@ def test_generated_spending_bits_pinned(plp68, uniform):
 def test_row_totals_are_the_c_order_row_sums(k):
     # numpy's pairwise sum along a contiguous row sets the last bits; the
     # synthetic shares are pinned to them
-    rows = microdata._TOTAL_ROWS
+    rows = exactsum.ROW_BLOCK
     rng = np.random.default_rng(k)
     for n in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
         matrix = np.asfortranarray(rng.lognormal(0.0, 3.0, size=(n, k)))
