@@ -7,11 +7,11 @@ Subcommands:
 * ``validate``  check a schedule and population against all invariants
 * ``generate``  emit a synthetic household CSV
 
-Exit codes: 0 success, 1 input or validation error, 2 numerical
-non-convergence or a failed spot-check of the columnar path.  Every command
-is deterministic given its arguments, so a rerun with the same flags
-reproduces its outputs byte for byte; files are written as UTF-8 whatever
-the locale.
+Exit codes: 0 success, 1 input or validation error (or an array too large
+to allocate), 2 numerical non-convergence or a failed spot-check of the
+columnar path.  Every command is deterministic given its arguments, so a
+rerun with the same flags reproduces its outputs byte for byte; files are
+written as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -412,6 +412,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # covers ScheduleError, MicrodataError, scenario input errors, and a
         # sum past the largest double that no check names
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the allocation it refused
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -23,8 +23,9 @@ either was not plain.  A block parse holds about three times
 some nine ``_BLOCK_BYTES`` with two blocks in flight, whatever the file's
 size.  Any other body (quotes, exponents, CR, spaces, blank lines) is parsed
 whole by one structured ``np.loadtxt``.  Only when the file is rejected does
-the row reader, one csv record and one ``Household`` at a time, re-read it
-to name the first bad row.
+the row reader (``_rows``), one csv record and one ``Household`` at a time,
+walk it once to name the first bad row: it keeps no row, only the ids seen,
+and the parsed columns are freed before it starts.
 
 ``write`` writes the header line, then the body in blocks of rows, each
 float as ``repr`` spells it: the shortest decimal that reads back as the
@@ -73,8 +74,8 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 def read(path: str | Path, schedule: Schedule) -> Population:
     """The population in a households CSV, validated against the schedule's category set.
 
-    On any rejection the row reader re-reads the file to name the first bad
-    row and cell.
+    On any rejection the row reader walks the file once to name the first
+    bad row and cell; it holds no row, and the parsed columns are freed first.
     """
     _lift_heap()
     path = Path(path)
@@ -86,8 +87,11 @@ def read(path: str | Path, schedule: Schedule) -> Population:
     try:
         return _read_columns(path, header, category_ids)
     except (ValueError, Warning) as exc:
-        _read_rows(path, schedule)  # raises the first error in file order
-        raise MicrodataError(f"{path}: {exc}") from None
+        message = f"{path}: {exc}"
+    # leaving the except block freed the traceback, and the columns its frames held
+    for _ in _rows(path, schedule):  # raises the first error in file order
+        pass
+    raise MicrodataError(message)
 
 
 def write(population: Population, path: str | Path, schedule: Schedule) -> None:
@@ -159,7 +163,7 @@ def _read_plain(path: Path, k: int, sources: list[int]) -> list[np.ndarray] | No
         with path.open("rb") as fh:
             fh.seek(start)
             for block in blocks(fh, end):
-                columns = plain_columns(block, k, _INT_COLUMNS)
+                columns = plain_columns(block, k)
                 if columns is None or n + len(columns[0]) > last:
                     return False  # not plain, or the file changed since it was counted
                 for target, source in zip(targets, sources):
@@ -289,18 +293,18 @@ def _check_header(header: list[str], category_ids: tuple[str, ...], path: Path) 
         raise MicrodataError(f"{path}: " + "; ".join(parts))
 
 
-def _read_rows(path: Path, schedule: Schedule) -> Population:
-    """Reference reader: one csv record and one ``Household`` at a time.
+def _rows(path: Path, schedule: Schedule) -> Iterator[Household]:
+    """Each row's ``Household``, one csv record at a time, in file order.
 
-    ``read`` runs it only to explain a rejection: it raises the first error
-    in file order, citing the row and column.
+    Raises the first error in file order, citing the row and column.  It
+    holds no row it has yielded, only the set of ids seen, for the duplicate
+    check, so ``read`` walks a rejected file in the memory of an accepted read.
     """
     category_ids = schedule.category_ids()
     with _open_text(path) as fh:
         reader = _records(fh, path)
         header = _header(reader, category_ids, path)
         cat_index = {cid: header.index(cid, len(FIXED_COLUMNS)) for cid in category_ids}
-        households: list[Household] = []
         seen: set[int] = set()
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -320,20 +324,25 @@ def _read_rows(path: Path, schedule: Schedule) -> Population:
                             for cid in category_ids}
             nonmonetary = _float_cell(row[4], "nonmonetary_total", lineno, path)
             try:
-                households.append(Household(id=hid, weight=weight, residents=residents,
-                                            income_per_capita=income, expenditures=expenditures,
-                                            nonmonetary_total=nonmonetary))
+                household = Household(id=hid, weight=weight, residents=residents,
+                                      income_per_capita=income, expenditures=expenditures,
+                                      nonmonetary_total=nonmonetary)
             except MicrodataError as e:
                 raise MicrodataError(f"{path}: row {lineno}: {e}") from None
-    if not households:
+            yield household
+    if not seen:
         raise MicrodataError(f"{path}: no data rows")
-    return Population.from_households(households, Provenance("file", str(path)))
+
+
+def _read_rows(path: Path, schedule: Schedule) -> Population:
+    """Reference reader: the population of ``_rows``, which the tests compare ``read`` against."""
+    return Population.from_households(_rows(path, schedule), Provenance("file", str(path)))
 
 
 def _float_cell(cell: str, column: str, lineno: int, path: Path) -> float:
     try:
         if _ascii(cell):
-            return float(cell)
+            return float(cell.strip())
     except ValueError:
         pass
     raise MicrodataError(f"{path}: row {lineno}: column {column!r}: not a number: {cell!r}")
@@ -341,7 +350,7 @@ def _float_cell(cell: str, column: str, lineno: int, path: Path) -> float:
 
 def _int_cell(cell: str, column: str, lineno: int, path: Path) -> int:
     try:
-        value = int(cell) if _ascii(cell) else None
+        value = int(cell.strip()) if _ascii(cell) else None
     except ValueError:
         value = None
     if value is None:
@@ -355,7 +364,12 @@ def _int_cell(cell: str, column: str, lineno: int, path: Path) -> int:
 
 def _ascii(cell: str) -> bool:
     """A numeric cell is ASCII after its surrounding whitespace, without "_"
-    separators: Python's float() and int() accept more, numpy's parser does not."""
+    separators: Python's float() and int() accept more, numpy's parser does not.
+
+    The whitespace is what ``str.strip`` removes, and numpy's parser skips.
+    ``float`` and ``int`` refuse four of those code points, the ASCII
+    information separators U+001C to U+001F, so the cell parsers parse the
+    stripped cell."""
     return cell.strip().isascii() and "_" not in cell
 
 
@@ -417,12 +431,10 @@ def blocks(fh, end: int | None = None):
         yield block
 
 
-def plain_columns(
-    block: bytes, k: int, int_columns: tuple[int, ...]
-) -> list[np.ndarray] | None:
+def plain_columns(block: bytes, k: int) -> list[np.ndarray] | None:
     """The k columns of a plain block, or None if the block is not plain.
 
-    Columns in ``int_columns`` are the int64 significands themselves.  The
+    Columns in ``_INT_COLUMNS`` are the int64 significands themselves.  The
     bytes after each dot give a float cell's number of fractional digits, and
     a "-" starting a cell its sign, so "-0.0" keeps it.  Cells
     ``_decimal_values`` leaves unsettled are parsed by ``float``.
@@ -441,7 +453,7 @@ def plain_columns(
     the columns the scaling needs are taken.  Its peak, the columns it
     returns included, is about three times the block's size.
     """
-    layout = _layout(block, k, int_columns)
+    layout = _layout(block, k)
     if layout is None:
         return None
     lines, digits, signs, long = layout
@@ -459,11 +471,11 @@ def plain_columns(
         if not _INT64_MIN <= value <= _INT64_MAX:
             return None  # a significand beyond 64 bits
         significands[cell] = value
-    floats = [i for i in range(k) if i not in int_columns]
+    floats = [i for i in range(k) if i not in _INT_COLUMNS]
     place = np.full(k, -1)  # a column's place among the float columns
     place[floats] = range(len(floats))
     significands = significands.reshape(digits.shape)
-    integers = np.take(significands, int_columns, axis=1)
+    integers = np.take(significands, _INT_COLUMNS, axis=1)
     magnitudes = np.take(significands, floats, axis=1)
     del significands
     np.abs(magnitudes, out=magnitudes)  # |int64 min| wraps to itself, 2**63 as uint64
@@ -479,12 +491,12 @@ def plain_columns(
             line = block[lines[row - 1] + 1 if row else 0:lines[row]]
             values[i] = float(line.split(b",")[floats[j]])
     values = values.reshape(len(integers), len(floats))
-    return [integers[:, int_columns.index(i)] if i in int_columns else values[:, place[i]]
+    return [integers[:, _INT_COLUMNS.index(i)] if i in _INT_COLUMNS else values[:, place[i]]
             for i in range(k)]
 
 
 def _layout(
-    block: bytes, k: int, int_columns: tuple[int, ...]
+    block: bytes, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int, int]]] | None:
     """A plain block's structure, or None if the block is not plain.
 
@@ -523,7 +535,7 @@ def _layout(
     digits[dots - np.arange(len(dots))] = np.minimum(marks[dots + 1] - marks[dots] - 1,
                                                      _SCALED_DIGITS + 1)
     digits = digits.reshape(rows, k)
-    if (digits[:, int_columns] >= 0).any():
+    if (digits[:, _INT_COLUMNS] >= 0).any():
         return None  # a dot in an integer column
     before = buf[minus - 1]  # the block ends in LF, so a "-" at 0 sees one
     if not ((before == _COMMA) | (before == _LF)).all():

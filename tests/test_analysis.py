@@ -527,6 +527,23 @@ def test_empty_scenario_list_errors(synthetic, plp68, quintiles):
         build_scenario_table(synthetic, quintiles, [])
 
 
+def test_scenario_table_refuses_other_quintiles_and_results_without_baseline(
+        synthetic, plp68, quintiles, scenario_results):
+    other = generate_synthetic(42, 1999, plp68)
+    with pytest.raises(ValueError, match="^the quintiles were assigned to another population$"):
+        build_scenario_table(other, quintiles, scenario_results)
+    with pytest.raises(ValueError, match="^scenario results must include the baseline$"):
+        build_scenario_table(synthetic, quintiles, scenario_results[1:])
+
+
+def test_baseline_among_the_scenario_names_is_skipped(synthetic, plp68, scenario_results):
+    results = compute_scenarios(synthetic, plp68,
+                                [ScenarioName.UNIFORM_VAT, ScenarioName.BASELINE])
+    assert [r.name for r in results] == [ScenarioName.BASELINE, ScenarioName.UNIFORM_VAT]
+    for result, reference in zip(results, scenario_results):
+        assert result.net.tobytes() == reference.net.tobytes()
+
+
 # -- rendering ---------------------------------------------------------------------
 
 

@@ -7,11 +7,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ivasim
+from ivasim import solver
 from ivasim.cli import main, parse_seed_size, resolve_schedule
-from ivasim.microdata import Household, MicrodataError
+from ivasim.microdata import (
+    Household,
+    MicrodataError,
+    Population,
+    Provenance,
+    generate_synthetic,
+    write_population,
+)
 from ivasim.schedule import bundled_schedule_path, load_schedule
 
 TABLE_FILES = (
@@ -154,6 +163,13 @@ def test_unreachable_target_exits_2(capsys):
     )
     assert rc == 2
     assert "unreachable" in capsys.readouterr().err
+
+
+def test_solve_that_does_not_converge_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(solver, "MAX_OUTER_ITERATIONS", 0)
+    assert main(["solve", "--synthetic", "1:300"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: reference rate did not converge after 0 iterations\n")
 
 
 def test_out_of_range_target_exits_1(capsys):
@@ -342,6 +358,30 @@ def test_an_overflow_no_check_names_exits_1_with_one_error_line(monkeypatch, cap
     assert capsys.readouterr().err == "error: intermediate overflow in fsum\n"
 
 
+def test_an_allocation_numpy_refuses_exits_1_with_one_error_line(capsys):
+    # 728 TiB of residents: past any host's memory and the 47-bit user address
+    # space, so refused at allocation whatever the kernel's overcommit policy
+    assert main(["solve", "--synthetic", "1:100000000000000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
+
+def test_tables_whose_weighted_persons_overflow_exits_1(tmp_path, capsys):
+    # 300 households of weight 5e305 and two residents are 3e308 persons; the
+    # spending, divided by 5000, keeps every weighted expenditure total finite
+    plp68 = load_schedule(bundled_schedule_path("plp68"))
+    drawn = generate_synthetic(1, 300, plp68)
+    csv_path = tmp_path / "hh.csv"
+    population = Population(Provenance("file", str(csv_path)), drawn.category_ids, drawn.ids,
+                            np.full(300, 5e305), np.full(300, 2), drawn.income_per_capita,
+                            drawn.nonmonetary_total / 5000, drawn.spend / 5000)
+    write_population(population, csv_path, plp68)
+    out = tmp_path / "out"
+    assert main(["tables", "--households", str(csv_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: the weighted number of persons overflows a double\n"
+    assert not out.exists()
+
+
 def test_manifest_is_deterministic_metadata(tmp_path):
     out = tmp_path / "run"
     main(["tables", "--schedule", "plp68", "--synthetic", "11:300",
@@ -397,6 +437,16 @@ def test_validate_rejects_unknown_category_column(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL population loads" in out
     assert "mystery_goods" in out
+
+
+def test_households_header_naming_a_category_twice_exits_1(tmp_path, capsys):
+    csv_path = tmp_path / "hh.csv"
+    main(["generate", "--schedule", "plp68", "--synthetic", "7:20", "--out", str(csv_path)])
+    text = csv_path.read_text()
+    csv_path.write_text(text.replace("outros_aliquota_zero", "cesta_basica", 1))
+    capsys.readouterr()
+    assert main(["solve", "--schedule", "plp68", "--households", str(csv_path)]) == 1
+    assert capsys.readouterr().err == f"error: {csv_path}: duplicate column(s): ['cesta_basica']\n"
 
 
 NOT_UTF8_CSV = (b"id,weight,residents,income_pc,nonmonetary_total,consumo\n"
