@@ -83,9 +83,9 @@ def read(path: str | Path, schedule: Schedule) -> Population:
         raise MicrodataError(f"household file not found: {path}")
     category_ids = schedule.category_ids()
     with _open_text(path) as fh:
-        header = _header(_records(fh, path), category_ids, path)
+        sources = _header(_records(fh, path), category_ids, path)
     try:
-        return _read_columns(path, header, category_ids)
+        return _read_columns(path, sources, category_ids)
     except (ValueError, Warning) as exc:
         message = f"{path}: {exc}"
     # leaving the except block freed the traceback, and the columns its frames held
@@ -111,28 +111,24 @@ def write(population: Population, path: str | Path, schedule: Schedule) -> None:
         fh.writelines(_in_pairs(partial(_text_block, columns, _INT_COLUMNS), _row_blocks(columns)))
 
 
-def _read_columns(path: Path, header: list[str], category_ids: tuple[str, ...]) -> Population:
+def _read_columns(path: Path, sources: list[int], category_ids: tuple[str, ...]) -> Population:
     """Parse the body into columns: block by block if it is plain, else in one piece.
 
-    Raises ValueError, or a warning as an error, on anything the row reader
-    may reject.
+    ``sources`` are ``_header``'s column positions.  Raises ValueError, or a
+    warning as an error, on anything the row reader may reject.
     """
-    # a category may share a fixed column's name; its column comes after them
-    sources = list(range(len(FIXED_COLUMNS))) + [
-        header.index(cid, len(FIXED_COLUMNS)) for cid in category_ids
-    ]
     with warnings.catch_warnings():
         # numpy < 2 parses an integer via float, and stops np.fromstring at
         # unmatched text, with only a DeprecationWarning; an empty body is a
         # warning too
         warnings.simplefilter("error")
-        columns = _read_plain(path, len(header), sources)
+        columns = _read_plain(path, sources)
         if columns is None:
-            columns = _read_structured(path, len(header), sources)
+            columns = _read_structured(path, sources)
     return Population(Provenance("file", str(path)), category_ids, *columns)
 
 
-def _read_plain(path: Path, k: int, sources: list[int]) -> list[np.ndarray] | None:
+def _read_plain(path: Path, sources: list[int]) -> list[np.ndarray] | None:
     """The five fixed columns and the spend matrix, or None if any block is not plain.
 
     The body is read as two halves, split at the first line start at or
@@ -163,7 +159,7 @@ def _read_plain(path: Path, k: int, sources: list[int]) -> list[np.ndarray] | No
         with path.open("rb") as fh:
             fh.seek(start)
             for block in blocks(fh, end):
-                columns = plain_columns(block, k)
+                columns = plain_columns(block, len(sources))
                 if columns is None or n + len(columns[0]) > last:
                     return False  # not plain, or the file changed since it was counted
                 for target, source in zip(targets, sources):
@@ -177,10 +173,11 @@ def _read_plain(path: Path, k: int, sources: list[int]) -> list[np.ndarray] | No
     return [*fixed, spend] if all(plain) else None
 
 
-def _read_structured(path: Path, k: int, sources: list[int]) -> list[np.ndarray]:
+def _read_structured(path: Path, sources: list[int]) -> list[np.ndarray]:
     """The five fixed columns and the spend matrix, from one structured ``np.loadtxt``."""
     # ids and residents parse as int64, so "1.0" is not an integer
-    dtype = np.dtype([(f"f{i}", np.int64 if i in _INT_COLUMNS else float) for i in range(k)])
+    dtype = np.dtype([(f"f{i}", np.int64 if i in _INT_COLUMNS else float)
+                      for i in range(len(sources))])
     table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, quotechar='"',
                        skiprows=1, ndmin=1, encoding="utf-8")
     spend = np.empty((len(table), len(sources) - len(FIXED_COLUMNS)), order="F")
@@ -264,13 +261,21 @@ def _records(fh, path: Path) -> Iterator[list[str]]:
         yield row
 
 
-def _header(reader, category_ids: tuple[str, ...], path: Path) -> list[str]:
+def _header(reader, category_ids: tuple[str, ...], path: Path) -> list[int]:
+    """The column positions of the header line ``reader`` gives first: the
+    five fixed columns, then each category's, in ``category_ids`` order.
+
+    The header is checked first, so every column is one of these, and a row
+    has as many cells as there are positions.
+    """
     try:
         header = next(reader)
     except StopIteration:
         raise MicrodataError(f"{path}: empty file") from None
     _check_header(header, category_ids, path)
-    return header
+    # a category may share a fixed column's name; its column comes after them
+    fixed = len(FIXED_COLUMNS)
+    return [*range(fixed), *(header.index(cid, fixed) for cid in category_ids)]
 
 
 def _check_header(header: list[str], category_ids: tuple[str, ...], path: Path) -> None:
@@ -303,15 +308,14 @@ def _rows(path: Path, schedule: Schedule) -> Iterator[Household]:
     category_ids = schedule.category_ids()
     with _open_text(path) as fh:
         reader = _records(fh, path)
-        header = _header(reader, category_ids, path)
-        cat_index = {cid: header.index(cid, len(FIXED_COLUMNS)) for cid in category_ids}
+        sources = _header(reader, category_ids, path)
         seen: set[int] = set()
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(header):
+            if len(row) != len(sources):
                 raise MicrodataError(
-                    f"{path}: row {lineno}: expected {len(header)} cells, got {len(row)}"
+                    f"{path}: row {lineno}: expected {len(sources)} cells, got {len(row)}"
                 )
             hid = _int_cell(row[0], "id", lineno, path)
             if hid in seen:
@@ -320,8 +324,8 @@ def _rows(path: Path, schedule: Schedule) -> Iterator[Household]:
             weight = _float_cell(row[1], "weight", lineno, path)
             residents = _int_cell(row[2], "residents", lineno, path)
             income = _float_cell(row[3], "income_pc", lineno, path)
-            expenditures = {cid: _float_cell(row[cat_index[cid]], cid, lineno, path)
-                            for cid in category_ids}
+            expenditures = {cid: _float_cell(row[j], cid, lineno, path)
+                            for cid, j in zip(category_ids, sources[len(FIXED_COLUMNS):])}
             nonmonetary = _float_cell(row[4], "nonmonetary_total", lineno, path)
             try:
                 household = Household(id=hid, weight=weight, residents=residents,

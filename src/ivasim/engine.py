@@ -21,7 +21,10 @@ and every household faces the same rate vector.  Vectors over categories
 are in schedule order; ``Population.column_index`` maps them onto ``spend``.
 
 Each taxable-base column is reduced once per population: ``_base_totals``
-and ``denominator_expenditure`` memoise their sums in ``Population.memo``.
+and ``denominator_expenditure`` memoise their sums in ``Population.memo``,
+keyed by the ``spend`` column positions ``Population.column_index`` gives,
+so a schedule whose categories are permuted reuses them.  A build that
+reduces a column forms one eligible-weight vector for every E_j it sums.
 
 Every rate comes from ``schedule.inside_rate_function``, the one per-kind
 rate rule: ``rate_vector`` evaluates it through ``effective_inside_rate``,
@@ -139,16 +142,18 @@ def baseline_tax(household: Household, schedule: Schedule) -> HouseholdIncidence
 def denominator_expenditure(population: Population, schedule: Schedule) -> float:
     """Weighted monetary consumption over the in-denominator categories (memoised).
 
-    Each household's in-denominator spending is summed a chunk of rows at a
-    time, unless every category is in the denominator and the population
-    already holds its ``monetary`` column.
+    The categories' ``spend`` columns come from ``Population.column_index``,
+    and the memo is keyed by them.  Each household's in-denominator spending
+    is summed a chunk of rows at a time, unless every column is in the
+    denominator and the population already holds its ``monetary`` column.
     """
-    in_denom = [c.id for c in schedule.categories if c.in_denominator]
-    key = ("denominator", frozenset(in_denom))
+    idx = population.column_index(schedule).tolist()
+    columns = sorted(j for j, c in zip(idx, schedule.categories) if c.in_denominator)
+    key = ("denominator", tuple(columns))
     if key not in population.memo:
         spend, weight = population.spend, population.weight
-        columns = None if key[1] == set(population.category_ids) else [
-            population.category_ids.index(cid) for cid in in_denom]
+        if len(columns) == len(idx):
+            columns = None  # every column is in: row_sums sums whole rows
         if columns is None and "monetary" in vars(population):  # the cached property is formed
             population.memo[key] = weighted_total(weight, population.monetary)
         else:
@@ -236,40 +241,28 @@ def _taxable(spend: np.ndarray, reducer: float | None) -> np.ndarray:
     return spend if reducer is None else np.maximum(0.0, spend - reducer)
 
 
-def _base_total(population: Population, column: int, reducer: float | None,
-                eligible: np.ndarray | None = None) -> float:
-    """fsum_i(w_i * b_i) of one ``spend`` column's taxable base b: over all
-    households, or over those an ``eligible`` mask selects.
-
-    Bases, selected weights and products are formed one chunk at a time.
-    """
-    spend, weight = population.spend[:, column], population.weight
-
-    def products(s: slice) -> np.ndarray:
-        w = weight[s] if eligible is None else np.where(eligible[s], weight[s], 0.0)
-        return w * _taxable(spend[s], reducer)
-
-    return sum_products(len(spend), products)
-
-
 def _base_totals(population: Population, schedule: Schedule) -> np.ndarray:
     """Rows W and E: W_j = fsum_i(w_i * b_ij) over all households, E_j over eligible ones.
 
     In schedule order.  Each (W_j, E_j) is memoised per population, keyed by
     the ``spend`` column, the reducer (None outside the rent regime) and the
-    eligibility threshold.
+    eligibility threshold.  On a miss the weights and the eligible weights
+    (zero where a household is not eligible) are formed once for the build,
+    and each total sums its products ``w_i * b_ij`` a chunk at a time.
     """
     memo = population.memo
-    eligible = None
+    weights = None
     pairs = []
     for column, c in zip(population.column_index(schedule).tolist(), schedule.categories):
         reducer = c.treatment.reducer
         key = ("base_totals", column, reducer, schedule.eligibility_threshold)
         if key not in memo:
-            if eligible is None:
-                eligible = cashback_eligible(population, schedule)
-            memo[key] = (_base_total(population, column, reducer),
-                         _base_total(population, column, reducer, eligible))
+            if weights is None:
+                weight = population.weight
+                weights = (weight, np.where(cashback_eligible(population, schedule), weight, 0.0))
+            spend = population.spend[:, column]
+            memo[key] = tuple(sum_products(len(w), lambda s: w[s] * _taxable(spend[s], reducer))
+                              for w in weights)
         pairs.append(memo[key])
     return np.array(pairs).T
 

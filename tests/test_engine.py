@@ -9,6 +9,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from ivasim.engine import (
     household_tax,
     household_taxes,
     rate_vector,
+    taxable_base,
     universal_transfer_amount,
     with_cashback,
     HouseholdIncidence,
@@ -38,6 +40,7 @@ from ivasim.microdata import (
 )
 from ivasim.rates import Rate, to_inside
 from ivasim.schedule import bundled_schedule_path, load_schedule, with_removal
+from ivasim.solver import solve_with_cashback
 
 from helpers import burden_simultaneous, folded_taxes
 
@@ -63,6 +66,11 @@ def oracle():
 @pytest.fixture(scope="module")
 def plp68():
     return load_schedule(bundled_schedule_path("plp68"))
+
+
+@pytest.fixture(scope="module")
+def uniform():
+    return load_schedule(bundled_schedule_path("uniform"))
 
 
 def single_category_schedule(**overrides):
@@ -437,6 +445,47 @@ def test_calculator_reuses_the_reductions_of_earlier_schedules(plp68, monkeypatc
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("admitted", ["none", "some", "all"])
+def test_base_totals_are_the_exact_sums_of_the_weighted_bases(plp68, admitted):
+    """W_j and E_j are math.fsum of w_i * b_ij over all households and over the
+    eligible ones, bit for bit, under plp68 and a permutation of its categories
+    (which reuses the first schedule's memo entries), with the rent reducer
+    binding on some households."""
+    pop = generate_synthetic(42, 17_000, plp68)  # more than one chunk of products
+    rent = np.array([h.expenditures["aluguel_imovel"] for h in pop.households])
+    reducer = next(c.treatment.reducer for c in plp68.categories if c.id == "aluguel_imovel")
+    assert ((rent > 0) & (rent < reducer)).any()
+    income = pop.income_per_capita
+    threshold = {"none": income.min() / 2, "some": np.median(income), "all": income.max()}[admitted]
+    eligible = (income <= threshold).tolist()
+    assert sum(eligible) == {"none": 0, "some": len(pop) // 2, "all": len(pop)}[admitted]
+    permuted = tuple(plp68.categories[j]
+                     for j in np.random.default_rng(3).permutation(len(plp68.categories)))
+    weights = pop.weight.tolist()
+    for categories in (permuted, plp68.categories):
+        schedule = dataclasses.replace(plp68, categories=categories,
+                                       eligibility_threshold=float(threshold))
+        bases = [taxable_base(h, schedule) for h in pop.households]
+        W = [math.fsum(w * b[c.id] for w, b in zip(weights, bases)) for c in categories]
+        E = [math.fsum(w * b[c.id] for w, b, e in zip(weights, bases, eligible) if e)
+             for c in categories]
+        totals = engine._base_totals(pop, schedule).tolist()
+        assert [list(map(float.hex, row)) for row in totals] == [list(map(float.hex, W)),
+                                                                list(map(float.hex, E))]
+
+
+def test_a_population_of_other_categories_is_refused_by_validate_against(plp68, uniform):
+    """Each entry point maps the schedule onto the columns through
+    ``Population.column_index``, so each raises ``validate_against``'s error."""
+    pop = generate_synthetic(1, 20, uniform)
+    message = (f"household 1: missing categories {sorted(plp68.category_ids())}; "
+               "unknown categories ['consumo']")
+    for entry in (IncidenceCalculator, denominator_expenditure,
+                  lambda population, schedule: solve_with_cashback(population, schedule, 0.1)):
+        with pytest.raises(MicrodataError, match=f"^{re.escape(message)}$"):
+            entry(pop, plp68)
+
+
 def _two_households(schedule, weights, cells):
     """Two households spending 10 in every category but the first, where they
     spend ``cells``."""
@@ -493,10 +542,12 @@ def test_calculator_fixed_cashback_burden(oracle6, fixture_population):
     assert calc.burden_with_fixed_cashback(t, 0.0) >= burden_simultaneous(calc, t)
 
 
-def test_denominator_leaves_out_non_denominator_categories(plp68):
+@pytest.mark.parametrize("order", [slice(None), slice(None, None, -1)],
+                         ids=["as_given", "reversed"])
+def test_denominator_leaves_out_non_denominator_categories(plp68, order):
     schedule = dataclasses.replace(plp68, categories=tuple(
         dataclasses.replace(c, in_denominator=c.id not in ("aluguel_imovel", "apostas_loterias"))
-        for c in plp68.categories
+        for c in plp68.categories[order]
     ))
     pop = generate_synthetic(3, 300, plp68)
     in_denom = [c.id for c in schedule.categories if c.in_denominator]

@@ -790,6 +790,40 @@ def test_other_line_ends_throughout(tmp_path, plp68, parsed, line_end):
     assert parsed == ["loadtxt"]  # the header line alone decides
 
 
+def test_category_columns_in_another_order(tmp_path, plp68, parsed):
+    """A file whose category columns are in reverse schedule order reads to the
+    schedule-ordered file's population through the plain reader, the
+    structured one (CRLF line ends) and the row reader; a negative cell in a
+    moved column is refused with its row and that column's name."""
+    lines = csv_lines(tmp_path, plp68)
+    fixed = len(FIXED_COLUMNS)
+    reversed_lines = [",".join(cells[:fixed] + cells[fixed:][::-1])
+                      for cells in (line.split(",") for line in lines)]
+    reference = load_population(write_csv(tmp_path, "\n".join(lines) + "\n"), plp68)
+    path = write_csv(tmp_path, "\n".join(reversed_lines) + "\n", "reversed.csv")
+    crlf = write_csv(tmp_path, "\r\n".join(reversed_lines) + "\r\n", "reversed_crlf.csv")
+    parsed.clear()
+    for read, source, log in ((load_population, path, {"plain"}),
+                              (load_population, crlf, {"loadtxt"}),
+                              (_read_rows, path, set())):
+        population = read(source, plp68)
+        assert set(parsed) == log
+        parsed.clear()
+        assert population.category_ids == reference.category_ids
+        for name in COLUMNS:
+            assert getattr(population, name).tobytes() == getattr(reference, name).tobytes(), name
+    j = reversed_lines[0].split(",").index("cesta_basica")  # the first category, now the last
+    assert j == len(reversed_lines[0].split(",")) - 1
+    reversed_lines[25] = _cell(reversed_lines[25], j, "-1.5")
+    path = write_csv(tmp_path, "\n".join(reversed_lines) + "\n", "rejected.csv")
+    household = reversed_lines[25].split(",")[0]
+    for read in (load_population, _read_rows):
+        with pytest.raises(MicrodataError) as exc:
+            read(path, plp68)
+        assert str(exc.value) == (f"{path}: row 26: household {household}: "
+                                  "expenditure 'cesta_basica' must be >= 0, got -1.5")
+
+
 @pytest.mark.parametrize("end", ["\n", "\n\n\n"])
 def test_blank_lines(tmp_path, plp68, parsed, end):
     lines = csv_lines(tmp_path, plp68)
