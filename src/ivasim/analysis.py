@@ -24,10 +24,10 @@ A quintile assignment groups the rows by quintile, so each per-quintile mean
 is an exact sum over one quintile's rows, gathered a chunk at a time, and
 the whole population's total adds up the five quintiles' exact parts.
 Table 1 forms one group's spending at a time by ``engine.category_folds``,
-the fold the per-household taxes use, over the group's members in schedule
-order.  Table 3 gathers the weights and computes the mean expenditures once and
-shares them across scenarios.  Every scenario spot-checks its arrays against
-the per-household reference functions of ``ivasim.engine`` on a few
+the fold the per-household taxes use, over the group's members in ascending
+category id.  Table 3 gathers the weights and computes the mean expenditures
+once and shares them across scenarios.  Every scenario spot-checks its arrays
+against the per-household reference functions of ``ivasim.engine`` on a few
 households.
 
 Outputs are plain data plus deterministic CSV/text renderings: one decimal
@@ -190,17 +190,18 @@ def budget_share_table(
     A household's share vector is its group spending over its monetary total,
     so the groups of one column always add up to 100.  Households with no
     monetary spending carry no shares and are left out of the means.  A
-    group's spending is ``category_folds`` of its members' spending, added in
-    schedule order from +0.0: the bits of numpy's ``spend[:, cols].sum(axis=1)``.
+    group's spending is ``category_folds`` of the vector that is 1.0 on its
+    members and 0.0 elsewhere: its members' spending added in ascending
+    category id from +0.0, as the taxes are, so no cell depends on the order
+    of the schedule's categories.
     """
     monetary = population.monetary
     spending = monetary > 0
     means = _QuintileMeans(population, quintiles, spending)
-    ones = np.ones(len(schedule.categories))
     rows = []
     for g in schedule.groups():
-        members = [j for j, c in enumerate(schedule.categories) if c.group == g]
-        share = category_folds(population, schedule, (ones,), taxable=False, order=members)[0]
+        members = [float(c.group == g) for c in schedule.categories]
+        share = category_folds(population, schedule, (members,), taxable=False)[0]
         np.divide(share, monetary, out=share, where=spending)
         rows.append(BudgetShareRow(g, tuple(100.0 * m for m in means(share.__getitem__))))
         del share  # before the next group's is formed: one share array at a time

@@ -14,8 +14,8 @@ columns: per-household arrays as left folds over the categories in
 ascending category id, ((0 + b_1*v_1) + b_2*v_2) + ..., a block of rows at
 a time and without BLAS, so their bits depend on neither the BLAS build nor
 the order of the population's columns or the schedule's categories
-(``category_folds``, which ``analysis`` also runs over a treatment group's
-members, in schedule order, for table 1's group spending); and
+(``category_folds``: gross tax, cashback, baseline tax and, in ``analysis``,
+table 1's group spending all follow this one rule); and
 population totals from per-category sums, because tax is linear in spending
 and every household faces the same rate vector.  Vectors over categories
 are in schedule order; ``Population.column_index`` maps them onto ``spend``.
@@ -277,20 +277,22 @@ def _refund_shares(schedule: Schedule) -> np.ndarray:
 
 
 def category_folds(population: Population, schedule: Schedule, vectors,
-                   taxable: bool = True, order=None) -> list[np.ndarray]:
+                   taxable: bool = True) -> list[np.ndarray]:
     """Per household, the left fold ((0 + b_1*v_1) + b_2*v_2) + ... of each
-    vector v of ``vectors`` (schedule order), over the schedule positions
-    ``order`` in the order given, by default every category in ascending id.
+    vector v of ``vectors`` (schedule order) over the categories in ascending
+    id, leaving out a category whose coefficient is zero in every vector.
 
     b is the taxable base (``_taxable``), or the plain spending if not
-    ``taxable``.  The folds run ``FOLD_ROWS`` rows at a time, never through
-    BLAS, so their bits depend on neither the BLAS build nor the order of the
-    population's columns, nor, by default, the order of the schedule's
+    ``taxable``.  Leaving a category out changes no bit: each fold starts at
+    +0.0, and every base and coefficient is >= 0, so b*0.0 is a zero and
+    adding it leaves the fold as it is.  The folds run ``FOLD_ROWS`` rows at
+    a time, never through BLAS, so their bits depend on neither the BLAS
+    build nor the order of the population's columns or the schedule's
     categories.
     """
     idx = population.column_index(schedule)
-    if order is None:
-        order = sorted(range(len(idx)), key=lambda j: schedule.categories[j].id)
+    order = sorted((j for j in range(len(idx)) if any(v[j] for v in vectors)),
+                   key=lambda j: schedule.categories[j].id)
     folds = [np.zeros(len(population)) for _ in vectors]
     for start in range(0, len(population), FOLD_ROWS):
         s = slice(start, start + FOLD_ROWS)

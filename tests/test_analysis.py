@@ -163,12 +163,14 @@ def test_single_category_schedule_all_cells_100(uniform):
 
 
 def test_group_spending_is_numpys_row_sum_of_the_gathered_columns(plp68):
-    """Table 1's group spending, ``category_folds`` of the members' spending
-    with a vector of ones in the members' order, has the bits of
-    ``spend[:, cols].sum(axis=1)``, sign of zero included: that sum adds the
-    columns of its F-order gather one after another from +0.0, in the order
-    given, for any number of them (a C-order row sum of eight or more is
-    pairwise).  20k rows cross the folds' block boundaries."""
+    """Table 1's group spending, ``category_folds`` of the vector that is 1.0
+    on the group's members and 0.0 elsewhere, has the bits of
+    ``spend[:, cols].sum(axis=1)`` with the members' columns in ascending
+    category id, sign of zero included, whatever the order of the schedule's
+    categories: that sum adds the columns of its F-order gather one after
+    another from +0.0, in the order given, for any number of them (a C-order
+    row sum of eight or more is pairwise).  20k rows cross the folds' block
+    boundaries."""
     pop = generate_synthetic(42, 20_000, plp68)
     spend = np.array(pop.spend, order="F")
     spend[::7] = -0.0  # a valid cell, alone in its row or among positives
@@ -177,25 +179,24 @@ def test_group_spending_is_numpys_row_sum_of_the_gathered_columns(plp68):
     pop = Population(pop.provenance, pop.category_ids, pop.ids, pop.weight, pop.residents,
                      pop.income_per_capita, pop.nonmonetary_total, spend)
     assert len(pop) > 2 * FOLD_ROWS
-    idx = pop.column_index(plp68)
-    members = [[j for j, c in enumerate(plp68.categories) if c.group == g]
-               for g in plp68.groups()]
-    assert sorted({len(m) for m in members}) == [1, 3, 5, 6]
+    groups = [{c.id for c in plp68.categories if c.group == g} for g in plp68.groups()]
+    assert sorted({len(m) for m in groups}) == [1, 3, 5, 6]
+    ids = plp68.category_ids()
+    groups += [set(ids[:9]), set(ids)]  # 9 and 20 members
     rng = np.random.default_rng(3)
-    positions = list(range(len(plp68.categories)))
-    for some in (positions[:9], positions):  # 9 and 20 members
-        members += [some, some[::-1], rng.permutation(some).tolist()]
-    ones = np.ones(len(positions))
-    for order in members:
-        expected = spend[:, idx[order]].sum(axis=1)
-        got = category_folds(pop, plp68, (ones,), taxable=False, order=order)[0]
-        assert got.tobytes() == expected.tobytes(), order
-    # the default order is every category in ascending id
-    v = rng.random(len(positions))
-    by_id = sorted(positions, key=lambda j: plp68.categories[j].id)
-    assert by_id != positions
-    default = category_folds(pop, plp68, (v,))[0]
-    assert default.tobytes() == category_folds(pop, plp68, (v,), order=by_id)[0].tobytes()
+    shuffled = tuple(plp68.categories[j] for j in rng.permutation(len(ids)))
+    schedules = [plp68, replace(plp68, categories=plp68.categories[::-1]),
+                 replace(plp68, categories=shuffled)]
+    assert list(ids) != sorted(ids)
+    for schedule in schedules:
+        idx = pop.column_index(schedule)
+        for members in groups:
+            cols = sorted((j for j, c in enumerate(schedule.categories) if c.id in members),
+                          key=lambda j: schedule.categories[j].id)
+            expected = spend[:, idx[cols]].sum(axis=1)
+            vector = [float(c.id in members) for c in schedule.categories]
+            got = category_folds(pop, schedule, (vector,), taxable=False)[0]
+            assert got.tobytes() == expected.tobytes(), (schedule.category_ids(), members)
     # and the budget shares of a schedule with one twenty-member group
     one_group = replace(plp68, categories=tuple(replace(c, group="tudo") for c in plp68.categories))
     pop = generate_synthetic(7, 3000, plp68)
@@ -203,8 +204,8 @@ def test_group_spending_is_numpys_row_sum_of_the_gathered_columns(plp68):
     cells = budget_share_table(pop, one_group, q)[0].cells
     share = np.zeros(len(pop))
     spending = pop.monetary > 0
-    np.divide(pop.spend[:, pop.column_index(one_group)].sum(axis=1), pop.monetary, out=share,
-              where=spending)
+    by_id = pop.column_index(one_group)[np.argsort(one_group.category_ids())]
+    np.divide(pop.spend[:, by_id].sum(axis=1), pop.monetary, out=share, where=spending)
     of = quintile_of(q)
     for k, cell in zip((1, 2, 3, 4, 5, 0), cells):
         rows = [i for i, hid in enumerate(pop.ids.tolist()) if k in (0, of[hid]) and spending[i]]

@@ -19,6 +19,7 @@ import pytest
 from ivasim import engine
 from ivasim.analysis import _uniform_vat_schedule
 from ivasim.engine import (
+    FOLD_ROWS,
     IncidenceCalculator,
     aggregate,
     baseline_tax,
@@ -39,7 +40,9 @@ from ivasim.microdata import (
     Household, MicrodataError, Population, Provenance, generate_synthetic, load_population,
 )
 from ivasim.rates import Rate, to_inside
-from ivasim.schedule import bundled_schedule_path, load_schedule, with_removal
+from ivasim.schedule import (
+    bundled_schedule_path, effective_inside_rate, load_schedule, with_removal,
+)
 from ivasim.solver import solve_with_cashback
 
 from helpers import burden_simultaneous, folded_taxes
@@ -333,14 +336,37 @@ def test_household_arrays_are_left_folds_in_category_id_order(plp68):
     """Gross, cashback and baseline tax of each household are the left fold
     ((0 + b_1*v_1) + b_2*v_2) + ... over the categories in ascending id, so
     they keep their bits when the population's columns or the schedule's
-    categories come in another order (and under any BLAS build)."""
+    categories come in another order (and under any BLAS build).  The folds
+    leave out a category whose coefficient is zero in every vector, and keep
+    the bits of ``folded_taxes``, which adds every category: with -0.0
+    spending in the zero-rated categories (and whole rows of it), for a
+    baseline rate vector that is zero in all categories but one, and on the
+    rows at the folds' block boundaries."""
     pop = generate_synthetic(42, 20_000, plp68)
-    gross, cashback, baseline = _household_arrays(pop, plp68)
-    for i in random.Random(0).sample(range(len(pop)), 200):
-        row = pop.row(i)
-        fast = (float(gross[i]), float(cashback[i]), float(baseline[i]))
-        folds = folded_taxes(row, plp68, T_REF) + folded_taxes(row, plp68, None)[:1]
-        assert list(map(repr, fast)) == list(map(repr, folds)), i
+    assert len(pop) > 2 * FOLD_ROWS
+    zero_rated = [j for j, cid in enumerate(pop.category_ids)
+                  if effective_inside_rate(plp68.by_id(cid), T_REF).value == 0.0]
+    assert len(zero_rated) == 3
+    spend = np.array(pop.spend, order="F")
+    spend[::3, zero_rated] = -0.0
+    spend[::5, pop.category_ids.index("gasolina")] = -0.0
+    spend[::7] = -0.0
+    edges = [k * FOLD_ROWS + d for k in (1, 2) for d in (-1, 0)]
+    spend[edges[::2]] = -0.0
+    spend[np.ix_(edges[1::2], zero_rated)] = -0.0
+    pop = Population(pop.provenance, pop.category_ids, pop.ids, pop.weight, pop.residents,
+                     pop.income_per_capita, pop.nonmonetary_total, spend)
+    one_rate = dataclasses.replace(plp68, categories=tuple(
+        c if c.id == "gasolina" else dataclasses.replace(c, baseline_effective=Rate.inside(0.0))
+        for c in plp68.categories))
+    rows = edges + random.Random(0).sample(range(len(pop)), 200)
+    for schedule in (plp68, one_rate):
+        gross, cashback, baseline = _household_arrays(pop, schedule)
+        for i in rows:
+            row = pop.row(i)
+            fast = (float(gross[i]), float(cashback[i]), float(baseline[i]))
+            folds = folded_taxes(row, schedule, T_REF) + folded_taxes(row, schedule, None)[:1]
+            assert list(map(repr, fast)) == list(map(repr, folds)), i
     rng = np.random.default_rng(0)
     columns = rng.permutation(len(pop.category_ids))
     permuted = Population(pop.provenance, tuple(pop.category_ids[j] for j in columns), pop.ids,
@@ -348,7 +374,7 @@ def test_household_arrays_are_left_folds_in_category_id_order(plp68):
                           pop.nonmonetary_total, pop.spend[:, columns])
     reordered = dataclasses.replace(plp68, categories=tuple(
         plp68.categories[j] for j in rng.permutation(len(plp68.categories))))
-    arrays = [a.tobytes() for a in (gross, cashback, baseline)]
+    arrays = [a.tobytes() for a in _household_arrays(pop, plp68)]
     assert [a.tobytes() for a in _household_arrays(permuted, plp68)] == arrays
     assert [a.tobytes() for a in _household_arrays(pop, reordered)] == arrays
 

@@ -8,8 +8,8 @@ household and renters on both sides of the rent reducer, check that
   are left folds over the categories in ascending id, bit for bit,
 * the per-household arrays keep their bits when the population's columns or
   the schedule's categories are permuted, and so do the solved rate, the
-  trace and table 3 when the schedule's categories are, while tables 1 and
-  2 keep every rendered row,
+  trace, table 1's unrounded cells and table 3 when the schedule's
+  categories are, while table 2 keeps every rendered row,
 * every reform scenario is revenue neutral,
 * calculator totals match the scalar aggregate and do not change when
   households are permuted or one household is split into two half-weight rows,
@@ -326,6 +326,12 @@ def _trace_bits(result):
             for r in result.trace]
 
 
+def _cells_by_group(population, schedule):
+    """Table 1's unrounded cells, as ``repr``, keyed by group."""
+    rows = budget_share_table(population, schedule, assign_quintiles(population))
+    return {r.group: list(map(repr, r.cells)) for r in rows}
+
+
 def _rows_by_label(csv_text, text):
     """A table's CSV rows keyed by their label, and its text lines as a multiset."""
     return {line.split(",")[0]: line for line in csv_text.splitlines()}, sorted(text.splitlines())
@@ -334,17 +340,29 @@ def _rows_by_label(csv_text, text):
 @PROPERTY_SETTINGS
 @given(cases(), st.data())
 def test_outputs_invariant_to_schedule_category_order(case, data):
-    """Permuting the schedule's categories leaves the solved rate, the trace
-    and table 3 bit for bit as they are, and every rendered row of tables 1
-    and 2, which list their rows in group and selector order, by its label.
-    (Table 1's unrounded cells may move by an ulp: a group's members are
-    added in schedule order.)"""
+    """Permuting the schedule's categories leaves the solved rate, the trace,
+    table 1's unrounded cells by group and table 3 bit for bit as they are,
+    and every rendered row of tables 1 and 2, which list their rows in group
+    and selector order, by its label.  Table 1's cells are also compared with
+    the categories drawn into two groups, as a group of three or more
+    members adds them in an order of its own."""
     schedule, p = case
-    reordered = replace(schedule, categories=tuple(data.draw(st.permutations(schedule.categories))))
+    k = len(schedule.categories)
+    permutation = data.draw(st.permutations(range(k)))
+    labels = data.draw(st.lists(st.sampled_from("ab"), min_size=k, max_size=k))
+    grouped = replace(schedule, categories=tuple(
+        replace(c, group=g) for c, g in zip(schedule.categories, labels)))
+
+    def reorder(s):
+        return replace(s, categories=tuple(s.categories[j] for j in permutation))
+
+    reordered = reorder(schedule)
     result, tables = _outputs(p, schedule)
     reordered_result, reordered_tables = _outputs(p, reordered)
     assert reordered_result.t_ref.value.hex() == result.t_ref.value.hex()
     assert _trace_bits(reordered_result) == _trace_bits(result)
+    for s in (schedule, grouped):
+        assert _cells_by_group(p, reorder(s)) == _cells_by_group(p, s)
     assert reordered_tables[4:] == tables[4:]
     for i in (0, 2):
         assert _rows_by_label(*reordered_tables[i:i + 2]) == _rows_by_label(*tables[i:i + 2])
@@ -918,7 +936,8 @@ def test_table_cells_match_per_quintile_fsum_means(n, idle_share, seed, pick):
     shares = budget_share_table(population, PLP68, quintiles)
     idx = population.column_index(PLP68)
     for row in shares[:-1]:
-        members = [j for j, c in enumerate(PLP68.categories) if c.group == row.group]
+        members = sorted((j for j, c in enumerate(PLP68.categories) if c.group == row.group),
+                         key=lambda j: PLP68.categories[j].id)
         group_spend = population.spend[:, idx[members]].sum(axis=1)
         share = np.array([g / m if s else 0.0 for g, m, s in
                           zip(group_spend.tolist(), population.monetary.tolist(), spending)])
